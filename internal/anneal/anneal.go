@@ -126,6 +126,11 @@ var ErrNoCooling = errors.New("anneal: no cooling schedule")
 // accepting a move with cost change delta at temperature temp. Boundary
 // behaviour follows equation (2): at temp = 0 the move is accepted iff
 // delta < 0; at temp = +Inf the probability is ½.
+//
+// AcceptProb is the specification of the acceptance rule. The annealing
+// loops decide moves with accept, which returns exactly
+// u < AcceptProb(delta, temp) but calls math.Exp only when a cheap
+// bracket of the exponential cannot settle the comparison.
 func AcceptProb(delta, temp float64) float64 {
 	if temp <= 0 {
 		if delta < 0 {
@@ -145,6 +150,85 @@ func AcceptProb(delta, temp float64) float64 {
 		return 1
 	}
 	return 1 / (1 + math.Exp(x))
+}
+
+// acceptMargin is the relative guard band of accept's bracket. It must
+// exceed the rounding error of the bracket bounds and of AcceptProb's own
+// evaluation (a few ulps each, about 1e-14 relative) by a wide factor, so
+// that a decision taken from the bounds always agrees with the rounded
+// AcceptProb. It must also stay small, because a u inside the band costs
+// a math.Exp.
+const acceptMargin = 1e-9
+
+// expRemainder bounds the Taylor remainder of e^z after the degree-4
+// term: Σ_{k≥5} z^k/k! ≤ e^z·z⁵/120 ≤ (e/120)·z⁵ < 0.023·z⁵ for z ≤ 1.
+const expRemainder = 0.023
+
+// accept decides one Glauber move: it returns exactly
+// u < AcceptProb(delta, temp) for every float64 input, calling math.Exp
+// only when bracket cannot settle the comparison.
+func accept(u, delta, temp float64) bool {
+	if decided, ok := bracket(u, delta, temp); decided {
+		return ok
+	}
+	return u < AcceptProb(delta, temp)
+}
+
+// bracket tries to decide u < AcceptProb(delta, temp) without math.Exp.
+// With x = delta/temp, y = |x| and z = y/8 it brackets e^y between
+// multiply-only bounds,
+//
+//	lo = T4(z)⁸               ≤ e^y   (T4 the degree-4 Taylor polynomial; all z ≥ 0)
+//	hi = (T4(z) + 0.023·z⁵)⁸  ≥ e^y   (z ≤ 1)
+//
+// and rewrites the acceptance test without a division: u·(1+e^y) < 1 for
+// x ≥ 0 (P = 1/(1+e^y)) and u·(1+e^y) < e^y for x < 0 (P = e^y/(1+e^y)).
+// A decision is taken from a bound only when it holds with relative
+// margin acceptMargin. decided is false when u lands inside the band, for
+// a NaN anywhere, and for temp ≤ 0 or +Inf; accept then evaluates
+// AcceptProb. See PERFORMANCE.md §15 for the derivation and the measured
+// fallback rate.
+func bracket(u, delta, temp float64) (decided, ok bool) {
+	if !(temp > 0) || math.IsInf(temp, 1) {
+		return false, false
+	}
+	x := delta / temp
+	z := math.Abs(x) * 0.125
+	// T4(z) = 1 + z + z²/2 + z³/6 + z⁴/24 in Estrin form: a shorter
+	// dependency chain than Horner's rule, and this chain gates the
+	// accept/reject branch.
+	z2 := z * z
+	t4 := (1 + z) + z2*((0.5+z*(1.0/6))+z2*(1.0/24))
+	lo := t4 * t4
+	lo *= lo
+	lo *= lo
+	if x >= 0 {
+		if u*(1+lo) >= 1+acceptMargin {
+			return true, false // u·(1+e^y) ≥ u·(1+lo) > 1
+		}
+		if z <= 1 && u*(1+upperExp(t4, z, z2)) < 1-acceptMargin {
+			return true, true // u·(1+e^y) ≤ u·(1+hi) < 1
+		}
+		return false, false
+	}
+	if u*(1+lo) < lo*(1-acceptMargin) {
+		return true, true // u < lo/(1+lo) ≤ e^y/(1+e^y)
+	}
+	if z <= 1 {
+		if hi := upperExp(t4, z, z2); u*(1+hi) >= hi*(1+acceptMargin) {
+			return true, false // u > hi/(1+hi) ≥ e^y/(1+e^y)
+		}
+	}
+	return false, false
+}
+
+// upperExp returns (t4 + 0.023·z⁵)⁸ ≥ e^(8z), valid for 0 ≤ z ≤ 1, where
+// t4 is the degree-4 Taylor polynomial of e^z and z2 = z².
+func upperExp(t4, z, z2 float64) float64 {
+	hi := t4 + expRemainder*z2*z2*z
+	hi *= hi
+	hi *= hi
+	return hi * hi
 }
 
 // Minimize runs simulated annealing on p and returns run statistics. The
@@ -187,7 +271,7 @@ stages:
 				break stages
 			}
 			res.Moves++
-			accepted := rng.Float64() < AcceptProb(delta, temp)
+			accepted := accept(rng.Float64(), delta, temp)
 			if accepted {
 				res.Accepted++
 				cost += delta

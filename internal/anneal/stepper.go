@@ -105,7 +105,7 @@ func (st *Stepper) Step() bool {
 			return false
 		}
 		st.res.Moves++
-		accepted := st.rng.Float64() < AcceptProb(delta, temp)
+		accepted := accept(st.rng.Float64(), delta, temp)
 		if accepted {
 			st.res.Accepted++
 			st.cost += delta

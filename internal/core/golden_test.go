@@ -123,8 +123,8 @@ func TestGoldenBodies(t *testing.T) {
 	}
 }
 
-// goldenDigests was captured before the exp-free acceptance test and the
-// per-packet contribution table went in; both must leave it untouched.
+// goldenDigests maps each case to its body's SHA-256. A change that claims
+// identical output must leave every entry untouched.
 var goldenDigests = map[string]string{
 	"FFT/bus:8/1/cooperative":          "8e5a01e7ab64cead8177fe2bb92c7ab24226b60b7f1f651d0423ec944eb42ce6",
 	"FFT/bus:8/1/restarts":             "b3cebf520b3fdc06dac17a5fccdec07067b8d11cdd7902d1ee79a13a6f2a10e8",

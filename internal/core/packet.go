@@ -39,7 +39,11 @@ type packet struct {
 	// placed on procs[j]: the sum of eq. 4 over the task's finished
 	// predecessors. Entry (i, j) lives at commCost[i*np+j].
 	commCost []float64
-	np       int // row stride = len(procs)
+	// contrib is the row-major n×p table of contribution(i, j), the
+	// normalized eq. 6 cost of candidate i on slot j, filled once per
+	// epoch so the annealing moves read it instead of dividing.
+	contrib []float64
+	np      int // row stride = len(procs)
 	// dFb and dFc are the normalization ranges of §4.2c.
 	dFb, dFc float64
 	wb, wc   float64
@@ -104,6 +108,7 @@ func (pk *packet) presize(n, p int) {
 	pk.procs = grow(pk.procs, p)[:0]
 	pk.level = grow(pk.level, n)[:0]
 	pk.commCost = grow(pk.commCost, n*p)[:0]
+	pk.contrib = grow(pk.contrib, n*p)[:0]
 	pk.taskAt = grow(pk.taskAt, p)[:0]
 	pk.procOf = grow(pk.procOf, n)[:0]
 	pk.bestTaskAt = grow(pk.bestTaskAt, p)[:0]
@@ -114,9 +119,9 @@ func (pk *packet) presize(n, p int) {
 }
 
 // reset rebuilds the packet cost tables for one epoch in place: the
-// candidate tasks, the free processors, and, via the locator, the
-// communication cost of every (task, processor) placement given where the
-// predecessors executed.
+// candidate tasks, the free processors, via the locator the communication
+// cost of every (task, processor) placement given where the predecessors
+// executed, and from those the normalized contribution table.
 func (pk *packet) reset(ready []taskgraph.TaskID, idle []int, locate Locator, levels []float64,
 	topo *topology.Topology, comm topology.CommParams, g *taskgraph.Graph, wb, wc float64) {
 
@@ -125,6 +130,7 @@ func (pk *packet) reset(ready []taskgraph.TaskID, idle []int, locate Locator, le
 	pk.procs = append(pk.procs[:0], idle...)
 	pk.level = grow(pk.level, n)
 	pk.commCost = grow(pk.commCost, n*p)
+	pk.contrib = grow(pk.contrib, n*p)
 	pk.np = p
 	pk.wb, pk.wc = wb, wc
 	pk.taskAt = grow(pk.taskAt, p)
@@ -157,16 +163,23 @@ func (pk *packet) reset(ready []taskgraph.TaskID, idle []int, locate Locator, le
 	}
 	pk.dFb = pk.balanceRange()
 	pk.dFc = pk.commRange()
+	for i := range pk.tasks {
+		for j := 0; j < p; j++ {
+			pk.contrib[i*p+j] = -pk.wb*pk.level[i]/pk.dFb + pk.wc*pk.comm(i, j)/pk.dFc
+		}
+	}
 }
 
 // cloneFrom makes pk an independent copy of src for a concurrent restart:
-// the immutable cost tables (tasks, procs, level, commCost) are shared,
-// only the mutable mapping state is deep-copied into pk's own buffers.
+// the immutable cost tables (tasks, procs, level, commCost, contrib) are
+// shared, only the mutable mapping state is deep-copied into pk's own
+// buffers.
 func (pk *packet) cloneFrom(src *packet) {
 	pk.tasks = src.tasks
 	pk.procs = src.procs
 	pk.level = src.level
 	pk.commCost = src.commCost
+	pk.contrib = src.contrib
 	pk.np = src.np
 	pk.dFb, pk.dFc = src.dFb, src.dFc
 	pk.wb, pk.wc = src.wb, src.wc
@@ -275,10 +288,9 @@ func (pk *packet) commRange() float64 {
 }
 
 // contribution returns the normalized cost contribution of candidate i
-// placed on processor slot j.
-func (pk *packet) contribution(i, j int) float64 {
-	return -pk.wb*pk.level[i]/pk.dFb + pk.wc*pk.comm(i, j)/pk.dFc
-}
+// placed on processor slot j, -wb·level/ΔFb + wc·comm/ΔFc, as tabulated
+// by reset.
+func (pk *packet) contribution(i, j int) float64 { return pk.contrib[i*pk.np+j] }
 
 // place assigns candidate i to processor slot j (both currently free) and
 // updates the running components.

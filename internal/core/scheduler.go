@@ -134,13 +134,16 @@ func (o Options) Validate() error {
 // TracePoint is one annealing iteration of one packet: the raw level cost
 // Fb (eq. 3), the raw communication cost Fc (eq. 5) and the weighted
 // normalized total Ftot (eq. 6). These are the three trajectories of the
-// paper's Figure 1.
+// paper's Figure 1. Delta is the proposed move's cost change, accepted or
+// not, so a trace also replays the (Delta, Temp) stream the acceptance
+// rule saw.
 type TracePoint struct {
-	Iter int
-	Temp float64
-	Fb   float64
-	Fc   float64
-	Ftot float64
+	Iter  int
+	Temp  float64
+	Delta float64
+	Fb    float64
+	Fc    float64
+	Ftot  float64
 }
 
 // PacketReport summarizes the annealing of one packet.
@@ -428,11 +431,12 @@ func (s *Scheduler) annealSingle(pk *packet, aopt anneal.Options, report *Packet
 	if s.opt.RecordTrace {
 		aopt.OnMove = func(mi anneal.MoveInfo) {
 			report.Trace = append(report.Trace, TracePoint{
-				Iter: mi.Move,
-				Temp: mi.Temp,
-				Fb:   pk.Fb(),
-				Fc:   pk.Fc(),
-				Ftot: pk.Cost(),
+				Iter:  mi.Move,
+				Temp:  mi.Temp,
+				Delta: mi.Delta,
+				Fb:    pk.Fb(),
+				Fc:    pk.Fc(),
+				Ftot:  pk.Cost(),
 			})
 		}
 	}
@@ -490,11 +494,12 @@ func (s *Scheduler) annealRestarts(pk *packet, aopt anneal.Options, report *Pack
 				trace := &run.trace
 				ropt.OnMove = func(mi anneal.MoveInfo) {
 					*trace = append(*trace, TracePoint{
-						Iter: mi.Move,
-						Temp: mi.Temp,
-						Fb:   rpk.Fb(),
-						Fc:   rpk.Fc(),
-						Ftot: rpk.Cost(),
+						Iter:  mi.Move,
+						Temp:  mi.Temp,
+						Delta: mi.Delta,
+						Fb:    rpk.Fb(),
+						Fc:    rpk.Fc(),
+						Ftot:  rpk.Cost(),
 					})
 				}
 			}
@@ -681,11 +686,12 @@ func (s *Scheduler) annealCooperative(pk *packet, aopt anneal.Options, report *P
 			trace := &run.trace
 			ropt.OnMove = func(mi anneal.MoveInfo) {
 				*trace = append(*trace, TracePoint{
-					Iter: mi.Move,
-					Temp: mi.Temp,
-					Fb:   rpk.Fb(),
-					Fc:   rpk.Fc(),
-					Ftot: rpk.Cost(),
+					Iter:  mi.Move,
+					Temp:  mi.Temp,
+					Delta: mi.Delta,
+					Fb:    rpk.Fb(),
+					Fc:    rpk.Fc(),
+					Ftot:  rpk.Cost(),
 				})
 			}
 		}

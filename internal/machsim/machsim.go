@@ -221,6 +221,12 @@ type Result struct {
 	// assignment (core.Options.Warm), summed over packets. Deterministic
 	// for a fixed (seed, warm seed), so warm results stay cacheable.
 	WarmEpochsSaved int
+	// AnnealMoves and AnnealAccepted sum the annealing moves the SA
+	// scheduler proposed and accepted over every packet of the solve
+	// (all restarts included) — the acceptance ratio's numerator and
+	// denominator. Zero for solvers that do not anneal.
+	AnnealMoves    int
+	AnnealAccepted int
 	// BoundUpdates counts successful tightenings of the portfolio's
 	// shared incumbent bound during the race that produced this result:
 	// each one is a completed member publishing a makespan that strictly

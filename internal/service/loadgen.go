@@ -86,6 +86,8 @@ type LoadGenReport struct {
 	RemoteHits int           `json:"remote_hits"`
 	Coalesced  int           `json:"coalesced"`
 	Elapsed    time.Duration `json:"elapsed_ns"`
+	// Throughput is answered requests (Requests − Errors) per second of
+	// Elapsed: a failed request is not served work.
 	Throughput float64       `json:"requests_per_second"`
 	LatencyP50 time.Duration `json:"latency_p50_ns"`
 	LatencyP95 time.Duration `json:"latency_p95_ns"`
@@ -425,7 +427,7 @@ func LoadGen(cfg LoadGenConfig) (*LoadGenReport, error) {
 		RemoteHits: int(remoteCount.Load()),
 		Coalesced:  int(coalCount.Load()),
 		Elapsed:    elapsed,
-		Throughput: float64(cfg.Requests) / elapsed.Seconds(),
+		Throughput: float64(cfg.Requests-int(errCount.Load())) / elapsed.Seconds(),
 		LatencyP50: total.P50,
 		LatencyP95: total.P95,
 		LatencyP99: total.P99,

@@ -2,6 +2,7 @@ package service
 
 import (
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
@@ -43,6 +44,37 @@ func TestLoadGenHonorsShedHints(t *testing.T) {
 	}
 	if report.Errors != 0 {
 		t.Fatalf("errors = %d, want 0 — a shed that succeeds on retry is not an error", report.Errors)
+	}
+}
+
+// TestLoadGenThroughputCountsAnsweredOnly: failed requests are errors,
+// not served work, so the reported rate is (Requests − Errors)/Elapsed.
+func TestLoadGenThroughputCountsAnsweredOnly(t *testing.T) {
+	var calls atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if calls.Add(1)%4 == 0 {
+			http.Error(w, "boom", http.StatusInternalServerError)
+			return
+		}
+		w.Header().Set("X-DTServe-Cache", "miss")
+		w.Write([]byte(`{}`))
+	}))
+	defer ts.Close()
+
+	report, err := LoadGen(LoadGenConfig{
+		URL:         ts.URL,
+		Requests:    20,
+		Concurrency: 2,
+		Distinct:    2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if report.Errors != 5 {
+		t.Fatalf("errors = %d, want 5 (every 4th request fails)", report.Errors)
+	}
+	if answered := report.Throughput * report.Elapsed.Seconds(); math.Abs(answered-15) > 1e-6 {
+		t.Fatalf("throughput × elapsed = %g requests, want the 15 answered", answered)
 	}
 }
 

@@ -63,6 +63,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	counter("dtserve_restarts_abandoned_total", "Cooperative SA restarts abandoned early for lagging the shared incumbent (seed-deterministic).", st.RestartsAbandoned)
 	counter("dtserve_warm_hits_total", "Solver executions warm-started from a cached near-miss assignment (similarity index or delta base).", st.WarmHits)
 	counter("dtserve_warm_epochs_saved_total", "Annealing stages skipped by warm-started solves.", st.WarmEpochsSaved)
+	counter("dtserve_anneal_moves_total", "SA moves proposed by solves (summed over packets and restarts).", st.AnnealMoves)
+	counter("dtserve_anneal_accepted_total", "SA moves accepted by solves; divided by dtserve_anneal_moves_total it is the acceptance ratio.", st.AnnealAccepted)
 	counter("dtserve_portfolio_bound_updates_total", "Portfolio incumbent-bound tightenings published by completed members.", st.PortfolioBoundUpdates)
 	gauge("dtserve_sim_index_entries", "Entries currently held by the similarity index.", int64(st.SimIndexEntries))
 	counter("dtserve_shed_total", "Requests refused by admission control with a 429 (lane depth or queue-delay budget exhausted).", st.Shed)

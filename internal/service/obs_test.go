@@ -110,6 +110,14 @@ func TestTracedRequestStageBreakdown(t *testing.T) {
 	if env.Trace.Notes["solver"] != "sa" {
 		t.Fatalf("trace notes = %v, want solver=sa", env.Trace.Notes)
 	}
+	// The /statsz acceptance counters are fed once per solve from the
+	// same sums the trace annotates; this server ran exactly one solve.
+	st := getStats(t, ts.URL)
+	for note, v := range map[string]uint64{"anneal_moves": st.AnnealMoves, "anneal_accepted": st.AnnealAccepted} {
+		if got := strconv.FormatUint(v, 10); got != env.Trace.Notes[note] || v == 0 {
+			t.Fatalf("/statsz %s = %s, trace note = %q", note, got, env.Trace.Notes[note])
+		}
+	}
 }
 
 // TestTraceNeverCached: the trace block is spliced per response and never
@@ -454,6 +462,7 @@ func TestMetricsExposition(t *testing.T) {
 		"dtserve_lane_queue_delay_seconds", "dtserve_disk_read_seconds",
 		"dtserve_disk_write_seconds", "dtserve_stream_ttfb_seconds",
 		"dtserve_portfolio_member_total", "dtserve_solver_outcome_total",
+		"dtserve_anneal_moves_total", "dtserve_anneal_accepted_total",
 	} {
 		if !helped[family] || typed[family] == "" {
 			t.Fatalf("family %s missing from the exposition (HELP=%v TYPE=%q)", family, helped[family], typed[family])
@@ -475,6 +484,21 @@ func TestMetricsExposition(t *testing.T) {
 	// The TTFB histogram saw the streamed batch.
 	if sr := hists["dtserve_stream_ttfb_seconds{}"]; sr == nil || sr.count == 0 {
 		t.Fatal("streamed batch did not land in dtserve_stream_ttfb_seconds")
+	}
+	// The acceptance-ratio counters: the FFT miss annealed, so both totals
+	// are positive, accepted never exceeds proposed, and /metrics carries
+	// exactly the /statsz totals (no traffic ran between the scrapes).
+	st := getStats(t, ts.URL)
+	if st.AnnealMoves == 0 || st.AnnealAccepted == 0 || st.AnnealAccepted > st.AnnealMoves {
+		t.Fatalf("anneal_moves = %d, anneal_accepted = %d; want 0 < accepted <= moves", st.AnnealMoves, st.AnnealAccepted)
+	}
+	for name, want := range map[string]uint64{
+		"dtserve_anneal_moves_total":    st.AnnealMoves,
+		"dtserve_anneal_accepted_total": st.AnnealAccepted,
+	} {
+		if line := fmt.Sprintf("\n%s %d\n", name, want); !strings.Contains(text, line) {
+			t.Fatalf("exposition lacks %q matching /statsz", strings.TrimSpace(line))
+		}
 	}
 }
 

@@ -185,6 +185,8 @@ type Server struct {
 	warmHits uint64
 	// warmEpochsSaved sums the annealing stages warm starts skipped.
 	warmEpochsSaved uint64
+	// annealMoves and annealAccepted sum the SA moves of every solve.
+	annealMoves, annealAccepted uint64
 	// boundUpdates counts portfolio incumbent-bound tightenings: completed
 	// members publishing makespans that strictly improved the bound the
 	// still-running members prune against.
@@ -262,6 +264,11 @@ type Stats struct {
 	WarmHits uint64 `json:"warm_hits"`
 	// WarmEpochsSaved sums the annealing stages skipped by warm starts.
 	WarmEpochsSaved uint64 `json:"warm_epochs_saved"`
+	// AnnealMoves and AnnealAccepted sum the SA moves proposed and
+	// accepted by the solves that produced results; their ratio is the
+	// served anneals' acceptance ratio.
+	AnnealMoves    uint64 `json:"anneal_moves"`
+	AnnealAccepted uint64 `json:"anneal_accepted"`
 	// PortfolioBoundUpdates counts shared-incumbent tightenings during
 	// portfolio races: completed members publishing makespans that
 	// improved the bound still-running members prune against.
@@ -491,6 +498,8 @@ func (s *Server) Stats() Stats {
 		RestartsAbandoned:     s.restartsAbandoned,
 		WarmHits:              s.warmHits,
 		WarmEpochsSaved:       s.warmEpochsSaved,
+		AnnealMoves:           s.annealMoves,
+		AnnealAccepted:        s.annealAccepted,
 		PortfolioBoundUpdates: s.boundUpdates,
 		SimIndexEntries:       s.sim.Len(),
 		Shed:                  s.shed,
@@ -1417,6 +1426,8 @@ func (s *Server) solve(ctx context.Context, slv solver.Solver, sreq solver.Reque
 	s.mu.Lock()
 	s.pruned += uint64(res.Pruned)
 	s.restartsAbandoned += uint64(res.RestartsAbandoned)
+	s.annealMoves += uint64(res.AnnealMoves)
+	s.annealAccepted += uint64(res.AnnealAccepted)
 	s.boundUpdates += uint64(res.BoundUpdates)
 	if sreq.SA.Warm != nil {
 		s.warmHits++

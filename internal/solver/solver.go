@@ -176,8 +176,12 @@ func (p policySolver) Solve(ctx context.Context, req Request) (*machsim.Result, 
 			// into it never races with arena reuse.
 			res.RestartsAbandoned = sc.RestartsAbandoned()
 			res.WarmEpochsSaved = sc.WarmSavedStages()
+			for _, pr := range sc.Packets() {
+				res.AnnealMoves += pr.Moves
+				res.AnnealAccepted += pr.Accepted
+			}
 			if tr := obs.FromContext(ctx); tr != nil {
-				annotateAnneal(tr, sc)
+				annotateAnneal(tr, sc, res)
 			}
 		}
 	}
@@ -187,22 +191,21 @@ func (p policySolver) Solve(ctx context.Context, req Request) (*machsim.Result, 
 // annotateAnneal folds the SA scheduler's per-packet reports into solve
 // annotations: how many annealing packets ran and how much total cost
 // they burned down — the trace-level view of the paper's §6a packet
-// statistics.
-func annotateAnneal(tr *obs.Trace, sc *core.Scheduler) {
-	var moves, accepted, stages int
+// statistics. The move and acceptance totals come from res, where the
+// caller already summed them.
+func annotateAnneal(tr *obs.Trace, sc *core.Scheduler, res *machsim.Result) {
+	var stages int
 	var initial, final float64
 	packets := sc.Packets()
 	for _, p := range packets {
-		moves += p.Moves
-		accepted += p.Accepted
 		stages += p.Stages
 		initial += p.InitialCost
 		final += p.FinalCost
 	}
 	tr.Annotate("sa_packets", strconv.Itoa(len(packets)))
 	tr.Annotate("anneal_stages", strconv.Itoa(stages))
-	tr.Annotate("anneal_moves", strconv.Itoa(moves))
-	tr.Annotate("anneal_accepted", strconv.Itoa(accepted))
+	tr.Annotate("anneal_moves", strconv.Itoa(res.AnnealMoves))
+	tr.Annotate("anneal_accepted", strconv.Itoa(res.AnnealAccepted))
 	if n := sc.RestartsAbandoned(); n > 0 {
 		tr.Annotate("restarts_abandoned", strconv.Itoa(n))
 	}
