@@ -31,7 +31,9 @@
 // private listener, kept off the public API address.
 //
 // The -chaos flag turns on the fault-injection harness from
-// internal/chaos for resilience drills, e.g.
+// internal/chaos for resilience drills: disk-* and remote-* keys fault
+// the disk and remote cache rungs, solver-* keys wrap the default
+// solver, e.g.
 //
 //	dtserve -cache-dir /tmp/dt -chaos 'disk-err=0.2,disk-delay=2ms,solver-err=0.05,seed=7'
 package main
@@ -147,16 +149,10 @@ func main() {
 		if err != nil {
 			fatal("chaos spec", err)
 		}
-		if ccfg.DiskErrRate > 0 || ccfg.DiskDelay > 0 {
-			cfg.WrapDiskTier = func(under service.DiskTier) service.DiskTier {
-				return chaos.NewTier(under, ccfg)
-			}
-		}
-		if ccfg.RemoteErrRate > 0 || ccfg.RemoteDelay > 0 {
-			cfg.WrapRemoteTier = func(under service.RemoteTier) service.RemoteTier {
-				return chaos.NewRemoteTier(under, ccfg)
-			}
-		}
+		// The disk-* and remote-* keys fault the configured cache rungs
+		// of those names through the WrapTier seam; a rung the spec
+		// leaves unarmed is passed through untouched.
+		cfg.WrapTier = chaos.WrapTier(ccfg)
 		if ccfg.SolverErrRate > 0 || ccfg.SolverDelay > 0 {
 			under, err := solver.Get(*solverDef)
 			if err != nil {

@@ -1,24 +1,24 @@
 // Package chaos is the fault-injection harness for the scheduling
-// service: it wraps the persistent disk tier, the fleet-shared remote
-// tier and any solver with deterministic, seeded fault injectors, so
-// tests — and a dtserve operator via the -chaos flag — can prove the
-// service degrades gracefully instead of hoping it does.
+// service: it wraps the rungs of the service's cache ladder (the
+// persistent disk tier and the fleet-shared remote tier) and any solver
+// with deterministic, seeded fault injectors, so tests — and a dtserve
+// operator via the -chaos flag — can prove the service degrades
+// gracefully instead of hoping it does.
 //
-// The harness is plain Go behind public seams
-// (service.Config.WrapDiskTier / WrapRemoteTier for the tiers,
-// solver.Register for the flaky solver); no build tags, so the injection
-// code itself is compiled and vetted on every build and the production
-// binary pays a single nil-check when chaos is off.
+// The harness is plain Go behind public seams (service.Config.WrapTier
+// for the rungs, solver.Register for the flaky solver); no build tags, so
+// the injection code itself is compiled and vetted on every build and the
+// production binary pays a single nil-check when chaos is off.
 //
 // Invariants the service must keep under any injected fault:
 //
-//   - a disk- or remote-tier read fault degrades to a cache miss: the
-//     request falls back to a solve and answers 200 with byte-identical
-//     results;
-//   - injected tier faults surface in that tier's Errors counter, so
+//   - a rung's read fault degrades to a miss at that rung: the request
+//     falls through to the next rung, or to a solve, and answers 200 with
+//     byte-identical results;
+//   - injected faults surface in that rung's Errors counter, so
 //     operators see the failure rate in /statsz and /metrics;
-//   - the conservation law solves + cache.hits + disk.hits + remote.hits
-//   - coalesced == schedule_items holds, fault or no fault;
+//   - the conservation law solves + cache.hits + Σ rung hits + coalesced
+//     == schedule_items holds, fault or no fault;
 //   - a flaky solver failure is an ordinary structured error to exactly
 //     the requests it hit — never a panic, never a poisoned cache entry.
 package chaos
@@ -161,14 +161,42 @@ func (r *roller) uniform() float64 {
 	return r.rng.Float64()
 }
 
-// Tier wraps a service disk tier with fault injection. A faulted Get
-// reports a miss (the service then falls back to a solve — graceful
-// degradation, not an error surface); a faulted Put drops the write. Both
-// are folded into the wrapped tier's Errors stat so the injected failure
-// rate is visible wherever disk errors already are.
+// tierFaults returns the error rate and read delay cfg arms for the named
+// ladder rung: the disk-* keys for "disk", the remote-* keys for
+// "remote", nothing for any other name.
+func (c Config) tierFaults(name string) (float64, time.Duration) {
+	switch name {
+	case "disk":
+		return c.DiskErrRate, c.DiskDelay
+	case "remote":
+		return c.RemoteErrRate, c.RemoteDelay
+	}
+	return 0, 0
+}
+
+// WrapTier returns a service.Config.WrapTier seam that wraps every
+// configured rung cfg arms faults for in a Tier and passes the others
+// through unchanged — an unconfigured (nil) rung stays absent.
+func WrapTier(cfg Config) func(name string, under service.Tier) service.Tier {
+	return func(name string, under service.Tier) service.Tier {
+		if rate, delay := cfg.tierFaults(name); under == nil || (rate == 0 && delay == 0) {
+			return under
+		}
+		return NewTier(name, under, cfg)
+	}
+}
+
+// Tier wraps one rung of the service's cache ladder with fault injection,
+// at the error rate and delay cfg arms for the rung's name. A faulted Get
+// reports a miss (the service then falls through to the next rung or a
+// solve — graceful degradation, not an error surface); a faulted Put
+// drops the write. Both are folded into the wrapped tier's Errors stat so
+// the injected failure rate is visible wherever that rung's errors
+// already are.
 type Tier struct {
-	under service.DiskTier
-	cfg   Config
+	under service.Tier
+	rate  float64
+	delay time.Duration
 	roll  *roller
 
 	mu        sync.Mutex
@@ -176,17 +204,18 @@ type Tier struct {
 	putFaults uint64
 }
 
-// NewTier wraps under with fault injection per cfg.
-func NewTier(under service.DiskTier, cfg Config) *Tier {
-	return &Tier{under: under, cfg: cfg, roll: newRoller(cfg.Seed)}
+// NewTier wraps under, the rung called name, with fault injection per cfg.
+func NewTier(name string, under service.Tier, cfg Config) *Tier {
+	rate, delay := cfg.tierFaults(name)
+	return &Tier{under: under, rate: rate, delay: delay, roll: newRoller(cfg.Seed)}
 }
 
 // Get consults the wrapped tier, injecting latency and faults.
 func (t *Tier) Get(key string) ([]byte, bool) {
-	if t.cfg.DiskDelay > 0 {
-		time.Sleep(t.cfg.DiskDelay)
+	if t.delay > 0 {
+		time.Sleep(t.delay)
 	}
-	if t.roll.roll(t.cfg.DiskErrRate) {
+	if t.roll.roll(t.rate) {
 		t.mu.Lock()
 		t.getFaults++
 		t.mu.Unlock()
@@ -197,7 +226,7 @@ func (t *Tier) Get(key string) ([]byte, bool) {
 
 // Put forwards to the wrapped tier unless a write fault fires.
 func (t *Tier) Put(key string, val []byte) {
-	if t.roll.roll(t.cfg.DiskErrRate) {
+	if t.roll.roll(t.rate) {
 		t.mu.Lock()
 		t.putFaults++
 		t.mu.Unlock()
@@ -209,7 +238,7 @@ func (t *Tier) Put(key string, val []byte) {
 // Stats reports the wrapped tier's stats with the injected faults folded
 // in: every fault is an error, and a faulted read is also a miss (that is
 // exactly how the service experienced it).
-func (t *Tier) Stats() service.DiskCacheStats {
+func (t *Tier) Stats() service.TierStats {
 	st := t.under.Stats()
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -223,73 +252,6 @@ func (t *Tier) Close() { t.under.Close() }
 
 // Injected returns the injected read and write fault counts.
 func (t *Tier) Injected() (gets, puts uint64) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.getFaults, t.putFaults
-}
-
-// RemoteTier wraps the service's fleet-shared remote tier with fault
-// injection, the same contract as Tier over the disk tier: a faulted Get
-// reports a miss (the ladder falls through to the local solve), a
-// faulted Put drops the publish, and both fold into the tier's Errors
-// stat. It plugs into service.Config.WrapRemoteTier.
-type RemoteTier struct {
-	under service.RemoteTier
-	cfg   Config
-	roll  *roller
-
-	mu        sync.Mutex
-	getFaults uint64
-	putFaults uint64
-}
-
-// NewRemoteTier wraps under with fault injection per cfg.
-func NewRemoteTier(under service.RemoteTier, cfg Config) *RemoteTier {
-	return &RemoteTier{under: under, cfg: cfg, roll: newRoller(cfg.Seed)}
-}
-
-// Get consults the wrapped tier, injecting latency and faults.
-func (t *RemoteTier) Get(key string) ([]byte, bool) {
-	if t.cfg.RemoteDelay > 0 {
-		time.Sleep(t.cfg.RemoteDelay)
-	}
-	if t.roll.roll(t.cfg.RemoteErrRate) {
-		t.mu.Lock()
-		t.getFaults++
-		t.mu.Unlock()
-		return nil, false
-	}
-	return t.under.Get(key)
-}
-
-// Put forwards to the wrapped tier unless a write fault fires.
-func (t *RemoteTier) Put(key string, val []byte) {
-	if t.roll.roll(t.cfg.RemoteErrRate) {
-		t.mu.Lock()
-		t.putFaults++
-		t.mu.Unlock()
-		return
-	}
-	t.under.Put(key, val)
-}
-
-// Stats reports the wrapped tier's stats with the injected faults folded
-// in, exactly as the service experienced them: every fault is an error
-// and a faulted read is also a miss.
-func (t *RemoteTier) Stats() service.RemoteCacheStats {
-	st := t.under.Stats()
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	st.Errors += t.getFaults + t.putFaults
-	st.Misses += t.getFaults
-	return st
-}
-
-// Close closes the wrapped tier.
-func (t *RemoteTier) Close() { t.under.Close() }
-
-// Injected returns the injected read and write fault counts.
-func (t *RemoteTier) Injected() (gets, puts uint64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.getFaults, t.putFaults

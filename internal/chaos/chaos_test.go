@@ -86,23 +86,28 @@ func post(t *testing.T, url string, body []byte) (*http.Response, []byte) {
 // checkLaw asserts the conservation law on a stats snapshot.
 func checkLaw(t *testing.T, st service.Stats) {
 	t.Helper()
-	if got := st.Solves + st.Cache.Hits + st.Disk.Hits + st.Remote.Hits + st.Coalesced; got != st.Items {
-		t.Fatalf("conservation law broken: solves %d + mem %d + disk %d + remote %d + coalesced %d = %d != items %d",
-			st.Solves, st.Cache.Hits, st.Disk.Hits, st.Remote.Hits, st.Coalesced, got, st.Items)
+	if err := service.CheckLaw(st); err != nil {
+		t.Fatal(err)
 	}
 }
 
-// TestDiskFaultFallsBackToSolve is the graceful-degradation proof: a
-// warm disk entry whose reads are faulted answers 200 with the
-// byte-identical body via a fresh solve, the fault lands in the disk
-// tier's Errors, and the conservation law holds.
-func TestDiskFaultFallsBackToSolve(t *testing.T) {
+// tierFaultFallsBack is the graceful-degradation proof for one ladder
+// rung. A healthy replica warms the disk tier and the dtcached daemon,
+// then a restarted replica has every read of the named rung faulted (and
+// slowed). The faulted rung must degrade to the next one — disk to
+// remote, remote to a fresh solve — answering 200 with the byte-identical
+// body; the faults land in the rung's Errors, and the conservation law
+// holds. warmDisk restarts on the warmed directory (else a cold one);
+// wantTag is the cache tag of the rung below the faulted one.
+func tierFaultFallsBack(t *testing.T, rung string, warmDisk bool, wantTag string) {
+	t.Helper()
+	cached, addr := startCached(t)
 	dir := t.TempDir()
-	body := payload(t, "FFT", 1991)
+	body := payload(t, "FFT", 2024)
 
-	// Warm the disk tier with a healthy server, then stop it (Close
-	// drains the write-behind queue, so the entry is durable).
-	svc1, err := service.New(service.Config{CacheSize: 64, CacheDir: dir, DefaultSolver: "hlf"})
+	// Warm both rungs with a healthy replica, then stop it (Close drains
+	// the write-behind queues, so both entries are durable).
+	svc1, err := service.New(service.Config{CacheSize: 64, CacheDir: dir, DefaultSolver: "hlf", RemoteAddr: addr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,15 +118,23 @@ func TestDiskFaultFallsBackToSolve(t *testing.T) {
 	}
 	ts1.Close()
 	svc1.Close()
+	if cached.Stats().Entries == 0 {
+		t.Fatal("warm replica published nothing to the daemon")
+	}
 
-	// Restart over the same directory with every disk read faulted: the
-	// memory tier is cold, the disk tier has the entry but cannot serve
-	// it — the request must degrade to a fresh solve, not an error.
+	restartDir := dir
+	if !warmDisk {
+		restartDir = t.TempDir()
+	}
 	var tier *Tier
 	svc2, err := service.New(service.Config{
-		CacheSize: 64, CacheDir: dir, DefaultSolver: "hlf",
-		WrapDiskTier: func(under service.DiskTier) service.DiskTier {
-			tier = NewTier(under, Config{DiskErrRate: 1, Seed: 1})
+		CacheSize: 64, CacheDir: restartDir, DefaultSolver: "hlf", RemoteAddr: addr,
+		WrapTier: func(name string, under service.Tier) service.Tier {
+			if name != rung {
+				return under
+			}
+			tier = NewTier(name, under, Config{DiskErrRate: 1, RemoteErrRate: 1,
+				DiskDelay: time.Millisecond, RemoteDelay: time.Millisecond, Seed: 3})
 			return tier
 		},
 	})
@@ -134,27 +147,45 @@ func TestDiskFaultFallsBackToSolve(t *testing.T) {
 
 	resp, got := post(t, ts2.URL+"/v1/schedule", body)
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("faulted-disk solve: %d %s", resp.StatusCode, got)
+		t.Fatalf("faulted-%s request: %d %s", rung, resp.StatusCode, got)
 	}
-	if resp.Header.Get("X-DTServe-Cache") != "miss" {
-		t.Fatalf("faulted disk read reported cache=%q, want miss", resp.Header.Get("X-DTServe-Cache"))
+	if tag := resp.Header.Get("X-DTServe-Cache"); tag != wantTag {
+		t.Fatalf("faulted %s read reported cache=%q, want %q", rung, tag, wantTag)
 	}
 	if !bytes.Equal(got, want) {
-		t.Fatal("fallback solve body differs from the healthy body (determinism broken)")
+		t.Fatal("fallback body differs from the healthy body (determinism broken)")
 	}
 
 	gets, _ := tier.Injected()
 	if gets == 0 {
-		t.Fatal("no disk read fault was injected")
+		t.Fatalf("no %s read fault was injected", rung)
 	}
 	st := svc2.Stats()
-	if st.Disk.Errors < gets {
-		t.Fatalf("disk errors %d do not include the %d injected faults", st.Disk.Errors, gets)
+	faulted := st.Disk
+	if rung == "remote" {
+		faulted = st.Remote
 	}
-	if st.Disk.Hits != 0 {
-		t.Fatalf("faulted tier reported %d hits", st.Disk.Hits)
+	if faulted.Errors < gets {
+		t.Fatalf("%s errors %d do not include the %d injected faults", rung, faulted.Errors, gets)
+	}
+	if faulted.Hits != 0 {
+		t.Fatalf("faulted %s tier reported %d hits", rung, faulted.Hits)
 	}
 	checkLaw(t, st)
+}
+
+// TestDiskFaultFallsBackToSolve: a warm disk entry whose reads are all
+// faulted degrades to the next rung (the warm daemon) with the
+// byte-identical body.
+func TestDiskFaultFallsBackToSolve(t *testing.T) {
+	tierFaultFallsBack(t, "disk", true, "remote")
+}
+
+// TestRemoteFaultFallsBackToSolve: with a cold disk, a warm dtcached
+// entry whose reads are all faulted degrades to a fresh solve with the
+// byte-identical body.
+func TestRemoteFaultFallsBackToSolve(t *testing.T) {
+	tierFaultFallsBack(t, "remote", false, "miss")
 }
 
 // registerFlaky registers the shared flaky test solver once per process
@@ -190,8 +221,11 @@ func TestConservationLawUnderMixedFaults(t *testing.T) {
 	var tier *Tier
 	svc, err := service.New(service.Config{
 		CacheSize: 64, CacheDir: dir, DefaultSolver: "hlf",
-		WrapDiskTier: func(under service.DiskTier) service.DiskTier {
-			tier = NewTier(under, Config{DiskErrRate: 0.4, Seed: 42})
+		WrapTier: func(name string, under service.Tier) service.Tier {
+			if under == nil {
+				return nil
+			}
+			tier = NewTier(name, under, Config{DiskErrRate: 0.4, Seed: 42})
 			return tier
 		},
 	})
@@ -310,74 +344,6 @@ func startCached(t *testing.T) (*remotecache.Server, string) {
 	go srv.Serve(ln)
 	t.Cleanup(func() { srv.Close() })
 	return srv, ln.Addr().String()
-}
-
-// TestRemoteFaultFallsBackToSolve mirrors the disk proof for the remote
-// tier: a warm dtcached entry whose reads are all faulted (and slowed)
-// answers 200 with the byte-identical body via a fresh solve, the faults
-// land in the remote tier's Errors, and the conservation law holds.
-func TestRemoteFaultFallsBackToSolve(t *testing.T) {
-	cached, addr := startCached(t)
-	body := payload(t, "FFT", 2024)
-
-	// Warm the daemon with a healthy replica, then stop it (Close drains
-	// the write-behind publish queue).
-	svc1, err := service.New(service.Config{CacheSize: 64, DefaultSolver: "hlf", RemoteAddr: addr})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts1 := httptest.NewServer(svc1.Handler())
-	resp, want := post(t, ts1.URL+"/v1/schedule", body)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("warm solve: %d %s", resp.StatusCode, want)
-	}
-	ts1.Close()
-	svc1.Close()
-	if cached.Stats().Entries == 0 {
-		t.Fatal("warm replica published nothing to the daemon")
-	}
-
-	// A fresh replica with every remote read faulted: cold memory, cold
-	// disk, a daemon that has the answer but cannot deliver it — the
-	// request must degrade to a fresh solve, not an error.
-	var tier *RemoteTier
-	svc2, err := service.New(service.Config{
-		CacheSize: 64, DefaultSolver: "hlf", RemoteAddr: addr,
-		WrapRemoteTier: func(under service.RemoteTier) service.RemoteTier {
-			tier = NewRemoteTier(under, Config{RemoteErrRate: 1, RemoteDelay: time.Millisecond, Seed: 3})
-			return tier
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts2 := httptest.NewServer(svc2.Handler())
-	defer ts2.Close()
-	defer svc2.Close()
-
-	resp, got := post(t, ts2.URL+"/v1/schedule", body)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("faulted-remote solve: %d %s", resp.StatusCode, got)
-	}
-	if resp.Header.Get("X-DTServe-Cache") != "miss" {
-		t.Fatalf("faulted remote read reported cache=%q, want miss", resp.Header.Get("X-DTServe-Cache"))
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatal("fallback solve body differs from the healthy body (determinism broken)")
-	}
-
-	gets, _ := tier.Injected()
-	if gets == 0 {
-		t.Fatal("no remote read fault was injected")
-	}
-	st := svc2.Stats()
-	if st.Remote.Errors < gets {
-		t.Fatalf("remote errors %d do not include the %d injected faults", st.Remote.Errors, gets)
-	}
-	if st.Remote.Hits != 0 {
-		t.Fatalf("faulted tier reported %d hits", st.Remote.Hits)
-	}
-	checkLaw(t, st)
 }
 
 // TestRemoteDaemonDownDegrades points a replica at a dead dtcached

@@ -337,6 +337,13 @@ func TestParallelForDeterministicErrorAndCoverage(t *testing.T) {
 		if err == nil || err.Error() != "boom 7" {
 			t.Fatalf("workers=%d: err = %v, want the lowest-index error", workers, err)
 		}
+		// Empty range: fn never runs, and there is no error to report.
+		err = ParallelFor(workers, 0, func(i int, _ *Worker) error {
+			return fmt.Errorf("ran index %d of an empty range", i)
+		})
+		if err != nil {
+			t.Fatalf("workers=%d: empty range: %v", workers, err)
+		}
 	}
 }
 

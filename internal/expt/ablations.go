@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/anneal"
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/list"
 	"repro/internal/machsim"
 	"repro/internal/programs"
@@ -36,7 +37,7 @@ func AblationWeights(progKey string, arch Arch, seed int64, lo, hi float64, step
 	}
 	comm := topology.DefaultCommParams()
 	out := make([]WeightPoint, steps)
-	err = parallelFor(defaultWorkers(0), steps, func(k int) error {
+	err = engine.ParallelFor(defaultWorkers(0), steps, func(k int, _ *engine.Worker) error {
 		wb := lo + (hi-lo)*float64(k)/float64(steps-1)
 		opt := core.DefaultOptions()
 		opt.Wb = wb
@@ -89,7 +90,7 @@ func AblationCooling(progKey string, arch Arch, seed int64) ([]CoolingPoint, err
 		anneal.Constant{T: 0, NumStages: 60}, // greedy descent baseline
 	}
 	out := make([]CoolingPoint, len(schedules))
-	err = parallelFor(defaultWorkers(0), len(schedules), func(k int) error {
+	err = engine.ParallelFor(defaultWorkers(0), len(schedules), func(k int, _ *engine.Worker) error {
 		cs := schedules[k]
 		opt := core.DefaultOptions()
 		opt.Seed = seed
@@ -181,7 +182,7 @@ func ablationRandomGraphs(arch Arch, numGraphs int, withComm bool, seed int64, w
 	}
 
 	gains := make([]float64, numGraphs)
-	err := parallelFor(defaultWorkers(workers), numGraphs, func(k int) error {
+	err := engine.ParallelFor(defaultWorkers(workers), numGraphs, func(k int, _ *engine.Worker) error {
 		c := cells[k]
 		hlf, err := list.NewHLF(c.g)
 		if err != nil {

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/assign"
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/list"
 	"repro/internal/machsim"
 	"repro/internal/optimal"
@@ -40,7 +41,7 @@ func AblationStatic(seed int64) ([]StaticRow, error) {
 	comm := topology.DefaultCommParams()
 	catalog := programs.Catalog()
 	rows := make([]StaticRow, len(catalog))
-	err = parallelFor(defaultWorkers(0), len(catalog), func(k int) error {
+	err = engine.ParallelFor(defaultWorkers(0), len(catalog), func(k int, _ *engine.Worker) error {
 		prog := catalog[k]
 		g := prog.Build()
 		model := machsim.Model{Graph: g, Topo: topo, Comm: comm}
@@ -150,7 +151,7 @@ func AblationOptimal(numGraphs, procs int, seed int64) (*OptimalStudy, error) {
 
 	hlfRatios := make([]float64, numGraphs)
 	saRatios := make([]float64, numGraphs)
-	err = parallelFor(defaultWorkers(0), numGraphs, func(k int) error {
+	err = engine.ParallelFor(defaultWorkers(0), numGraphs, func(k int, _ *engine.Worker) error {
 		c := cells[k]
 		exact, err := optimal.Makespan(c.g, procs, optimal.Options{})
 		if err != nil {

@@ -363,3 +363,26 @@ func TestTable2CooperativeWorkerCounts(t *testing.T) {
 		})
 	}
 }
+
+// The pre-generated-population pattern: random-graph studies aggregate
+// identically at any worker count because every cell's seed is drawn
+// before the fan-out.
+func TestRandomGraphStudyDeterministicAcrossWorkerCounts(t *testing.T) {
+	archs, err := Architectures()
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(workers int) string {
+		res, err := ablationRandomGraphs(archs[0], 6, true, 23, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.String()
+	}
+	seq := run(1)
+	for _, workers := range []int{3, 8} {
+		if par := run(workers); par != seq {
+			t.Errorf("workers=%d changed the study:\nseq: %s\npar: %s", workers, seq, par)
+		}
+	}
+}

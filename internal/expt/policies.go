@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/machsim"
 	"repro/internal/programs"
 	"repro/internal/solver"
@@ -36,7 +37,7 @@ func PolicyComparison(seed int64) ([]PolicyRow, error) {
 	comm := topology.DefaultCommParams()
 	catalog := programs.Catalog()
 	rows := make([]PolicyRow, len(catalog))
-	err = parallelFor(defaultWorkers(0), len(catalog), func(k int) error {
+	err = engine.ParallelFor(defaultWorkers(0), len(catalog), func(k int, _ *engine.Worker) error {
 		prog := catalog[k]
 		g := prog.Build()
 		model := machsim.Model{Graph: g, Topo: topo, Comm: comm}

@@ -1,10 +1,6 @@
 package expt
 
-import (
-	"runtime"
-
-	"repro/internal/engine"
-)
+import "runtime"
 
 // The experiment harness fans independent cells (a Table 2 configuration,
 // a scaling point, one ablation sample) across the shared orchestration
@@ -35,13 +31,4 @@ func defaultWorkers(w int) int {
 		return w
 	}
 	return runtime.GOMAXPROCS(0)
-}
-
-// parallelFor runs fn(i) for every i in [0, n) on at most workers
-// goroutines and returns the error of the lowest index that failed — the
-// engine's deterministic fan-out, for cells that need no worker state.
-func parallelFor(workers, n int, fn func(i int) error) error {
-	return engine.ParallelFor(workers, n, func(i int, _ *engine.Worker) error {
-		return fn(i)
-	})
 }

@@ -4,13 +4,23 @@ import (
 	"fmt"
 	"sync/atomic"
 	"testing"
+
+	"repro/internal/engine"
 )
+
+// fanOut is the harness's fan-out as every study calls it: a Workers knob
+// resolved by defaultWorkers, then the shared engine pool.
+func fanOut(workers, n int, fn func(i int) error) error {
+	return engine.ParallelFor(defaultWorkers(workers), n, func(i int, _ *engine.Worker) error {
+		return fn(i)
+	})
+}
 
 func TestParallelForRunsEveryIndexOnce(t *testing.T) {
 	for _, workers := range []int{0, 1, 3, 16} {
 		n := 37
 		counts := make([]atomic.Int64, n)
-		if err := parallelFor(workers, n, func(i int) error {
+		if err := fanOut(workers, n, func(i int) error {
 			counts[i].Add(1)
 			return nil
 		}); err != nil {
@@ -32,51 +42,12 @@ func TestParallelForReturnsLowestIndexError(t *testing.T) {
 		return nil
 	}
 	for _, workers := range []int{1, 4} {
-		err := parallelFor(workers, 20, boom)
+		err := fanOut(workers, 20, boom)
 		if err == nil || err.Error() != "cell 3 failed" {
 			t.Errorf("workers=%d: err = %v, want cell 3's", workers, err)
 		}
 	}
-	if err := parallelFor(4, 0, boom); err != nil {
+	if err := fanOut(4, 0, boom); err != nil {
 		t.Errorf("empty range: err = %v", err)
-	}
-}
-
-// The scaling sweep must be a pure function of its seed at any worker
-// count: byte-identical formatted output sequential vs parallel.
-func TestScalingParallelMatchesSequential(t *testing.T) {
-	seq, err := ScalingStudy(ScalingConfig{Prog: "MM", MaxDim: 2, Seed: 7, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := ScalingStudy(ScalingConfig{Prog: "MM", MaxDim: 2, Seed: 7, Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a, b := FormatScaling("MM", seq), FormatScaling("MM", par); a != b {
-		t.Errorf("worker count changed the table:\nsequential:\n%s\nparallel:\n%s", a, b)
-	}
-}
-
-// The pre-generated-population pattern: random-graph studies aggregate
-// identically at any worker count because every cell's seed is drawn
-// before the fan-out.
-func TestRandomGraphStudyDeterministicAcrossWorkerCounts(t *testing.T) {
-	archs, err := Architectures()
-	if err != nil {
-		t.Fatal(err)
-	}
-	run := func(workers int) string {
-		res, err := ablationRandomGraphs(archs[0], 6, true, 23, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.String()
-	}
-	seq := run(1)
-	for _, workers := range []int{3, 8} {
-		if par := run(workers); par != seq {
-			t.Errorf("workers=%d changed the study:\nseq: %s\npar: %s", workers, seq, par)
-		}
 	}
 }

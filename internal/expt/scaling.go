@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/list"
 	"repro/internal/machsim"
 	"repro/internal/programs"
@@ -51,7 +52,7 @@ func ScalingStudy(cfg ScalingConfig) ([]ScalingPoint, error) {
 	}
 	comm := topology.DefaultCommParams()
 	out := make([]ScalingPoint, cfg.MaxDim+1)
-	err = parallelFor(defaultWorkers(cfg.Workers), cfg.MaxDim+1, func(dim int) error {
+	err = engine.ParallelFor(defaultWorkers(cfg.Workers), cfg.MaxDim+1, func(dim int, _ *engine.Worker) error {
 		// Each point gets its own graph: simulations share nothing, so the
 		// sweep parallelizes trivially.
 		g := prog.Build()

@@ -36,3 +36,19 @@ func TestScalingCurveShape(t *testing.T) {
 		t.Error("unknown program accepted")
 	}
 }
+
+// The scaling sweep must be a pure function of its seed at any worker
+// count: byte-identical formatted output sequential vs parallel.
+func TestScalingParallelMatchesSequential(t *testing.T) {
+	seq, err := ScalingStudy(ScalingConfig{Prog: "MM", MaxDim: 2, Seed: 7, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	par, err := ScalingStudy(ScalingConfig{Prog: "MM", MaxDim: 2, Seed: 7, Workers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a, b := FormatScaling("MM", seq), FormatScaling("MM", par); a != b {
+		t.Errorf("worker count changed the table:\nsequential:\n%s\nparallel:\n%s", a, b)
+	}
+}

@@ -5,13 +5,13 @@ import (
 	"sync"
 )
 
-// Tier is one level of the content-addressed result cache: a byte store
-// mapping a cache key (the request's content address) to the exact
-// response bytes. The server consults tiers fastest-first — memory, then
-// disk — promoting hits upward and populating every tier on a solve.
-// Implementations must be safe for concurrent use, tolerate a nil
-// receiver as a disabled (always-miss, never-store) tier, and must never
-// return bytes other than those stored under the key: a tier that cannot
+// Tier is one rung of the cache ladder below the memory tier: a byte
+// store mapping a cache key (the request's content address) to the exact
+// response bytes. The server consults the memory tier first, then each
+// rung in ladder order (disk, then remote), promoting a hit into memory
+// and every rung above it, and stores every solve in all of them.
+// Implementations must be safe for concurrent use and must never return
+// bytes other than those stored under the key: a tier that cannot
 // guarantee integrity (e.g. persistent storage that may corrupt) must
 // verify on read and report a miss instead.
 type Tier interface {
@@ -21,12 +21,40 @@ type Tier interface {
 	// Put stores val under key, evicting as needed. It must not block on
 	// slow media — persistence is expected to be write-behind.
 	Put(key string, val []byte)
+	// Close drains any write-behind queue; the server calls it once, on
+	// shutdown.
+	Close()
+	// Stats snapshots the tier's counters.
+	Stats() TierStats
 }
 
 var (
-	_ Tier = (*Cache)(nil)
 	_ Tier = (*DiskCache)(nil)
+	_ Tier = (*RemoteCache)(nil)
 )
+
+// TierStats is a point-in-time snapshot of one rung's counters, shared by
+// every tier below memory; a tier leaves the fields it has no use for at
+// zero. Errors counts every failure the tier degraded — a corrupt entry
+// refused, a network or daemon error, a dropped write-behind put — and
+// never served.
+type TierStats struct {
+	// Enabled reports that the rung exists on this server.
+	Enabled bool   `json:"enabled"`
+	Hits    uint64 `json:"hits"`
+	Misses  uint64 `json:"misses"`
+	// Writes counts entries the disk tier persisted; Puts counts results
+	// the remote tier published.
+	Writes    uint64 `json:"writes"`
+	Puts      uint64 `json:"puts"`
+	Evictions uint64 `json:"evictions"`
+	Errors    uint64 `json:"errors"`
+	// Corrupt singles out values that failed a checksum on read.
+	Corrupt  uint64 `json:"corrupt"`
+	Entries  int    `json:"entries"`
+	Bytes    int64  `json:"bytes"`
+	MaxBytes int64  `json:"max_bytes"`
+}
 
 // Cache is a bounded, content-addressed LRU of marshaled results. Values
 // are the exact response bytes, so a hit replays a byte-identical body

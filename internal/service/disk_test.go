@@ -16,6 +16,12 @@ import (
 	"repro/internal/topology"
 )
 
+// diskOf returns the server's concrete disk tier: the first rung of a
+// server configured with a CacheDir and no WrapTier.
+func diskOf(svc *Server) *DiskCache {
+	return svc.rungs[0].tier.(*DiskCache)
+}
+
 // startServer creates a server + HTTP listener without tying their
 // shutdown to the test end, so restart tests can stop one instance and
 // start another over the same cache directory mid-test. The returned
@@ -140,7 +146,7 @@ func TestServerDeletesCorruptDiskEntries(t *testing.T) {
 		}
 		bodies = append(bodies, body)
 	}
-	disk := svc1.disk.(*DiskCache)
+	disk := diskOf(svc1)
 	stop1()
 	for key := range disk.entries {
 		keys = append(keys, key)
@@ -316,7 +322,7 @@ func TestDiskTierConservationUnderConcurrency(t *testing.T) {
 	if inMem {
 		t.Fatal("raced portfolio result found in the memory tier")
 	}
-	dc := svc.disk.(*DiskCache)
+	dc := diskOf(svc)
 	dc.mu.Lock()
 	_, inDisk := dc.entries[key]
 	dc.mu.Unlock()

@@ -69,18 +69,6 @@ type diskWrite struct {
 	val []byte
 }
 
-// DiskTier is the capability the server requires of its persistent tier:
-// the basic Tier get/put plus the stats and shutdown hooks the handlers
-// and Close depend on. *DiskCache is the production implementation (a nil
-// *DiskCache is the valid no-op tier — every method tolerates the nil
-// receiver); the fault-injection harness (internal/chaos) wraps one to
-// inject read/write failures through Config.WrapDiskTier.
-type DiskTier interface {
-	Tier
-	Stats() DiskCacheStats
-	Close()
-}
-
 // diskMagic versions the entry format; bump the last byte on any layout
 // change so old files are detected as stale and re-solved, not misread.
 var diskMagic = [4]byte{'D', 'T', 'C', 1}
@@ -219,9 +207,6 @@ func decodeDiskEntry(data []byte) (body []byte, ok bool) {
 // corrupt or stale-format entry is deleted and counted in Errors, then
 // reported as a miss — corrupt bytes are never served.
 func (d *DiskCache) Get(key string) ([]byte, bool) {
-	if d == nil {
-		return nil, false
-	}
 	path := d.path(key)
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -269,9 +254,6 @@ func (d *DiskCache) Get(key string) ([]byte, bool) {
 // the writer goroutine performs the atomic write and any evictions off
 // the caller's path. A full queue or closed cache drops the write.
 func (d *DiskCache) Put(key string, val []byte) {
-	if d == nil {
-		return
-	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.closed {
@@ -286,11 +268,8 @@ func (d *DiskCache) Put(key string, val []byte) {
 
 // SetWriteObserver installs fn to be called with the duration of every
 // successful persist. Call before the cache sees traffic (the server
-// wires it during construction); a nil receiver or nil fn is a no-op.
+// wires it during construction); a nil fn is a no-op.
 func (d *DiskCache) SetWriteObserver(fn func(time.Duration)) {
-	if d == nil {
-		return
-	}
 	d.mu.Lock()
 	d.writeObs = fn
 	d.mu.Unlock()
@@ -382,9 +361,6 @@ func (d *DiskCache) evictLocked() {
 // returns, every accepted Put is durably on disk. Later Puts are dropped;
 // Gets keep working. Close is idempotent.
 func (d *DiskCache) Close() {
-	if d == nil {
-		return
-	}
 	d.mu.Lock()
 	if d.closed {
 		d.mu.Unlock()
@@ -397,26 +373,11 @@ func (d *DiskCache) Close() {
 	d.wg.Wait()
 }
 
-// DiskCacheStats is a point-in-time snapshot of the disk tier counters.
-type DiskCacheStats struct {
-	Hits      uint64 `json:"hits"`
-	Misses    uint64 `json:"misses"`
-	Writes    uint64 `json:"writes"`
-	Evictions uint64 `json:"evictions"`
-	Errors    uint64 `json:"errors"`
-	Entries   int    `json:"entries"`
-	Bytes     int64  `json:"bytes"`
-	MaxBytes  int64  `json:"max_bytes"`
-}
-
-// Stats returns the current counters (zero-valued for a disabled tier).
-func (d *DiskCache) Stats() DiskCacheStats {
-	if d == nil {
-		return DiskCacheStats{}
-	}
+// Stats returns the current counters.
+func (d *DiskCache) Stats() TierStats {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return DiskCacheStats{
+	return TierStats{
 		Hits:      d.hits,
 		Misses:    d.misses,
 		Writes:    d.writes,

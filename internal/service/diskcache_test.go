@@ -2,7 +2,9 @@ package service
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
+	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
@@ -222,17 +224,32 @@ func TestDiskCacheRemovesTempFiles(t *testing.T) {
 	}
 }
 
-// TestDiskCacheDisabled: a nil tier is a well-behaved always-miss store.
+// TestDiskCacheDisabled: a server without a CacheDir has no disk rung. A
+// cold traced solve records no disk_tier stage, nothing lands in the
+// disk read histogram, and /statsz reports the disk object as zeros.
 func TestDiskCacheDisabled(t *testing.T) {
-	var d *DiskCache
-	d.Put("a", []byte("1")) // must not panic
-	if _, ok := d.Get("a"); ok {
-		t.Fatal("nil disk cache returned a value")
+	svc, ts := newTestServer(t, Config{CacheSize: 64})
+	if len(svc.rungs) != 0 {
+		t.Fatalf("memory-only server has %d rungs", len(svc.rungs))
 	}
-	if st := d.Stats(); st != (DiskCacheStats{}) {
-		t.Fatalf("nil stats %+v", st)
+	resp, body := post(t, ts.URL+"/v1/schedule", wireRequest(t, "FFT", func(r *ScheduleRequest) { r.Trace = true }))
+	if resp.StatusCode != http.StatusOK || resp.Header.Get("X-DTServe-Cache") != "miss" {
+		t.Fatalf("status %d, tag %q: %s", resp.StatusCode, resp.Header.Get("X-DTServe-Cache"), body)
 	}
-	d.Close() // must not panic
+	var env tracedEnvelope
+	if err := json.Unmarshal(body, &env); err != nil || env.Trace == nil {
+		t.Fatalf("no trace block (%v): %s", err, body)
+	}
+	want := []string{"decode", "canonicalize", "mem_tier", "engine_queue", "solve", "marshal"}
+	if got := depth0Stages(env.Trace); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("memory-only stages = %v, want %v", got, want)
+	}
+	if n := svc.readLatency["disk"].Snapshot().Count; n != 0 {
+		t.Fatalf("disk read histogram observed %d reads without a disk rung", n)
+	}
+	if st := svc.Stats(); st.Disk != (TierStats{}) || st.Remote != (TierStats{}) {
+		t.Fatalf("absent rungs report disk %+v, remote %+v", st.Disk, st.Remote)
+	}
 }
 
 // TestDiskCachePutAfterCloseDropped: Close is a flush barrier; later Puts

@@ -186,10 +186,11 @@ func (f *Fleet) Close() {
 	}
 }
 
-// CheckLaw verifies the extended conservation law
+// CheckLaw verifies the conservation law
 //
-//	solves + cache.hits + disk.hits + remote.hits + coalesced == schedule_items
+//	solves + cache.hits + Σ rung hits + coalesced == schedule_items
 //
+// (the rungs are disk and remote; an absent rung's hits are zero)
 // against one replica's stats snapshot, returning a descriptive error on
 // violation. Fleet tests run it on every replica.
 func CheckLaw(st Stats) error {

@@ -1,7 +1,10 @@
 package service
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
+	"fmt"
 	"testing"
 
 	"repro/internal/cliutil"
@@ -9,6 +12,29 @@ import (
 	"repro/internal/taskgraph"
 	"repro/internal/topology"
 )
+
+// cacheKey is the legacy content address of a request and the oracle
+// fusedKey must match byte for byte: it materializes the graph, marshals
+// its canonical JSON and the option block with encoding/json, and hashes
+// the document.
+func cacheKey(g *taskgraph.Graph, topoName string, comm topology.CommParams,
+	solverName string, sa core.Options, timeoutMS, memberTimeoutMS int) (string, error) {
+
+	graphJSON, err := g.CanonicalJSON()
+	if err != nil {
+		return "", err
+	}
+	key := struct {
+		Graph json.RawMessage `json:"graph"`
+		keyOptions
+	}{graphJSON, makeKeyOptions(topoName, comm, solverName, sa, timeoutMS, memberTimeoutMS)}
+	data, err := json.Marshal(key)
+	if err != nil {
+		return "", err
+	}
+	sum := sha256.Sum256(data)
+	return fmt.Sprintf("%016x-%s", g.Fingerprint(), hex.EncodeToString(sum[:16])), nil
+}
 
 // TestFusedKeyMatchesCacheKey pins the zero-copy contract: for any
 // accepted graph document and any option combination, the key derived by

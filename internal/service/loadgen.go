@@ -71,9 +71,11 @@ type LoadGenConfig struct {
 	// Delta switches the run to the online-rescheduling endpoint: each
 	// distinct payload is solved once (untimed) to obtain its content
 	// address, then the timed run posts /v1/schedule/delta calls that edit
-	// one task's load against those bases. DeltaWarm in the report counts
-	// responses that carried an X-DTServe-Warm header, i.e. were actually
-	// answered by a warm-started (or warm-cached) solve.
+	// one task's load against those bases — a load derived from the
+	// request index, so every timed delta is a distinct warm solve, never
+	// a replay. DeltaWarm in the report counts responses that carried an
+	// X-DTServe-Warm header, i.e. were actually answered by a warm-started
+	// (or warm-cached) solve.
 	Delta bool
 }
 
@@ -306,12 +308,14 @@ func LoadGen(cfg LoadGenConfig) (*LoadGenReport, error) {
 	}
 	// Delta mode: solve each distinct payload once (untimed, sequential)
 	// to obtain its content address, then pre-marshal one delta payload
-	// per base — a single set_load edit, so the edited graph is a true
-	// near-miss of its base.
+	// per timed request — a single set_load edit against base i%distinct,
+	// so the edited graph is a true near-miss of its base. The load is
+	// derived from the request index: a load repeated on one base would
+	// replay the first answer from memory instead of solving.
 	var deltas [][]byte
 	deltaBases := 0
 	if cfg.Delta {
-		deltas = make([][]byte, cfg.Distinct)
+		addrs := make([]string, cfg.Distinct)
 		for i, p := range payloads {
 			resp, err := client.Post(base+"/v1/schedule", "application/json", bytes.NewReader(p))
 			if err != nil {
@@ -322,13 +326,16 @@ func LoadGen(cfg LoadGenConfig) (*LoadGenReport, error) {
 			if resp.StatusCode != http.StatusOK {
 				return nil, fmt.Errorf("loadgen: delta base %d: status %d", i, resp.StatusCode)
 			}
-			addr := resp.Header.Get("X-DTServe-Address")
-			if addr == "" {
+			if addrs[i] = resp.Header.Get("X-DTServe-Address"); addrs[i] == "" {
 				return nil, fmt.Errorf("loadgen: delta base %d: no X-DTServe-Address header (server too old?)", i)
 			}
+			deltaBases++
+		}
+		deltas = make([][]byte, cfg.Requests)
+		for i := range deltas {
 			load := 2.0 + 0.25*float64(i)
 			body, err := json.Marshal(DeltaRequest{
-				Base:  addr,
+				Base:  addrs[i%len(addrs)],
 				Edits: []DeltaEdit{{Op: "set_load", Task: 0, Load: &load}},
 				Lane:  cfg.Lane,
 			})
@@ -336,7 +343,6 @@ func LoadGen(cfg LoadGenConfig) (*LoadGenReport, error) {
 				return nil, fmt.Errorf("loadgen: %w", err)
 			}
 			deltas[i] = body
-			deltaBases++
 		}
 	}
 	latencies := make([]time.Duration, cfg.Requests)
@@ -358,7 +364,7 @@ func LoadGen(cfg LoadGenConfig) (*LoadGenReport, error) {
 		payload := payloads[i%len(payloads)]
 		if cfg.Delta {
 			endpoint = base + "/v1/schedule/delta"
-			payload = deltas[i%len(deltas)]
+			payload = deltas[i]
 			wantTrace = false
 		} else if wantTrace {
 			payload = traced[i%len(traced)]

@@ -181,3 +181,36 @@ func TestLoadGenTraceBreakdown(t *testing.T) {
 		t.Fatalf("stage table %v missing the solve stage (cold keys were traced)", report.Stages)
 	}
 }
+
+// TestLoadGenDeltaModeSolvesEveryDelta runs delta mode against a real
+// server: every timed delta edits its base with a load of its own, so the
+// timed phase is all warm solves — it adds no memory hits, and warm_hits
+// equals the answered requests (the base solves are cold).
+func TestLoadGenDeltaModeSolvesEveryDelta(t *testing.T) {
+	svc, ts := newTestServer(t, Config{CacheSize: 64})
+	report, err := LoadGen(LoadGenConfig{
+		URL:         ts.URL,
+		Requests:    12,
+		Concurrency: 3,
+		Distinct:    2,
+		Programs:    []string{"NE", "FFT"},
+		Delta:       true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	answered := report.Requests - report.Errors
+	if answered != 12 || report.DeltaWarm != answered {
+		t.Fatalf("answered %d, warm-started %d; want all 12 of 12", answered, report.DeltaWarm)
+	}
+	st := svc.Stats()
+	if report.CacheHits != 0 || st.Cache.Hits != 0 {
+		t.Fatalf("timed phase answered %d (statsz %d) deltas from memory, want 0", report.CacheHits, st.Cache.Hits)
+	}
+	if st.WarmHits != uint64(answered) {
+		t.Fatalf("warm_hits = %d, want %d (one warm solve per answered delta)", st.WarmHits, answered)
+	}
+	if err := CheckLaw(st); err != nil {
+		t.Fatal(err)
+	}
+}

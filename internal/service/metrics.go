@@ -183,11 +183,11 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 
 	histHeader("dtserve_disk_read_seconds", "Disk tier Get latency (hits and misses, through the fault-injection seam).")
-	s.diskRead.Snapshot().WriteProm(&b, "dtserve_disk_read_seconds", "")
+	s.readLatency["disk"].Snapshot().WriteProm(&b, "dtserve_disk_read_seconds", "")
 	histHeader("dtserve_disk_write_seconds", "Disk tier write-behind persist latency (temp write + fsync + rename).")
 	s.diskWrite.Snapshot().WriteProm(&b, "dtserve_disk_write_seconds", "")
 	histHeader("dtserve_remote_read_seconds", "Remote tier Get latency (hits, misses and degraded errors, through the fault-injection seam).")
-	s.remoteRead.Snapshot().WriteProm(&b, "dtserve_remote_read_seconds", "")
+	s.readLatency["remote"].Snapshot().WriteProm(&b, "dtserve_remote_read_seconds", "")
 	histHeader("dtserve_stream_ttfb_seconds", "NDJSON batch time-to-first-byte: request start to the first streamed item hitting the wire.")
 	s.streamTTFB.Snapshot().WriteProm(&b, "dtserve_stream_ttfb_seconds", "")
 

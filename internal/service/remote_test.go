@@ -27,8 +27,8 @@ func (c *captureTier) Put(key string, val []byte) {
 	defer c.mu.Unlock()
 	c.puts[key] = append([]byte(nil), val...)
 }
-func (c *captureTier) Stats() RemoteCacheStats { return RemoteCacheStats{Enabled: true} }
-func (c *captureTier) Close()                  {}
+func (c *captureTier) Stats() TierStats { return TierStats{} }
+func (c *captureTier) Close()           {}
 
 // rawPut stores val verbatim under key in the daemon — the client-side
 // Seal deliberately bypassed, so tests can plant values a correct writer
@@ -79,8 +79,13 @@ func TestRemoteTierIntegrity(t *testing.T) {
 	// raw body a healthy fleet member would publish.
 	capture := &captureTier{puts: make(map[string][]byte)}
 	svc1, ts1 := newTestServer(t, Config{
-		CacheSize:      64,
-		WrapRemoteTier: func(RemoteTier) RemoteTier { return capture },
+		CacheSize: 64,
+		WrapTier: func(name string, under Tier) Tier {
+			if name == "remote" {
+				return capture
+			}
+			return under
+		},
 	})
 	payloads := make([][]byte, len(cases))
 	healthy := make([][]byte, len(cases))

@@ -7,32 +7,6 @@ import (
 	"repro/internal/remotecache"
 )
 
-// RemoteTier is the capability the server requires of the shared remote
-// cache tier — the fleet-wide dtcached daemon consulted between a disk
-// miss and a cold solve. *RemoteCache is the production implementation
-// (a nil *RemoteCache is the valid no-op tier, mirroring *DiskCache);
-// the fault-injection harness wraps one through Config.WrapRemoteTier.
-type RemoteTier interface {
-	Tier
-	Stats() RemoteCacheStats
-	Close()
-}
-
-// RemoteCacheStats is a point-in-time snapshot of the remote tier
-// counters on the replica side. Every failure mode — network error,
-// daemon error reply, checksum mismatch, dropped write-behind put —
-// lands in Errors (Corrupt additionally singles out checksum failures),
-// and each one degraded to a miss or a dropped write: the tier is
-// best-effort by contract and never fails a request.
-type RemoteCacheStats struct {
-	Enabled bool   `json:"enabled"`
-	Hits    uint64 `json:"hits"`
-	Misses  uint64 `json:"misses"`
-	Puts    uint64 `json:"puts"`
-	Errors  uint64 `json:"errors"`
-	Corrupt uint64 `json:"corrupt"`
-}
-
 // remoteWriteQueue bounds the write-behind backlog, same contract as the
 // disk tier: a full queue drops the write (counted in Errors) instead of
 // stalling a solve.
@@ -43,12 +17,14 @@ const remoteWriteQueue = 256
 // flight leader, already off every other request's path); Puts are
 // write-behind on a single writer goroutine. All failures degrade: a
 // remote tier outage makes every consult a counted miss and the ladder
-// falls through to the local solve.
+// falls through to the local solve. Every failure mode — network error,
+// daemon error reply, checksum mismatch, dropped write-behind put —
+// lands in Errors (Corrupt additionally singles out checksum failures).
 type RemoteCache struct {
 	client *remotecache.Client
 
 	mu     sync.Mutex
-	stats  RemoteCacheStats
+	stats  TierStats
 	closed bool
 
 	jobs chan remoteWrite
@@ -69,7 +45,6 @@ func NewRemoteCache(addr string, timeout time.Duration) *RemoteCache {
 		client: remotecache.NewClient(remotecache.ClientConfig{Addr: addr, Timeout: timeout}),
 		jobs:   make(chan remoteWrite, remoteWriteQueue),
 	}
-	r.stats.Enabled = true
 	r.wg.Add(1)
 	go r.writer()
 	return r
@@ -78,9 +53,6 @@ func NewRemoteCache(addr string, timeout time.Duration) *RemoteCache {
 // Get consults the daemon. Corrupt or truncated values fail the client's
 // seal check and come back as counted misses — never served.
 func (r *RemoteCache) Get(key string) ([]byte, bool) {
-	if r == nil {
-		return nil, false
-	}
 	body, ok, err := r.client.Get(key)
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -104,9 +76,6 @@ func (r *RemoteCache) Get(key string) ([]byte, bool) {
 // writer goroutine performs the round trip off the solve hot path. A
 // full queue or closed tier drops the write.
 func (r *RemoteCache) Put(key string, val []byte) {
-	if r == nil {
-		return
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.closed {
@@ -133,11 +102,8 @@ func (r *RemoteCache) writer() {
 	}
 }
 
-// Stats returns the current counters (zero-valued for a disabled tier).
-func (r *RemoteCache) Stats() RemoteCacheStats {
-	if r == nil {
-		return RemoteCacheStats{}
-	}
+// Stats returns the current counters.
+func (r *RemoteCache) Stats() TierStats {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.stats
@@ -147,9 +113,6 @@ func (r *RemoteCache) Stats() RemoteCacheStats {
 // after Close returns, every accepted Put has been offered to the daemon
 // (successfully or as a counted error). Idempotent.
 func (r *RemoteCache) Close() {
-	if r == nil {
-		return
-	}
 	r.mu.Lock()
 	if r.closed {
 		r.mu.Unlock()

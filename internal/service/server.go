@@ -69,12 +69,6 @@ type Config struct {
 	// MaxBatch caps the requests of one batch call; <= 0 means 256. The
 	// limit is enforced by the engine's batch fan-out, not per handler.
 	MaxBatch int
-	// WrapDiskTier, when non-nil, wraps the disk tier before the server
-	// uses it — the seam the fault-injection harness (internal/chaos)
-	// plugs into. The wrapper receives the configured tier (a no-op
-	// nil-backed tier when CacheDir is empty) and must return the tier
-	// the server should use.
-	WrapDiskTier func(DiskTier) DiskTier
 	// RemoteAddr points at a dtcached daemon shared by the replica fleet;
 	// the server consults it between a disk miss and a cold solve
 	// (memory → disk → remote → solve) and promotes remote hits into the
@@ -85,13 +79,13 @@ type Config struct {
 	// a counted miss on timeout — it can slow a cold solve by at most
 	// this much and can never fail one.
 	RemoteTimeout time.Duration
-	// WrapRemoteTier, when non-nil, wraps the remote tier exactly as
-	// WrapDiskTier wraps the disk tier — the chaos seam, and the hook
-	// in-process fleet tests use to substitute a fake daemon. The wrapper
-	// receives a no-op nil-backed tier when RemoteAddr is empty; a
-	// non-nil wrapped tier enables the remote rung even without an
-	// address.
-	WrapRemoteTier func(RemoteTier) RemoteTier
+	// WrapTier, when non-nil, is called once per ladder rung ("disk",
+	// then "remote") with the configured tier, or nil when the rung is
+	// not configured, and returns the tier the server uses — the seam the
+	// fault-injection harness (internal/chaos) plugs into, and the hook
+	// tests use to substitute a fake. A rung exists only when the
+	// returned tier is non-nil; the server closes only the returned tier.
+	WrapTier func(name string, under Tier) Tier
 	// WarmStart lets plain /v1/schedule SA requests that miss every exact
 	// tier consult the similarity index and warm-start from the nearest
 	// cached solve. Off by default: a warm-started result's bytes differ
@@ -132,9 +126,7 @@ type Server struct {
 	cfg          Config
 	eng          *engine.Engine
 	cache        *Cache
-	disk         DiskTier
-	remote       RemoteTier
-	remoteOn     bool // a real remote rung exists; gates the remote_tier stage
+	rungs        []*rung // the configured tiers below memory, in ladder order
 	sim          *SimIndex
 	solveLatency *obs.Histogram
 
@@ -143,12 +135,14 @@ type Server struct {
 	// internally locked. Stages land here from completed traces, so the
 	// distributions describe the traced sample, not every request.
 	stageLatency map[string]*obs.Histogram
-	diskRead     *obs.Histogram // disk tier Get latency, hit or miss
-	diskWrite    *obs.Histogram // disk tier write-behind persist latency
-	remoteRead   *obs.Histogram // remote tier Get latency, hit or miss
-	streamTTFB   *obs.Histogram // NDJSON batch: first item flushed
-	sampler      obs.Sampler
-	ring         *obs.Ring
+	// readLatency holds each ladder rung's Get latency, hit or miss, keyed
+	// by rung name — present for every name, so /metrics exports the
+	// families whether or not the rung exists.
+	readLatency map[string]*obs.Histogram
+	diskWrite   *obs.Histogram // disk tier write-behind persist latency
+	streamTTFB  *obs.Histogram // NDJSON batch: first item flushed
+	sampler     obs.Sampler
+	ring        *obs.Ring
 
 	draining  atomic.Bool
 	drainCh   chan struct{} // closed by BeginDrain
@@ -165,16 +159,14 @@ type Server struct {
 	topoMu     sync.RWMutex
 	topoBySpec map[string]*topology.Topology
 
-	mu         sync.Mutex
-	requests   uint64 // API calls that reached a handler
-	failures   uint64 // requests answered with a non-2xx status
-	items      uint64 // schedule items answered (1 per single, N per batch)
-	solves     uint64 // solver executions (cache misses)
-	memHits    uint64 // items answered from the memory tier
-	diskHits   uint64 // items answered from the disk tier
-	remoteHits uint64 // items answered from the shared remote tier
-	coalesced  uint64 // requests that piggybacked on an in-flight solve
-	pruned     uint64 // portfolio members cancelled by the incumbent bound
+	mu        sync.Mutex
+	requests  uint64 // API calls that reached a handler
+	failures  uint64 // requests answered with a non-2xx status
+	items     uint64 // schedule items answered (1 per single, N per batch)
+	solves    uint64 // solver executions (cache misses)
+	memHits   uint64 // items answered from the memory tier
+	coalesced uint64 // requests that piggybacked on an in-flight solve
+	pruned    uint64 // portfolio members cancelled by the incumbent bound
 	// restartsAbandoned counts SA restarts stopped early by the
 	// cooperative incumbent rule across all completed solves.
 	restartsAbandoned uint64
@@ -237,14 +229,15 @@ type procMeta struct {
 
 // Stats is the /statsz payload. The counters obey the conservation law
 //
-//	solves + cache.hits + disk.hits + remote.hits + coalesced == schedule_items
+//	solves + cache.hits + Σ rung hits + coalesced == schedule_items
 //
-// every answered schedule item — one per /v1/schedule call, one per batch
-// member — is exactly one of: a solver execution, a memory hit, a disk
-// hit, a shared remote-tier hit, or a ride on an identical in-flight
-// solve. (For workloads of only single schedule calls, schedule_items
-// equals the successful requests; without a remote tier, remote.hits is
-// identically zero and the law reduces to the historical four-term form.)
+// where the rungs are disk and remote, so Σ rung hits is disk.hits +
+// remote.hits: every answered schedule item — one per /v1/schedule call,
+// one per batch member — is exactly one of: a solver execution, a memory
+// hit, a hit on one rung of the ladder, or a ride on an identical
+// in-flight solve. (For workloads of only single schedule calls,
+// schedule_items equals the successful requests; an absent rung's hits
+// are identically zero.)
 type Stats struct {
 	Requests  uint64 `json:"requests"`
 	Failures  uint64 `json:"failures"`
@@ -296,14 +289,21 @@ type Stats struct {
 	MemberOutcomes map[string]uint64 `json:"portfolio_members,omitempty"`
 	// Traces counts completed traces retained (then possibly rotated) by
 	// the /debug/requests ring.
-	Traces uint64         `json:"traces"`
-	Cache  CacheStats     `json:"cache"`
-	Disk   DiskCacheStats `json:"disk"`
-	// Remote is the shared dtcached tier consulted between a disk miss
-	// and a cold solve; Remote.Hits is law-bound and mirrored like the
-	// other tiers'.
-	Remote RemoteCacheStats `json:"remote"`
-	Pool   PoolStats        `json:"pool"`
+	Traces uint64     `json:"traces"`
+	Cache  CacheStats `json:"cache"`
+	// Disk and Remote report the two ladder rungs; an absent rung reports
+	// zeros. Their Hits are law-bound and mirrored like the memory tier's.
+	Disk   TierStats `json:"disk"`
+	Remote TierStats `json:"remote"`
+	Pool   PoolStats `json:"pool"`
+}
+
+// tier returns the field that reports the named ladder rung.
+func (st *Stats) tier(name string) *TierStats {
+	if name == "remote" {
+		return &st.Remote
+	}
+	return &st.Disk
 }
 
 // PoolStats mirrors the engine's worker and lane counters under the
@@ -331,39 +331,20 @@ func New(cfg Config) (*Server, error) {
 	if _, err := solver.Get(cfg.DefaultSolver); err != nil {
 		return nil, fmt.Errorf("service: default solver: %w", err)
 	}
-	var disk *DiskCache
+	// Tiers travel as interfaces from here on: a rung that is not
+	// configured stays a nil interface (never a typed nil), and the
+	// WrapTier seam decides whether it exists at all.
+	var disk, remote Tier
+	var diskCache *DiskCache
 	if cfg.CacheDir != "" {
 		var err error
-		disk, err = NewDiskCache(cfg.CacheDir, cfg.DiskCacheBytes)
-		if err != nil {
+		if diskCache, err = NewDiskCache(cfg.CacheDir, cfg.DiskCacheBytes); err != nil {
 			return nil, fmt.Errorf("service: disk cache: %w", err)
 		}
+		disk = diskCache
 	}
-	// The tier travels as an interface from here on (a nil *DiskCache is
-	// a valid no-op tier — its methods tolerate the nil receiver), so the
-	// fault-injection seam can wrap it without knowing the concrete type.
-	var tier DiskTier = disk
-	if cfg.WrapDiskTier != nil {
-		tier = cfg.WrapDiskTier(tier)
-		if tier == nil {
-			return nil, fmt.Errorf("service: WrapDiskTier returned a nil tier")
-		}
-	}
-	// The remote tier travels the same way: a nil *RemoteCache is the
-	// valid no-op tier, and the chaos/test seam wraps the interface. The
-	// rung is "on" — and the remote_tier trace stage recorded — only when
-	// something real sits behind it, so single-node deployments keep
-	// their exact historical stage taxonomy.
-	var remote *RemoteCache
 	if cfg.RemoteAddr != "" {
 		remote = NewRemoteCache(cfg.RemoteAddr, cfg.RemoteTimeout)
-	}
-	var remoteTier RemoteTier = remote
-	if cfg.WrapRemoteTier != nil {
-		remoteTier = cfg.WrapRemoteTier(remoteTier)
-		if remoteTier == nil {
-			return nil, fmt.Errorf("service: WrapRemoteTier returned a nil tier")
-		}
 	}
 	s := &Server{
 		cfg: cfg,
@@ -377,15 +358,11 @@ func New(cfg Config) (*Server, error) {
 			InteractiveWeight: cfg.InteractiveWeight,
 		}),
 		cache:          NewCache(cfg.CacheSize, cfg.CacheBytes),
-		disk:           tier,
-		remote:         remoteTier,
-		remoteOn:       cfg.RemoteAddr != "" || cfg.WrapRemoteTier != nil,
 		drainCh:        make(chan struct{}),
 		solveLatency:   obs.NewHistogram(obs.LatencyBuckets),
 		stageLatency:   make(map[string]*obs.Histogram, len(obs.Stages)),
-		diskRead:       obs.NewHistogram(obs.QueueBuckets),
+		readLatency:    make(map[string]*obs.Histogram, len(ladder)),
 		diskWrite:      obs.NewHistogram(obs.QueueBuckets),
-		remoteRead:     obs.NewHistogram(obs.QueueBuckets),
 		streamTTFB:     obs.NewHistogram(obs.LatencyBuckets),
 		ring:           obs.NewRing(cfg.TraceRecent, cfg.TraceSlowest),
 		sim:            NewSimIndex(cfg.SimIndexSize),
@@ -408,10 +385,23 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.sampler.SetEvery(cfg.TraceSample)
 	// Hook the concrete disk tier's write-behind latency into the metrics
-	// histogram while the concrete type is still in hand (the chaos seam
-	// above only sees the DiskTier interface).
-	if disk != nil {
-		disk.SetWriteObserver(s.diskWrite.Observe)
+	// histogram while the concrete type is still in hand (the WrapTier
+	// seam only sees the Tier interface).
+	if diskCache != nil {
+		diskCache.SetWriteObserver(s.diskWrite.Observe)
+	}
+	configured := [len(ladder)]Tier{disk, remote}
+	for i, spec := range ladder {
+		read := obs.NewHistogram(obs.QueueBuckets)
+		s.readLatency[spec.name] = read
+		tier := configured[i]
+		if cfg.WrapTier != nil {
+			tier = cfg.WrapTier(spec.name, tier)
+		}
+		if tier != nil {
+			s.rungs = append(s.rungs, &rung{name: spec.name, stage: spec.stage, local: spec.local,
+				tier: tier, read: read})
+		}
 	}
 	return s, nil
 }
@@ -433,14 +423,15 @@ func (s *Server) BeginDrain() {
 // Draining reports whether BeginDrain has been called.
 func (s *Server) Draining() bool { return s.draining.Load() }
 
-// Close stops the solve engine and drains the disk and remote tiers'
-// write-behind queues, so every result accepted for persistence has been
-// written (or counted as a failed write) before Close returns. In-flight
-// solves finish first.
+// Close stops the solve engine and drains every rung's write-behind
+// queue, so every result accepted for persistence has been written (or
+// counted as a failed write) before Close returns. In-flight solves
+// finish first.
 func (s *Server) Close() {
 	s.eng.Close()
-	s.disk.Close()
-	s.remote.Close()
+	for _, r := range s.rungs {
+		r.tier.Close()
+	}
 	if s.cfg.CacheDir != "" {
 		if err := s.sim.Save(s.simIndexPath()); err != nil && s.cfg.Logger != nil {
 			s.cfg.Logger.Warn("sim index save failed", "err", err)
@@ -455,7 +446,7 @@ func (s *Server) simIndexPath() string {
 }
 
 // Stats snapshots the server counters. The conservation-law counters —
-// solves, memory hits, disk hits, coalesced, items — are mirrored under
+// solves, memory hits, rung hits, coalesced, items — are mirrored under
 // the server's own lock and incremented atomically with the item count
 // (account), so the law holds exactly on every snapshot: a scrape can
 // never observe an item whose classification landed in a tier counter
@@ -466,8 +457,10 @@ func (s *Server) Stats() Stats {
 	// Tier and engine snapshots are taken outside s.mu (they take their
 	// own locks); only the law-bound fields come from the mirrors below.
 	cs := s.cache.Stats()
-	ds := s.disk.Stats()
-	rs := s.remote.Stats()
+	var tiers [len(ladder)]TierStats
+	for i, r := range s.rungs {
+		tiers[i] = r.tier.Stats()
+	}
 	est := s.eng.Stats()
 	ring := s.ring.Snapshot()
 
@@ -486,9 +479,7 @@ func (s *Server) Stats() Stats {
 		mo[k] = v
 	}
 	cs.Hits = s.memHits
-	ds.Hits = s.diskHits
-	rs.Hits = s.remoteHits
-	return Stats{
+	st := Stats{
 		Requests:              s.requests,
 		Failures:              s.failures,
 		Items:                 s.items,
@@ -510,8 +501,6 @@ func (s *Server) Stats() Stats {
 		MemberOutcomes:        mo,
 		Traces:                ring.Total,
 		Cache:                 cs,
-		Disk:                  ds,
-		Remote:                rs,
 		Pool: PoolStats{
 			Workers:    est.Workers,
 			MinWorkers: est.MinWorkers,
@@ -523,6 +512,12 @@ func (s *Server) Stats() Stats {
 			Lanes:      est.Lanes,
 		},
 	}
+	for i, r := range s.rungs {
+		tiers[i].Enabled = true // an absent rung keeps the zero TierStats
+		tiers[i].Hits = r.hits
+		*st.tier(r.name) = tiers[i]
+	}
+	return st
 }
 
 // Handler returns the service's HTTP handler with request logging wired
@@ -859,23 +854,26 @@ func laneName(wire string, def engine.Lane) string {
 // classification — exactly one of the conservation law's left-hand
 // counters, in the same critical section as the item count, so
 //
-//	solves + mem_hits + disk_hits + remote_hits + coalesced == schedule_items
+//	solves + mem_hits + Σ rung hits + coalesced == schedule_items
 //
-// holds on every snapshot, never just eventually.
+// holds on every snapshot, never just eventually. A rung's hits are
+// tagged with its name.
 func (s *Server) account(tag string) {
 	s.mu.Lock()
 	s.items++
 	switch tag {
 	case "hit":
 		s.memHits++
-	case "disk":
-		s.diskHits++
-	case "remote":
-		s.remoteHits++
 	case "coalesced":
 		s.coalesced++
 	case "miss":
 		s.solves++
+	default:
+		for _, r := range s.rungs {
+			if r.name == tag {
+				r.hits++
+			}
+		}
 	}
 	s.mu.Unlock()
 }
@@ -1065,11 +1063,11 @@ func (s *Server) parseTopo(spec string) (*topology.Topology, error) {
 }
 
 // consult the content-addressed cache tiers fastest-first (memory, then
-// the persistent disk tier, then the fleet-shared remote tier — each hit
-// promoted into the tiers above it), collapse onto an identical in-flight
-// solve when one exists (singleflight), and otherwise run the named
-// solver on the worker pool and store the bytes in every tier. The string
-// reports how the body was obtained: "hit", "disk", "remote", "miss" or
+// the ladder's rungs — each hit promoted into the tiers above it),
+// collapse onto an identical in-flight solve when one exists
+// (singleflight), and otherwise run the named solver on the worker pool
+// and store the bytes in every tier. The string reports how the body was
+// obtained: "hit", a rung's name ("disk", "remote"), "miss" or
 // "coalesced". defLane is the QoS lane used when the request names none:
 // interactive for single schedule calls, batch for batch members.
 //
@@ -1254,42 +1252,13 @@ func (s *Server) process(ctx context.Context, req *rawRequest, defLane engine.La
 			s.mu.Unlock()
 			close(f.done)
 		}()
-		// Disk consult happens as the flight leader, outside the server
-		// lock (it reads a file): concurrent identical requests coalesce
-		// onto one disk read exactly as they would onto one solve. A hit
-		// is promoted into the memory tier so the next request for this
-		// key never touches the disk.
-		diskStart := time.Now()
-		body, ok := s.disk.Get(key)
-		diskDur := time.Since(diskStart)
-		// Observed through the chaos seam, so injected read faults show
-		// up in the read-latency distribution like real ones.
-		s.diskRead.Observe(diskDur)
-		tr.Observe(obs.StageDiskTier, diskStart, diskDur)
-		if ok {
-			s.cache.Put(key, body)
+		// The ladder is consulted as the flight leader, outside the server
+		// lock (a rung reads a file or makes a network round trip):
+		// concurrent identical requests coalesce onto one consult exactly
+		// as they would onto one solve.
+		if body, tag, ok := s.lookup(key, tr, false); ok {
 			f.body, f.err, f.addr = body, nil, key
-			return body, "disk", nil
-		}
-		// Remote consult, still as the flight leader: one network round
-		// trip per fleet-cold key per replica, coalesced for everyone
-		// behind it. A hit is promoted into both local tiers so the next
-		// request never leaves the process; every failure mode inside the
-		// tier degrades to a counted miss. The stage is recorded only when
-		// a remote rung actually exists, so single-node traces keep their
-		// historical shape.
-		if s.remoteOn {
-			remoteStart := time.Now()
-			body, ok = s.remote.Get(key)
-			remoteDur := time.Since(remoteStart)
-			s.remoteRead.Observe(remoteDur)
-			tr.Observe(obs.StageRemoteTier, remoteStart, remoteDur)
-			if ok {
-				s.cache.Put(key, body)
-				s.disk.Put(key, body)
-				f.body, f.err, f.addr = body, nil, key
-				return body, "remote", nil
-			}
+			return body, tag, nil
 		}
 		// Every exact tier missed: before paying for a cold solve, try to
 		// warm-start from a cached near-miss (or the delta endpoint's
@@ -1307,6 +1276,57 @@ func (s *Server) process(ctx context.Context, req *rawRequest, defLane engine.La
 	}
 	body, err := cold(ctx)
 	return body, "miss", err
+}
+
+// rung is one tier of the cache ladder below memory.
+type rung struct {
+	name  string // "disk" or "remote": the X-DTServe-Cache tag and /statsz key
+	stage string // trace stage of a read
+	local bool   // in-process, so the warm path may consult it
+	tier  Tier
+	read  *obs.Histogram // Get latency, hit or miss
+	hits  uint64         // items answered from this rung; guarded by Server.mu
+}
+
+// ladder lists the rungs in consult order: the persistent disk tier, then
+// the fleet-shared remote tier.
+var ladder = [...]struct {
+	name, stage string
+	local       bool
+}{
+	{"disk", obs.StageDiskTier, true},
+	{"remote", obs.StageRemoteTier, false},
+}
+
+// lookup walks the rungs in ladder order. A hit at rung i is promoted into
+// the memory tier and every rung above i, and is tagged with the rung's
+// name. The request path times each read into the rung's histogram and
+// trace stage; the warm path (warm) consults the local rungs only,
+// untimed, because its reads run inside the warm_seed stage and must not
+// add a network round trip to a solve.
+func (s *Server) lookup(key string, tr *obs.Trace, warm bool) ([]byte, string, bool) {
+	for i, r := range s.rungs {
+		if warm && !r.local {
+			continue
+		}
+		start := time.Now()
+		body, ok := r.tier.Get(key)
+		if !warm {
+			// Observed through the WrapTier seam, so injected read faults
+			// show up in the read-latency distribution like real ones.
+			dur := time.Since(start)
+			r.read.Observe(dur)
+			tr.Observe(r.stage, start, dur)
+		}
+		if ok {
+			s.cache.Put(key, body)
+			for _, above := range s.rungs[:i] {
+				above.tier.Put(key, body)
+			}
+			return body, r.name, true
+		}
+	}
+	return nil, "", false
 }
 
 // isLeaderContextError reports whether a flight failed because the
@@ -1404,13 +1424,12 @@ func (s *Server) solve(ctx context.Context, slv solver.Solver, sreq solver.Reque
 	// results are memoized.
 	if !(deadlined && slv.Name() == "portfolio") && !res.Raced {
 		s.cache.Put(key, body)
-		// Persist through the write-behind queues: the disk write happens
-		// on the disk tier's writer goroutine and the remote publish on
-		// the remote tier's, never on this hot path. Publishing to the
-		// shared daemon is what turns this replica's cold solve into
-		// every other replica's "remote" hit.
-		s.disk.Put(key, body)
-		s.remote.Put(key, body)
+		// Persist through every rung's write-behind queue, never on this
+		// hot path. Publishing to the shared daemon is what turns this
+		// replica's cold solve into every other replica's "remote" hit.
+		for _, r := range s.rungs {
+			r.tier.Put(key, body)
+		}
 		// Index cached bodies only: a similarity entry whose body is in no
 		// tier can seed nothing.
 		if idx != nil {

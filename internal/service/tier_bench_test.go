@@ -115,7 +115,7 @@ func BenchmarkServeDiskHit(b *testing.B) {
 	benchPost(b, ts.URL+"/v1/schedule", payload, "miss")
 	// The write is behind a queue; wait for durability before timing.
 	for deadline := time.Now().Add(5 * time.Second); ; {
-		st := svc.disk.Stats()
+		st := diskOf(svc).Stats()
 		if st.Writes >= 1 {
 			break
 		}

@@ -29,9 +29,9 @@ import (
 // The returned handled flag reports whether the warm path answered the
 // request (body or error); false means fall through to the cold solve.
 // The caller is the flight leader: meta gets the warm verdict either
-// way, and tag is "hit"/"disk" for warm-key replays or "miss" for a
-// warm-started solver execution — a warm solve is still a solve under
-// the conservation law.
+// way, and tag is "hit" or a local rung's name for warm-key replays or
+// "miss" for a warm-started solver execution — a warm solve is still a
+// solve under the conservation law.
 func (s *Server) warmAttempt(ctx context.Context, scratch *canonScratch, req *rawRequest,
 	kopt keyOptions, key string, meta *procMeta, topo *topology.Topology,
 	comm topology.CommParams, saOpt core.Options, slv solver.Solver,
@@ -68,11 +68,10 @@ func (s *Server) warmAttempt(ctx context.Context, scratch *canonScratch, req *ra
 		}
 		ent, dist = e, d
 	}
-	// The base body must still be in a local tier (never the remote one:
-	// the warm path must not add a network round trip to a cold solve).
+	// The base body must still be in memory or a local rung.
 	bbody, ok := s.cache.Get(ent.Key)
 	if !ok {
-		bbody, ok = s.disk.Get(ent.Key)
+		bbody, _, ok = s.lookup(ent.Key, nil, true)
 	}
 	if !ok {
 		return nil, "", false, nil
@@ -115,9 +114,8 @@ func (s *Server) warmAttempt(ctx context.Context, scratch *canonScratch, req *ra
 	if body, ok := s.cache.Get(warmKey); ok {
 		return body, "hit", true, nil
 	}
-	if body, ok := s.disk.Get(warmKey); ok {
-		s.cache.Put(warmKey, body)
-		return body, "disk", true, nil
+	if body, tag, ok := s.lookup(warmKey, nil, true); ok {
+		return body, tag, true, nil
 	}
 
 	saw := saOpt

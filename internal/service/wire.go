@@ -232,37 +232,10 @@ func ResultFromSim(res *machsim.Result, g *taskgraph.Graph, topoName string) (*R
 	}, nil
 }
 
-// cacheKey is the content address of a request: a SHA-256 over the
-// canonical graph encoding plus every option that can change the result —
-// including the timeout, so a result degraded by a tight deadline is
-// never replayed to a request with a generous one. Map/insertion order
-// never leaks into the key, so equal problems always hit the same cache
-// line.
-// The QoS lane is deliberately not part of the key: the lane decides when
-// a job runs, never what it computes, so identical problems submitted on
-// different lanes share one cache line (and coalesce onto one solve).
-func cacheKey(g *taskgraph.Graph, topoName string, comm topology.CommParams,
-	solverName string, sa core.Options, timeoutMS, memberTimeoutMS int) (string, error) {
-
-	graphJSON, err := g.CanonicalJSON()
-	if err != nil {
-		return "", err
-	}
-	key := struct {
-		Graph json.RawMessage `json:"graph"`
-		keyOptions
-	}{graphJSON, makeKeyOptions(topoName, comm, solverName, sa, timeoutMS, memberTimeoutMS)}
-	data, err := json.Marshal(key)
-	if err != nil {
-		return "", err
-	}
-	sum := sha256.Sum256(data)
-	return fmt.Sprintf("%016x-%s", g.Fingerprint(), hex.EncodeToString(sum[:16])), nil
-}
-
 // keyOptions is the option block of the cache-key document: every knob
 // that can change a result's bytes, in one fixed field order shared by
-// cacheKey and the fused streaming path so both derive identical keys.
+// the fused streaming path and the cacheKey test oracle so both derive
+// identical keys.
 // The cooperative/tempering flags sit last with omitempty, so every key
 // minted before they existed is byte-stable.
 type keyOptions struct {
@@ -302,14 +275,24 @@ func makeKeyOptions(topoName string, comm topology.CommParams,
 	}
 }
 
-// fusedKey derives cacheKey's exact string from a parsed Canonicalizer
-// without materializing a *Graph or re-marshaling it. The canonical
-// graph bytes are spliced verbatim into the key document — they are
-// already compact, HTML-escaped encoding/json output, which is exactly
-// how json.Marshal embeds a RawMessage — so the hashed bytes are
-// byte-identical to cacheKey's, and so is the key. buf is the caller's
-// scratch (reused across requests); the possibly-grown slice is
-// returned alongside the key.
+// fusedKey derives the content address of a request: a SHA-256 over the
+// canonical graph encoding plus every option that can change the result —
+// including the timeout, so a result degraded by a tight deadline is
+// never replayed to a request with a generous one. Map/insertion order
+// never leaks into the key, so equal problems always hit the same cache
+// line. The QoS lane is deliberately not part of the key: the lane
+// decides when a job runs, never what it computes, so identical problems
+// submitted on different lanes share one cache line (and coalesce onto
+// one solve).
+//
+// The key is derived from a parsed Canonicalizer without materializing a
+// *Graph or re-marshaling it. The canonical graph bytes are spliced
+// verbatim into the key document — they are already compact,
+// HTML-escaped encoding/json output, which is exactly how json.Marshal
+// embeds a RawMessage — so the hashed bytes are byte-identical to
+// marshaling the decoded graph's document. buf is the caller's scratch
+// (reused across requests); the possibly-grown slice is returned
+// alongside the key.
 func fusedKey(c *taskgraph.Canonicalizer, buf []byte, opt keyOptions) (string, []byte, error) {
 	tail, err := json.Marshal(opt)
 	if err != nil {
