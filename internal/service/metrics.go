@@ -69,6 +69,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	gauge("dtserve_sim_index_entries", "Entries currently held by the similarity index.", int64(st.SimIndexEntries))
 	counter("dtserve_shed_total", "Requests refused by admission control with a 429 (lane depth or queue-delay budget exhausted).", st.Shed)
 	counter("dtserve_cancelled_total", "Solves cancelled by their caller going away (client disconnect, drain).", st.Cancelled)
+	counter("dtserve_wire_slow_decodes_total", "/v1/schedule bodies outside the one-pass scanner's subset, decoded by encoding/json instead.", st.WireSlowDecodes)
 	counter("dtserve_traces_total", "Completed request traces recorded to the /debug/requests ring.", st.Traces)
 	draining := int64(0)
 	if st.Draining {

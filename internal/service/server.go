@@ -6,9 +6,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -144,6 +146,10 @@ type Server struct {
 	sampler     obs.Sampler
 	ring        *obs.Ring
 
+	// wireSlowDecodes counts /v1/schedule bodies the one-pass scanner
+	// declined, decoded by encoding/json instead.
+	wireSlowDecodes atomic.Uint64
+
 	draining  atomic.Bool
 	drainCh   chan struct{} // closed by BeginDrain
 	drainOnce sync.Once
@@ -277,6 +283,10 @@ type Stats struct {
 	// client disconnecting mid-stream, or a drain cutting a batch short.
 	// Cancelled solves produce no result and are never cached.
 	Cancelled uint64 `json:"cancelled"`
+	// WireSlowDecodes counts /v1/schedule bodies outside the one-pass
+	// scanner's subset (escaped strings, unknown or case-variant keys,
+	// read errors, malformed JSON, ...), decoded by encoding/json instead.
+	WireSlowDecodes uint64 `json:"wire_slow_decodes"`
 	// Draining reports that BeginDrain was called: the server is
 	// finishing in-flight streams and refusing new solve work.
 	Draining bool              `json:"draining"`
@@ -495,6 +505,7 @@ func (s *Server) Stats() Stats {
 		SimIndexEntries:       s.sim.Len(),
 		Shed:                  s.shed,
 		Cancelled:             s.cancelled,
+		WireSlowDecodes:       s.wireSlowDecodes.Load(),
 		Draining:              s.draining.Load(),
 		BySolver:              by,
 		SolveErrors:           se,
@@ -747,16 +758,21 @@ func (s *Server) startTrace(ctx context.Context, sw *statusWriter, t0 time.Time,
 	if !explicit && !s.sampler.Sample() {
 		return ctx, nil
 	}
-	id := obs.NewID()
+	var id string
 	if sw != nil {
 		id = sw.traceID
+	} else {
+		id = obs.NewID()
 	}
 	tr := obs.NewTrace(id, t0)
-	tr.Observe(obs.StageDecode, t0, time.Since(t0))
 	if sw != nil {
 		sw.trace = tr // logged() completes and releases it
 	}
-	return obs.With(ctx, tr), tr
+	// The trace's own set-up is part of the decode stage, so the stage
+	// that follows starts as soon as this one is recorded.
+	ctx = obs.With(ctx, tr)
+	tr.Observe(obs.StageDecode, t0, time.Since(t0))
+	return ctx, tr
 }
 
 // appendTraceBody splices a "trace" field into a marshaled response
@@ -785,9 +801,11 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 		writeError(w, errDraining())
 		return
 	}
+	scratch := canonPool.Get().(*canonScratch)
+	defer putScratch(scratch)
 	var req rawRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&req); err != nil {
-		writeError(w, badRequest("decode request: %v", err))
+	if err := s.decodeSchedule(w, r, scratch, &req); err != nil {
+		writeError(w, err)
 		return
 	}
 	sw, _ := w.(*statusWriter)
@@ -819,6 +837,56 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 	}
 	writeResult(w, body, status, meta)
 }
+
+// decodeSchedule fills req from a /v1/schedule body. The body is read
+// into the scratch's pooled buffer (still capped at maxBodyBytes) and
+// decoded by scanRequest in one pass, which also leaves the graph read
+// into scratch. Whatever the scanner declines is decoded by
+// encoding/json's Decoder from the same bytes — followed, if the read
+// failed, by the same read error — so it answers exactly as it would
+// have reading the body itself.
+func (s *Server) decodeSchedule(w http.ResponseWriter, r *http.Request, scratch *canonScratch, req *rawRequest) error {
+	body, rerr := readBody(scratch.body[:0], http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	scratch.body = body
+	if rerr == nil && scanRequest(body, req, &scratch.c) {
+		req.scanned = scratch
+		return nil
+	}
+	s.wireSlowDecodes.Add(1)
+	*req = rawRequest{} // drop whatever the declined scan had filled
+	var src io.Reader = bytes.NewReader(body)
+	if rerr != nil {
+		src = io.MultiReader(src, errReader{rerr})
+	}
+	if err := json.NewDecoder(src).Decode(req); err != nil {
+		return badRequest("decode request: %v", err)
+	}
+	return nil
+}
+
+// readBody appends everything r yields to buf, as io.ReadAll does into
+// a fresh slice, and returns the bytes read with the first error other
+// than io.EOF.
+func readBody(buf []byte, r io.Reader) ([]byte, error) {
+	for {
+		if len(buf) == cap(buf) {
+			buf = slices.Grow(buf, 512)
+		}
+		n, err := r.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return buf, err
+		}
+	}
+}
+
+// errReader replays a body read error after the bytes read before it.
+type errReader struct{ err error }
+
+func (e errReader) Read([]byte) (int, error) { return 0, e.err }
 
 // writeResult writes a successful schedule/delta response: the body plus
 // the cache tag, the content address (the base handle clients pass to
@@ -1023,15 +1091,30 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 }
 
 // canonScratch is the fused decode path's per-request scratch: a
-// reusable streaming canonicalizer plus the cache-key document buffer.
-// Pooled, so warm hits allocate no per-request decode state beyond what
-// encoding/json itself needs.
+// reusable canonicalizer, the cache-key document buffer and — for
+// /v1/schedule — the request body the canonicalizer's name spans point
+// into. Pooled, so warm hits allocate no per-request decode state.
 type canonScratch struct {
-	c   taskgraph.Canonicalizer
-	buf []byte
+	c    taskgraph.Canonicalizer
+	buf  []byte
+	body []byte
 }
 
 var canonPool = sync.Pool{New: func() any { return new(canonScratch) }}
+
+// maxPooledBody caps the body buffer a pooled scratch keeps: one huge
+// request must not pin its buffer in the pool for every later one.
+const maxPooledBody = 1 << 20
+
+// putScratch returns sc to canonPool, dropping the canonicalizer's
+// reference to the request and a body buffer over maxPooledBody.
+func putScratch(sc *canonScratch) {
+	sc.c.Reset()
+	if cap(sc.body) > maxPooledBody {
+		sc.body = nil
+	}
+	canonPool.Put(sc)
+}
 
 // process turns one wire request into marshaled result bytes: validate,
 // maxTopoMemo bounds the parsed-topology memo; real deployments use a
@@ -1078,11 +1161,11 @@ func (s *Server) parseTopo(spec string) (*topology.Topology, error) {
 // happens. The solver-ready Graph materializes inside the cold closure,
 // which only runs on a genuine miss (or an explicit nocache solve).
 func (s *Server) process(ctx context.Context, req *rawRequest, defLane engine.Lane, meta *procMeta) ([]byte, string, error) {
+	canonStart := time.Now()
 	if meta == nil {
 		meta = &procMeta{}
 	}
 	tr := obs.FromContext(ctx)
-	canonStart := time.Now()
 	if len(req.Graph) == 0 || string(req.Graph) == "null" {
 		return nil, "", badRequest("missing graph")
 	}
@@ -1092,9 +1175,16 @@ func (s *Server) process(ctx context.Context, req *rawRequest, defLane engine.La
 	// the one check the canonicalizer defers to materialization: a cyclic
 	// graph misses every tier (nothing cyclic was ever cached) and is
 	// rejected by the cold closure with the unchanged wrapped message.
-	scratch := canonPool.Get().(*canonScratch)
-	defer canonPool.Put(scratch)
-	if err := scratch.c.Parse(req.Graph); err != nil {
+	scratch := req.scanned
+	var err error
+	if scratch != nil {
+		err = scratch.c.Canonicalize()
+	} else {
+		scratch = canonPool.Get().(*canonScratch)
+		defer putScratch(scratch)
+		err = scratch.c.Parse(req.Graph)
+	}
+	if err != nil {
 		return nil, "", badRequest("decode request: %v", err)
 	}
 	if req.Topo == "" {
@@ -1102,7 +1192,6 @@ func (s *Server) process(ctx context.Context, req *rawRequest, defLane engine.La
 	}
 	lane := defLane
 	if req.Lane != "" {
-		var err error
 		if lane, err = engine.ParseLane(req.Lane); err != nil {
 			return nil, "", badRequest("%v", err)
 		}
@@ -1183,10 +1272,12 @@ func (s *Server) process(ctx context.Context, req *rawRequest, defLane engine.La
 		return s.solve(ctx, slv, sreq, req.TimeoutMS, topo.Name(), key, lane, idx)
 	}
 	if tr != nil {
-		tr.Observe(obs.StageCanonicalize, canonStart, time.Since(canonStart),
-			obs.KV{Key: "solver", Val: slv.Name()}, obs.KV{Key: "lane", Val: lane.String()})
+		// Notes first, so the stage that follows starts as soon as this
+		// one is recorded.
 		tr.Annotate("solver", slv.Name())
 		tr.Annotate("lane", lane.String())
+		notes := []obs.KV{{Key: "solver", Val: slv.Name()}, {Key: "lane", Val: lane.String()}}
+		tr.Observe(obs.StageCanonicalize, canonStart, time.Since(canonStart), notes...)
 	}
 	if !req.NoCache {
 		// Singleflight: the in-flight check and the cache consult happen

@@ -152,6 +152,99 @@ type rawRequest struct {
 	Lane            string          `json:"lane,omitempty"`
 	NoCache         bool            `json:"nocache,omitempty"`
 	Trace           bool            `json:"trace,omitempty"`
+
+	// scanned, when set, holds the graph the one-pass wire scanner
+	// already read (syntax only): process checks and canonicalizes it
+	// there instead of parsing Graph again.
+	scanned *canonScratch
+}
+
+// requestFields and commFields are the wire keys of rawRequest and
+// CommOverride, in the order of their struct fields.
+var (
+	requestFields = []string{"graph", "topo", "comm", "nocomm", "solver", "seed", "wb", "restarts",
+		"cooperative", "tempering", "timeout_ms", "member_timeout_ms", "lane", "nocache", "trace"}
+	commFields = []string{"bandwidth", "sigma", "tau", "scale"}
+)
+
+// scanRequest is the one-pass decode of a /v1/schedule body: a single
+// taskgraph.Scanner pass fills req and hands the "graph" object to c,
+// so the graph bytes are read once. Like json.Decoder.Decode it stops
+// after the first value and ignores whatever follows. It returns false
+// when the body leaves the scanner's subset (see taskgraph.Scanner; a
+// "graph" that is neither an object nor null also declines), and the
+// caller then decodes the same bytes with encoding/json, so every 400 is
+// still worded by encoding/json. On true, req.Graph is the graph value's
+// raw bytes within body, as json.RawMessage would hold them, and an
+// object graph still awaits c.Canonicalize.
+func scanRequest(body []byte, req *rawRequest, c *taskgraph.Canonicalizer) bool {
+	sc := taskgraph.NewScanner(body)
+	var seen uint32
+	sc.Begin('{')
+	for i := 0; sc.More('}', i); i++ {
+		switch sc.Field(&seen, requestFields) {
+		case "graph":
+			start := sc.Pos()
+			if !sc.Null() {
+				c.Scan(&sc)
+			}
+			req.Graph = body[start:sc.Pos()]
+		case "topo":
+			req.Topo = string(sc.Str())
+		case "comm":
+			if !sc.Null() {
+				req.Comm = scanComm(&sc)
+			}
+		case "nocomm":
+			req.NoComm = sc.Bool()
+		case "solver":
+			req.Solver = string(sc.Str())
+		case "seed":
+			req.Seed = sc.Int64()
+		case "wb":
+			wb := sc.Float()
+			req.Wb = &wb
+		case "restarts":
+			req.Restarts = sc.Int()
+		case "cooperative":
+			req.Cooperative = sc.Bool()
+		case "tempering":
+			req.Tempering = sc.Bool()
+		case "timeout_ms":
+			req.TimeoutMS = sc.Int()
+		case "member_timeout_ms":
+			req.MemberTimeoutMS = sc.Int()
+		case "lane":
+			req.Lane = string(sc.Str())
+		case "nocache":
+			req.NoCache = sc.Bool()
+		case "trace":
+			req.Trace = sc.Bool()
+		}
+	}
+	return sc.OK()
+}
+
+// scanComm reads a CommOverride object.
+func scanComm(sc *taskgraph.Scanner) *CommOverride {
+	o := new(CommOverride)
+	var seen uint32
+	sc.Begin('{')
+	for i := 0; sc.More('}', i); i++ {
+		field := sc.Field(&seen, commFields)
+		v := sc.Float()
+		switch field {
+		case "bandwidth":
+			o.Bandwidth = &v
+		case "sigma":
+			o.Sigma = &v
+		case "tau":
+			o.Tau = &v
+		case "scale":
+			o.Scale = &v
+		}
+	}
+	return o
 }
 
 // rawBatch is the handler-side decode form of BatchRequest.

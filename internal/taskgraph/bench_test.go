@@ -1,6 +1,7 @@
 package taskgraph
 
 import (
+	"encoding/json"
 	"math/rand"
 	"testing"
 )
@@ -48,5 +49,26 @@ func BenchmarkReadyTrackerFullRun(b *testing.B) {
 				}
 			}
 		}
+	}
+}
+
+// BenchmarkCanonicalizerParse is the warm hit's graph layer: scan,
+// check and canonicalize a 100-task wire graph, then emit its canonical
+// bytes, with a reused Canonicalizer.
+func BenchmarkCanonicalizerParse(b *testing.B) {
+	data, err := json.Marshal(benchDAG(b, 100))
+	if err != nil {
+		b.Fatal(err)
+	}
+	var c Canonicalizer
+	buf := make([]byte, 0, 2*len(data))
+	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := c.Parse(data); err != nil {
+			b.Fatal(err)
+		}
+		buf = c.AppendCanonicalJSON(buf[:0])
 	}
 }

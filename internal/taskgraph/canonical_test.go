@@ -3,6 +3,7 @@ package taskgraph
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -148,7 +149,7 @@ func TestAppendJSONStringMatchesStdlib(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := appendJSONString(nil, s)
+		got := appendJSONString(nil, []byte(s))
 		if !bytes.Equal(got, want) {
 			t.Errorf("string %q: got %s, want %s", s, got, want)
 		}
@@ -178,15 +179,20 @@ func TestAppendJSONFloatMatchesStdlib(t *testing.T) {
 }
 
 // TestCanonicalizerSteadyStateAllocs pins the fused path's allocation
-// budget: a warm Canonicalizer parsing a mid-size document and emitting
-// canonical bytes into a reused buffer must stay within a small constant
-// — the whole point of fusing decode and canonicalization.
+// budget: a warm Canonicalizer parsing a document inside the scanner's
+// subset and emitting canonical bytes into a reused buffer allocates
+// nothing — names stay spans into the document, and sorting and
+// fingerprinting work in the reused arrays.
 func TestCanonicalizerSteadyStateAllocs(t *testing.T) {
 	doc := []byte(canonicalDocs()["permuted edges"])
 	var c Canonicalizer
 	buf := make([]byte, 0, 4096)
 	if err := c.Parse(doc); err != nil {
 		t.Fatal(err)
+	}
+	sc := NewScanner(doc)
+	if c.Scan(&sc); !sc.End() {
+		t.Fatal("the pinned document must lie inside the scanner's subset")
 	}
 	allocs := testing.AllocsPerRun(200, func() {
 		if err := c.Parse(doc); err != nil {
@@ -195,9 +201,98 @@ func TestCanonicalizerSteadyStateAllocs(t *testing.T) {
 		buf = c.AppendCanonicalJSON(buf[:0])
 		_ = c.Fingerprint()
 	})
-	// json.Unmarshal itself allocates a handful of times (decoder state,
-	// sort closures); the budget just has to stay flat and small.
-	if allocs > 16 {
-		t.Errorf("steady-state Parse+Append allocates %.1f times, want <= 16", allocs)
+	if allocs > 0 {
+		t.Errorf("steady-state Parse+Append allocates %.1f times, want 0", allocs)
+	}
+}
+
+// TestScannerSubset pins which documents the scanner accepts and which
+// it declines, and that Parse answers both identically to
+// ParseReference.
+func TestScannerSubset(t *testing.T) {
+	accept := map[string]string{
+		"compact":        `{"name":"g","tasks":[{"id":0,"name":"a","load":1.5}],"edges":null}`,
+		"whitespace":     " {\n\t\"tasks\" : [ { \"id\" : 0 , \"load\" : 1 } ] , \"edges\" : [ ] }\r\n",
+		"empty":          `{}`,
+		"raw utf-8":      `{"name":"täsk 世界  ","tasks":null}`,
+		"html bytes":     `{"name":"<b>&</b>","tasks":[]}`,
+		"missing fields": `{"tasks":[{},{"id":1}]}`,
+		"numbers":        `{"tasks":[{"id":-0,"load":-0},{"id":1,"load":1e-7},{"id":2,"load":12345678901234567890},{"id":3,"load":0.5E+2}]}`,
+		"semantic error": `{"tasks":[{"id":0,"load":1}],"edges":[{"from":0,"to":0,"bits":1}]}`,
+		"int64 bounds":   `{"tasks":[{"id":0}],"edges":[{"from":9223372036854775807,"to":-9223372036854775808}]}`,
+	}
+	decline := map[string]string{
+		"syntax":            `{"tasks":[}`,
+		"trailing data":     `{} {}`,
+		"trailing comma":    `{"tasks":[],}`,
+		"escape":            `{"name":"a\nb"}`,
+		"unicode escape":    `{"name":"\u00e4"}`,
+		"control char":      "{\"name\":\"a\tb\"}",
+		"invalid utf-8":     "{\"name\":\"\xff\"}",
+		"case variant":      `{"Tasks":[]}`,
+		"unknown key":       `{"tasks":[],"extra":1}`,
+		"duplicate key":     `{"tasks":[],"tasks":[]}`,
+		"duplicate in task": `{"tasks":[{"id":0,"id":0}]}`,
+		"null name":         `{"name":null}`,
+		"null load":         `{"tasks":[{"id":0,"load":null}]}`,
+		"null task":         `{"tasks":[null]}`,
+		"float id":          `{"tasks":[{"id":0.0}]}`,
+		"exponent id":       `{"tasks":[{"id":1e0}]}`,
+		"huge id":           `{"tasks":[{"id":1234567890123456789012}]}`,
+		"id past int64":     `{"tasks":[{"id":9223372036854775808}]}`,
+		"id below int64":    `{"tasks":[{"id":-9223372036854775809}]}`,
+		"huge load":         `{"tasks":[{"id":0,"load":1e400}]}`,
+		"leading zero":      `{"tasks":[{"id":01}]}`,
+		"bare point":        `{"tasks":[{"id":0,"load":1.}]}`,
+		"bare exponent":     `{"tasks":[{"id":0,"load":1e}]}`,
+		"tasks object":      `{"tasks":{}}`,
+		"bom":               "\xef\xbb\xbf{}",
+		"top-level null":    `null`,
+	}
+	var fast, ref Canonicalizer
+	check := func(name, doc string, wantAccept bool) {
+		sc := NewScanner([]byte(doc))
+		fast.Scan(&sc)
+		if sc.End() != wantAccept {
+			t.Errorf("%s: scanner accepted=%v, want %v", name, sc.End(), wantAccept)
+		}
+		err := fast.Parse([]byte(doc))
+		refErr := ref.ParseReference([]byte(doc))
+		if fmt.Sprint(err) != fmt.Sprint(refErr) {
+			t.Errorf("%s: Parse error %v, reference %v", name, err, refErr)
+		}
+		if err == nil && !bytes.Equal(fast.AppendCanonicalJSON(nil), ref.AppendCanonicalJSON(nil)) {
+			t.Errorf("%s: canonical bytes differ from the reference", name)
+		}
+	}
+	for name, doc := range accept {
+		check(name, doc, true)
+	}
+	for name, doc := range decline {
+		check(name, doc, false)
+	}
+}
+
+// TestGraphCopiesNames pins the lifetime of the scanner's name spans:
+// they alias the parsed document until Graph copies them out or Reset
+// drops them, after which the document's buffer can be reused.
+func TestGraphCopiesNames(t *testing.T) {
+	doc := []byte(`{"name":"graph","tasks":[{"id":0,"name":"alpha","load":1}],"edges":null}`)
+	var c Canonicalizer
+	if err := c.Parse(doc); err != nil {
+		t.Fatal(err)
+	}
+	g, err := c.Graph()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range doc {
+		doc[i] = 'x'
+	}
+	if g.Name() != "graph" || g.Task(0).Name != "alpha" {
+		t.Fatalf("materialized names changed with the document: %q, %q", g.Name(), g.Task(0).Name)
+	}
+	if c.Reset(); c.text != nil || len(c.tasks) != 0 {
+		t.Fatal("Reset kept a reference to the parsed document")
 	}
 }
