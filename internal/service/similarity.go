@@ -25,7 +25,8 @@ import (
 // set.
 type SimIndex struct {
 	mu      sync.RWMutex
-	entries []simEntry       // ring buffer, capacity == cap
+	size    int              // the ring's capacity
+	entries []simEntry       // ring buffer, grown on demand up to size
 	live    []bool           // slot occupancy
 	next    int              // next ring slot to (over)write
 	byKey   map[string]int   // content address -> slot
@@ -64,16 +65,17 @@ const (
 )
 
 // NewSimIndex builds an empty index holding at most size entries
-// (<= 0 means defaultSimIndexSize).
+// (<= 0 means defaultSimIndexSize). The ring grows as entries arrive: a
+// server that solves a few dozen distinct graphs does not carry the
+// full-size ring (about 3 MiB at the default size) in its heap.
 func NewSimIndex(size int) *SimIndex {
 	if size <= 0 {
 		size = defaultSimIndexSize
 	}
 	return &SimIndex{
-		entries: make([]simEntry, size),
-		live:    make([]bool, size),
-		byKey:   make(map[string]int, size),
-		bands:   make(map[uint64][]int),
+		size:  size,
+		byKey: make(map[string]int),
+		bands: make(map[uint64][]int),
 	}
 }
 
@@ -111,7 +113,11 @@ func (ix *SimIndex) Add(e simEntry) {
 		return
 	}
 	slot := ix.next
-	ix.next = (ix.next + 1) % len(ix.entries)
+	if slot == len(ix.entries) { // the ring is still filling
+		ix.entries = append(ix.entries, simEntry{})
+		ix.live = append(ix.live, false)
+	}
+	ix.next = (ix.next + 1) % ix.size
 	if ix.live[slot] {
 		ix.dropLocked(slot)
 	}

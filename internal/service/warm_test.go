@@ -309,6 +309,7 @@ func TestSimIndexPersistence(t *testing.T) {
 }
 
 // TestSimIndexEviction: the index is bounded; the oldest entry falls out.
+// The ring grows one slot per entry until it reaches its size.
 func TestSimIndexEviction(t *testing.T) {
 	ix := NewSimIndex(2)
 	for i := 0; i < 3; i++ {
@@ -318,6 +319,9 @@ func TestSimIndexEviction(t *testing.T) {
 		}
 		ix.Add(simEntry{Key: fmt.Sprintf("k%d", i), Topo: "ring:2",
 			Sketch: g.Sketch(), Graph: json.RawMessage(`{}`), NumTasks: 4})
+		if want := min(i+1, 2); len(ix.entries) != want {
+			t.Fatalf("after %d adds the ring has %d slots, want %d", i+1, len(ix.entries), want)
+		}
 	}
 	if ix.Len() != 2 {
 		t.Fatalf("Len = %d, want 2", ix.Len())
