@@ -10,7 +10,6 @@ import (
 	"log/slog"
 	"net/http"
 	"path/filepath"
-	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -846,7 +845,9 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 // failed, by the same read error — so it answers exactly as it would
 // have reading the body itself.
 func (s *Server) decodeSchedule(w http.ResponseWriter, r *http.Request, scratch *canonScratch, req *rawRequest) error {
-	body, rerr := readBody(scratch.body[:0], http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	buf := bytes.NewBuffer(scratch.body[:0])
+	_, rerr := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	body := buf.Bytes()
 	scratch.body = body
 	if rerr == nil && scanRequest(body, req, &scratch.c) {
 		req.scanned = scratch
@@ -862,25 +863,6 @@ func (s *Server) decodeSchedule(w http.ResponseWriter, r *http.Request, scratch 
 		return badRequest("decode request: %v", err)
 	}
 	return nil
-}
-
-// readBody appends everything r yields to buf, as io.ReadAll does into
-// a fresh slice, and returns the bytes read with the first error other
-// than io.EOF.
-func readBody(buf []byte, r io.Reader) ([]byte, error) {
-	for {
-		if len(buf) == cap(buf) {
-			buf = slices.Grow(buf, 512)
-		}
-		n, err := r.Read(buf[len(buf):cap(buf)])
-		buf = buf[:len(buf)+n]
-		if err == io.EOF {
-			return buf, nil
-		}
-		if err != nil {
-			return buf, err
-		}
-	}
 }
 
 // errReader replays a body read error after the bytes read before it.
