@@ -757,11 +757,9 @@ func (s *Server) startTrace(ctx context.Context, sw *statusWriter, t0 time.Time,
 	if !explicit && !s.sampler.Sample() {
 		return ctx, nil
 	}
-	var id string
+	id := obs.NewID()
 	if sw != nil {
 		id = sw.traceID
-	} else {
-		id = obs.NewID()
 	}
 	tr := obs.NewTrace(id, t0)
 	if sw != nil {
@@ -848,7 +846,7 @@ func (s *Server) decodeSchedule(w http.ResponseWriter, r *http.Request, scratch 
 	buf := bytes.NewBuffer(scratch.body[:0])
 	_, rerr := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	body := buf.Bytes()
-	scratch.body = body
+	scratch.body = body // the canonicalizer's name spans point into it
 	if rerr == nil && scanRequest(body, req, &scratch.c) {
 		req.scanned = scratch
 		return nil
