@@ -15,7 +15,6 @@ package anneal
 
 import (
 	"errors"
-	"fmt"
 	"math"
 	"math/rand"
 )
@@ -128,7 +127,7 @@ var ErrNoCooling = errors.New("anneal: no cooling schedule")
 // delta < 0; at temp = +Inf the probability is ½.
 //
 // AcceptProb is the specification of the acceptance rule. The annealing
-// loops decide moves with accept, which returns exactly
+// loop decides moves with accept, which returns exactly
 // u < AcceptProb(delta, temp) but calls math.Exp only when a cheap
 // bracket of the exponential cannot settle the comparison.
 func AcceptProb(delta, temp float64) float64 {
@@ -232,88 +231,14 @@ func upperExp(t4, z, z2 float64) float64 {
 }
 
 // Minimize runs simulated annealing on p and returns run statistics. The
-// Problem is left in its final (or best, for Snapshotters) state.
+// Problem is left in its final (or best, for Snapshotters) state. It
+// drives a Stepper to completion, so the two share one accept/reject loop.
 func Minimize(p Problem, opt Options) (Result, error) {
-	if opt.Cooling == nil {
-		return Result{}, ErrNoCooling
+	var st Stepper
+	if err := st.Reset(p, opt); err != nil {
+		return Result{}, err
 	}
-	if opt.MovesPerStage <= 0 {
-		return Result{}, fmt.Errorf("anneal: MovesPerStage = %d, want > 0", opt.MovesPerStage)
+	for st.Step() {
 	}
-	rng := opt.RNG
-	if rng == nil {
-		rng = rand.New(rand.NewSource(opt.Seed))
-	}
-
-	res := Result{InitialCost: p.Cost()}
-	cost := res.InitialCost
-	res.BestCost = cost
-
-	snapper, canSnapshot := p.(Snapshotter)
-	if canSnapshot {
-		snapper.SaveBest()
-	}
-
-	plateau := 0
-	prevStageCost := cost
-
-stages:
-	for stage := 0; stage < opt.Cooling.Stages(); stage++ {
-		temp := opt.Cooling.Temperature(stage)
-		res.Stages = stage + 1
-		for k := 0; k < opt.MovesPerStage; k++ {
-			if opt.MaxMoves > 0 && res.Moves >= opt.MaxMoves {
-				res.CapStop = true
-				break stages
-			}
-			delta, ok := p.Propose(rng)
-			if !ok {
-				break stages
-			}
-			res.Moves++
-			accepted := accept(rng.Float64(), delta, temp)
-			if accepted {
-				res.Accepted++
-				cost += delta
-				if cost < res.BestCost {
-					res.BestCost = cost
-					if canSnapshot {
-						snapper.SaveBest()
-					}
-				}
-			} else {
-				p.Undo()
-			}
-			if opt.OnMove != nil {
-				opt.OnMove(MoveInfo{
-					Move:     res.Moves - 1,
-					Stage:    stage,
-					Temp:     temp,
-					Delta:    delta,
-					Accepted: accepted,
-					Cost:     cost,
-				})
-			}
-		}
-		if opt.PlateauStages > 0 {
-			if math.Abs(cost-prevStageCost) <= opt.PlateauEps {
-				plateau++
-				if plateau >= opt.PlateauStages {
-					res.PlateauStop = true
-					res.Stages = stage + 1
-					break stages
-				}
-			} else {
-				plateau = 0
-			}
-			prevStageCost = cost
-		}
-	}
-
-	if canSnapshot && res.BestCost < cost {
-		snapper.RestoreBest()
-		cost = res.BestCost
-	}
-	res.FinalCost = cost
-	return res, nil
+	return st.Result(), nil
 }

@@ -6,20 +6,16 @@ import (
 	"math/rand"
 )
 
-// Stepper is an incremental Minimize: it runs the identical accept/reject
-// dynamics, one temperature stage per Step call, so a coordinator can
-// interleave work between stages — publish the best cost to a shared
-// incumbent, abandon a dominated run, or exchange replica states for
-// parallel tempering. A Stepper driven to completion consumes its RNG
-// exactly like Minimize and leaves the Problem in the identical state:
-// Result() applies the same restore-best rule, so
+// Stepper is the annealing loop, one temperature stage per Step call, so
+// a coordinator can interleave work between stages: publish the best
+// cost to a shared incumbent, abandon a dominated run, or exchange replica
+// states for parallel tempering. Minimize is a Stepper driven to
+// completion:
 //
-//	st := NewStepper(p, opt); for st.Step() {}; res := st.Result()
+//	st.Reset(p, opt); for st.Step() {}; res := st.Result()
 //
-// is byte-for-byte equivalent to res, _ := Minimize(p, opt).
-//
-// A Stepper is single-goroutine state; coordinate concurrent Steppers at
-// barriers, never by calling one Stepper from two goroutines.
+// A Stepper is single-goroutine state. A coordinator that runs several
+// Steppers steps them in turn and acts between stages.
 type Stepper struct {
 	p   Problem
 	opt Options
@@ -84,7 +80,7 @@ func (st *Stepper) Reset(p Problem, opt Options) error {
 // reports whether the run can continue. It returns false — permanently —
 // once the cooling schedule is exhausted, the plateau rule fires, the
 // move cap is reached, the Problem runs out of moves, or Abandon was
-// called. The loop body mirrors Minimize move for move.
+// called.
 func (st *Stepper) Step() bool {
 	if st.stopped || st.stage >= st.opt.Cooling.Stages() {
 		st.stopped = true
@@ -92,49 +88,59 @@ func (st *Stepper) Step() bool {
 	}
 	stage := st.stage
 	temp := st.opt.Cooling.Temperature(stage)
-	st.res.Stages = stage + 1
-	for k := 0; k < st.opt.MovesPerStage; k++ {
-		if st.opt.MaxMoves > 0 && st.res.Moves >= st.opt.MaxMoves {
-			st.res.CapStop = true
-			st.stopped = true
-			return false
+	// The move loop runs on locals and writes them back once per stage:
+	// reading the fields through st on every move is measurably slower.
+	p, rng, res, cost := st.p, st.rng, st.res, st.cost
+	moves, maxMoves, onMove := st.opt.MovesPerStage, st.opt.MaxMoves, st.opt.OnMove
+	snapper, canSnapshot := st.snapper, st.canSnapshot
+	res.Stages = stage + 1
+	more := true
+	for k := 0; k < moves; k++ {
+		if maxMoves > 0 && res.Moves >= maxMoves {
+			res.CapStop = true
+			more = false
+			break
 		}
-		delta, ok := st.p.Propose(st.rng)
+		delta, ok := p.Propose(rng)
 		if !ok {
-			st.stopped = true
-			return false
+			more = false
+			break
 		}
-		st.res.Moves++
-		accepted := accept(st.rng.Float64(), delta, temp)
+		res.Moves++
+		accepted := accept(rng.Float64(), delta, temp)
 		if accepted {
-			st.res.Accepted++
-			st.cost += delta
-			if st.cost < st.res.BestCost {
-				st.res.BestCost = st.cost
-				if st.canSnapshot {
-					st.snapper.SaveBest()
+			res.Accepted++
+			cost += delta
+			if cost < res.BestCost {
+				res.BestCost = cost
+				if canSnapshot {
+					snapper.SaveBest()
 				}
 			}
 		} else {
-			st.p.Undo()
+			p.Undo()
 		}
-		if st.opt.OnMove != nil {
-			st.opt.OnMove(MoveInfo{
-				Move:     st.res.Moves - 1,
+		if onMove != nil {
+			onMove(MoveInfo{
+				Move:     res.Moves - 1,
 				Stage:    stage,
 				Temp:     temp,
 				Delta:    delta,
 				Accepted: accepted,
-				Cost:     st.cost,
+				Cost:     cost,
 			})
 		}
 	}
+	st.res, st.cost = res, cost
+	if !more {
+		st.stopped = true
+		return false
+	}
 	if st.opt.PlateauStages > 0 {
-		if math.Abs(st.cost-st.prevStageCost) <= st.opt.PlateauEps {
+		if math.Abs(cost-st.prevStageCost) <= st.opt.PlateauEps {
 			st.plateau++
 			if st.plateau >= st.opt.PlateauStages {
 				st.res.PlateauStop = true
-				st.res.Stages = stage + 1
 				st.stopped = true
 				st.stage++
 				return false
@@ -142,7 +148,7 @@ func (st *Stepper) Step() bool {
 		} else {
 			st.plateau = 0
 		}
-		st.prevStageCost = st.cost
+		st.prevStageCost = cost
 	}
 	st.stage++
 	if st.stage >= st.opt.Cooling.Stages() {

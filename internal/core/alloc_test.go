@@ -86,9 +86,9 @@ func TestPacketResetReusesBuffers(t *testing.T) {
 	}
 }
 
-// Equal seeds must give byte-identical schedules even when restarts anneal
-// concurrently: per-restart seeds are drawn up front and the winner is
-// picked by (cost, restart index), independent of goroutine interleaving.
+// Equal seeds must give byte-identical schedules with restarts: per-restart
+// seeds come from the scheduler stream in restart order and the winner is
+// picked by (cost, restart index).
 func TestSchedulerParallelRestartsDeterministic(t *testing.T) {
 	g, err := taskgraph.ForkJoin("fj", 12, 10, 1, 800)
 	if err != nil {

@@ -54,10 +54,10 @@ func sameSchedule(t *testing.T, tag string, a, b *machsim.Result) {
 	}
 }
 
-// With abandonment disabled, cooperative mode is the plain restart race
-// run at a stage barrier: identical seed derivation, and anneal.Stepper
-// is move-for-move equivalent to anneal.Minimize — so the schedules must
-// be byte-identical. This pins that the barrier machinery itself never
+// With abandonment disabled, cooperative restarts differ from independent
+// ones only in the options they set: both draw the same seeds and step
+// the same runs through one barrier loop, so the schedules must be
+// byte-identical. This pins that the cooperative option path never
 // perturbs the search.
 func TestCooperativeEquivalentToRestartsWhenAbandonDisabled(t *testing.T) {
 	g, topo, comm := coopFixture(t)
@@ -216,36 +216,49 @@ func TestTemperingDeterministicWithExchanges(t *testing.T) {
 }
 
 // Interrupt ends the anneal at the next barrier but still adopts the best
-// mapping seen, so the scheduler completes with a valid schedule.
+// mapping seen, so the scheduler completes with a valid schedule. Every
+// restart mode polls it: a single run, independent restarts and
+// cooperative restarts.
 func TestCooperativeInterruptStopsEarlyButCompletes(t *testing.T) {
 	g, topo, comm := coopFixture(t)
-	opt := DefaultOptions()
-	opt.Seed = 5
-	opt.Restarts = 4
-	opt.Cooperative = true
-	barriers := 0
-	opt.Interrupt = func() error {
-		barriers++
-		if barriers > 3 {
-			return errors.New("cancelled")
+	for _, mode := range []struct {
+		name        string
+		restarts    int
+		cooperative bool
+	}{
+		{"single", 0, false},
+		{"independent", 4, false},
+		{"cooperative", 4, true},
+	} {
+		opt := DefaultOptions()
+		opt.Seed = 5
+		opt.Restarts = mode.restarts
+		opt.Cooperative = mode.cooperative
+		barriers := 0
+		opt.Interrupt = func() error {
+			barriers++
+			if barriers > 3 {
+				return errors.New("cancelled")
+			}
+			return nil
 		}
-		return nil
-	}
 
-	res, sched := coopRun(t, g, topo, comm, opt)
-	if res.Makespan <= 0 {
-		t.Fatalf("makespan %g", res.Makespan)
-	}
-	for i, p := range res.Proc {
-		if p < 0 || p >= topo.N() {
-			t.Fatalf("task %d on invalid processor %d", i, p)
+		res, sched := coopRun(t, g, topo, comm, opt)
+		if res.Makespan <= 0 {
+			t.Fatalf("%s: makespan %g", mode.name, res.Makespan)
 		}
-	}
-	// Each packet can run at most 3 full barriers before the interrupt
-	// fires, so per-packet stages are bounded by 4 per restart.
-	for _, p := range sched.Packets() {
-		if p.Stages > 4*opt.Restarts {
-			t.Errorf("packet at %g ran %d stages despite interrupt", p.Time, p.Stages)
+		for i, p := range res.Proc {
+			if p < 0 || p >= topo.N() {
+				t.Fatalf("%s: task %d on invalid processor %d", mode.name, i, p)
+			}
+		}
+		// Each packet can run at most 3 full barriers before the interrupt
+		// fires, so per-packet stages are bounded by 4 per run.
+		runs := max(opt.Restarts, 1)
+		for _, p := range sched.Packets() {
+			if p.Stages > 4*runs {
+				t.Errorf("%s: packet at %g ran %d stages despite interrupt", mode.name, p.Time, p.Stages)
+			}
 		}
 	}
 }

@@ -170,7 +170,7 @@ func (pk *packet) reset(ready []taskgraph.TaskID, idle []int, locate Locator, le
 	}
 }
 
-// cloneFrom makes pk an independent copy of src for a concurrent restart:
+// cloneFrom makes pk an independent copy of src for a restart:
 // the immutable cost tables (tasks, procs, level, commCost, contrib) are
 // shared, only the mutable mapping state is deep-copied into pk's own
 // buffers.

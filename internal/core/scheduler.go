@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync"
 
 	"repro/internal/anneal"
 	"repro/internal/machsim"
@@ -32,45 +31,44 @@ type Options struct {
 	RecordTrace bool
 	// Restarts anneals each packet this many times from independent
 	// initial mappings and keeps the lowest-cost one. 0 or 1 means a
-	// single run. Restarts run concurrently on cloned packets with
-	// deterministic per-restart seeds, so they cost wall-clock time only
-	// on a loaded machine — and equal seeds still give equal schedules.
+	// single run. Restarts anneal cloned packets with deterministic
+	// per-restart seeds, one temperature stage each per barrier on the
+	// calling goroutine, so a solve with r restarts costs about r single
+	// solves — and equal seeds still give equal schedules.
 	Restarts int
-	// Cooperative makes concurrent restarts share one incumbent best
-	// cost: restarts run their temperature stages in lockstep, publish
-	// their best to the incumbent at every stage barrier, and a restart
-	// whose best has trailed the incumbent for AbandonAfter consecutive
-	// barriers is abandoned early — less total work for an
+	// Cooperative makes restarts share one incumbent best cost: at every
+	// stage barrier the restart with the lowest best cost is the
+	// incumbent, and a restart whose best has trailed it for AbandonAfter
+	// consecutive barriers is abandoned early — less total work for an
 	// equal-or-better winner (the incumbent holder is never abandoned,
 	// so the adopted mapping is always the global best seen). All
 	// cross-restart decisions happen at seed-deterministic barriers in
 	// restart order, never by wall clock, so cooperative schedules are
 	// byte-identical at any GOMAXPROCS or worker count.
 	Cooperative bool
-	// Tempering layers parallel tempering onto cooperative restarts:
+	// Tempering layers parallel tempering onto the restarts' barriers:
 	// restart r anneals on the base cooling schedule scaled by
 	// temperRatio^r (a temperature ladder), and after every stage
 	// adjacent live replicas attempt a Metropolis state exchange drawn
 	// from a dedicated seed-derived RNG. Exchanges move good states
 	// toward the cold end of the ladder while hot replicas keep
-	// exploring. Implies the cooperative barrier discipline; early
-	// abandonment is disabled so every rung stays live. Deterministic
-	// under the same argument as Cooperative.
+	// exploring. Early abandonment is disabled so every rung stays live.
+	// Deterministic under the same argument as Cooperative.
 	Tempering bool
 	// AbandonAfter is the cooperative patience in stage barriers. 0
 	// means the default (5); negative disables abandonment (restarts
 	// still share the barrier schedule and incumbent).
 	AbandonAfter int
-	// Interrupt, when non-nil, is polled at every cooperative stage
-	// barrier; a non-nil error stops the anneal early (the best mapping
+	// Interrupt, when non-nil, is polled at every stage barrier, in every
+	// restart mode; a non-nil error stops the anneal early (the best mapping
 	// so far is still adopted). The solver layer chains the request
 	// context into it, so a cancelled request — a portfolio loser, a
 	// disconnected client — stops burning CPU mid-anneal instead of at
 	// the next simulator event. Interrupt only fires on runs that are
 	// being discarded, so determinism of served results is unaffected.
 	Interrupt func() error
-	// Bound, when non-nil, is polled at every cooperative stage barrier
-	// with the current assignment epoch's simulation time — a monotone
+	// Bound, when non-nil, is polled at every stage barrier with the
+	// current assignment epoch's simulation time — a monotone
 	// lower bound on this run's final makespan. A non-nil error stops the
 	// anneal early, exactly like Interrupt. The solver portfolio threads
 	// machsim.Options.Bound through here, so a racing SA member that can
@@ -163,7 +161,7 @@ type PacketReport struct {
 	// Abandoned counts restarts of this packet stopped early by the
 	// cooperative incumbent rule; Exchanges counts accepted
 	// parallel-tempering replica swaps. Both are zero outside
-	// cooperative mode.
+	// cooperative and tempering restarts.
 	Abandoned int
 	Exchanges int
 	Trace     []TracePoint // winning restart's trace; nil unless Options.RecordTrace
@@ -186,16 +184,14 @@ type Scheduler struct {
 	lvlStack []int32
 
 	// pk is the arena-backed packet reused across epochs; runs holds the
-	// per-restart clones (grown on demand, reused across epochs).
+	// per-run workspaces (grown on demand, reused across epochs).
 	pk   packet
 	runs []restartRun
 
-	// Cooperative-mode state: the replica-exchange RNG (re-seeded from
-	// the scheduler stream per packet), the shared barrier-completion
-	// channel, and run-level counters surfaced through
-	// RestartsAbandoned/Exchanges.
+	// Restart-mode state: the replica-exchange RNG (re-seeded from the
+	// scheduler stream per packet) and run-level counters surfaced
+	// through RestartsAbandoned/Exchanges.
 	exchRng   *rand.Rand
-	coopDone  chan struct{}
 	abandoned int
 	exchanges int
 
@@ -210,23 +206,23 @@ type Scheduler struct {
 	packets []PacketReport
 }
 
-// restartRun is the per-restart workspace of one concurrent annealing run.
+// restartRun is the workspace of one annealing run of a packet.
 type restartRun struct {
-	pk    packet
-	rng   *rand.Rand
-	seed  int64
+	// cur is the packet the run anneals: the scheduler's own for a single
+	// run, else the run's clone pk.
+	cur  *packet
+	pk   packet
+	rng  *rand.Rand
+	step anneal.Stepper
+	// rung is the run's tempering schedule. The Stepper holds &rung, so
+	// the ladder is not boxed into an interface per packet.
+	rung  scaledCooling
 	res   anneal.Result
 	err   error
 	trace []TracePoint
 
-	// Cooperative-mode fields: the reusable incremental anneal, its
-	// wake-up channel (true = run one stage, false = exit), whether the
-	// last Step could continue, and barrier bookkeeping. stepOK is
-	// written by the worker goroutine and read by the coordinator; the
-	// start/done channel handshake orders the accesses.
-	step    *anneal.Stepper
-	start   chan bool
-	stepOK  bool
+	// Barrier bookkeeping: whether the run has ended, and for how many
+	// consecutive barriers its best has trailed the incumbent.
 	stopped bool
 	lag     int
 }
@@ -372,8 +368,7 @@ func (s *Scheduler) Exchanges() int { return s.exchanges }
 func (s *Scheduler) WarmSavedStages() int { return s.warmSaved }
 
 // Assign implements machsim.Policy: form the annealing packet, anneal the
-// mapping (possibly several concurrent restarts), return the selected
-// placements.
+// mapping (possibly several restarts), return the selected placements.
 func (s *Scheduler) Assign(ep *machsim.Epoch) []machsim.Assignment {
 	if len(ep.Ready) == 0 || len(ep.Idle) == 0 {
 		return nil
@@ -397,8 +392,7 @@ func (s *Scheduler) Assign(ep *machsim.Epoch) []machsim.Assignment {
 		}
 	}
 	// Append first and fill the slice element in place: a local PacketReport
-	// whose address crosses into annealSingle/annealRestarts escapes to the
-	// heap on every epoch.
+	// whose address crosses into anneal escapes to the heap on every epoch.
 	s.packets = append(s.packets, PacketReport{
 		Time:        ep.Time,
 		Candidates:  len(pk.tasks),
@@ -410,73 +404,47 @@ func (s *Scheduler) Assign(ep *machsim.Epoch) []machsim.Assignment {
 	})
 	report := &s.packets[len(s.packets)-1]
 
-	switch {
-	case s.opt.Restarts <= 1:
-		s.annealSingle(pk, aopt, report)
-	case s.opt.Cooperative || s.opt.Tempering:
-		s.annealCooperative(pk, aopt, report)
-	default:
-		s.annealRestarts(pk, aopt, report)
-	}
+	s.anneal(pk, aopt, report)
 
 	out := pk.assignments()
 	report.Assigned = len(out)
 	return out
 }
 
-// annealSingle runs one annealing pass in place, on the scheduler's own
-// RNG stream — the allocation-free fast path.
-func (s *Scheduler) annealSingle(pk *packet, aopt anneal.Options, report *PacketReport) {
-	aopt.RNG = s.rng
-	if s.opt.RecordTrace {
-		aopt.OnMove = func(mi anneal.MoveInfo) {
-			report.Trace = append(report.Trace, TracePoint{
-				Iter:  mi.Move,
-				Temp:  mi.Temp,
-				Delta: mi.Delta,
-				Fb:    pk.Fb(),
-				Fc:    pk.Fc(),
-				Ftot:  pk.Cost(),
-			})
-		}
+// anneal anneals the packet and adopts the result. With Restarts ≤ 1 one
+// run anneals pk in place on the scheduler's RNG. Otherwise each restart
+// anneals its own clone on an RNG seeded from the scheduler stream, and
+// the lowest-cost mapping wins, ties to the lowest index.
+//
+// Every live run's Stepper executes one temperature stage per barrier, in
+// restart order, on this goroutine. A run draws only from its own RNG, so
+// stepping the runs in turn gives each the stream it would see alone. At
+// every barrier the loop polls Interrupt and Bound; cooperative runs then
+// share the incumbent (abandonLagging), and tempering exchanges replica
+// states. No decision depends on timing, so equal seeds give equal
+// schedules.
+func (s *Scheduler) anneal(pk *packet, aopt anneal.Options, report *PacketReport) {
+	n := max(s.opt.Restarts, 1)
+	if len(s.runs) < n {
+		s.runs = append(s.runs, make([]restartRun, n-len(s.runs))...)
 	}
-	res, err := anneal.Minimize(pk, aopt)
-	if err != nil {
-		return // keep the current mapping so scheduling still completes
-	}
-	report.Moves = res.Moves
-	report.Accepted = res.Accepted
-	report.Stages = res.Stages
-	report.PlateauStop = res.PlateauStop
-	report.FinalCost = res.FinalCost
-}
-
-// annealRestarts anneals the packet Restarts times concurrently, each
-// restart on its own clone with its own deterministically-seeded RNG, and
-// adopts the lowest-cost mapping (ties broken by restart index, so equal
-// seeds give equal schedules regardless of goroutine interleaving).
-func (s *Scheduler) annealRestarts(pk *packet, aopt anneal.Options, report *PacketReport) {
-	restarts := s.opt.Restarts
-	if len(s.runs) < restarts {
-		s.runs = append(s.runs, make([]restartRun, restarts-len(s.runs))...)
-	}
-	// Draw the per-restart seeds up front from the scheduler RNG so the
-	// seed derivation is independent of execution order.
-	for r := 0; r < restarts; r++ {
-		s.runs[r].seed = s.rng.Int63()
-	}
-
-	var wg sync.WaitGroup
-	for r := 0; r < restarts; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			run := &s.runs[r]
+	runs := s.runs[:n]
+	temper := n > 1 && s.opt.Tempering
+	for r := range runs {
+		run := &runs[r]
+		run.cur = pk
+		rng := s.rng
+		if n > 1 {
+			// Per-restart seeds come from the scheduler stream in restart
+			// order; setup draws only from the restart's own RNG.
+			seed := s.rng.Int63()
 			if run.rng == nil {
-				run.rng = rand.New(rand.NewSource(run.seed))
+				run.rng = rand.New(rand.NewSource(seed))
 			} else {
-				run.rng.Seed(run.seed)
+				run.rng.Seed(seed)
 			}
+			rng = run.rng
+			run.cur = &run.pk
 			run.pk.cloneFrom(pk)
 			if r > 0 {
 				// Fresh initial mapping for the retry; restart 0 keeps the
@@ -484,53 +452,148 @@ func (s *Scheduler) annealRestarts(pk *packet, aopt anneal.Options, report *Pack
 				// from the same warm assignment (their RNG streams diverge
 				// from move one).
 				run.pk.clearMapping()
-				s.initPacket(&run.pk, run.rng)
+				s.initPacket(&run.pk, rng)
 			}
-			ropt := aopt
-			ropt.RNG = run.rng
-			run.trace = run.trace[:0]
-			if s.opt.RecordTrace {
-				rpk := &run.pk
-				trace := &run.trace
-				ropt.OnMove = func(mi anneal.MoveInfo) {
-					*trace = append(*trace, TracePoint{
-						Iter:  mi.Move,
-						Temp:  mi.Temp,
-						Delta: mi.Delta,
-						Fb:    rpk.Fb(),
-						Fc:    rpk.Fc(),
-						Ftot:  rpk.Cost(),
-					})
-				}
+		}
+		ropt := aopt
+		ropt.RNG = rng
+		if temper {
+			run.rung = scaledCooling{base: aopt.Cooling, scale: math.Pow(temperRatio, float64(r))}
+			ropt.Cooling = &run.rung
+		}
+		run.trace = run.trace[:0]
+		if s.opt.RecordTrace {
+			ropt.OnMove = func(mi anneal.MoveInfo) {
+				run.trace = append(run.trace, TracePoint{
+					Iter:  mi.Move,
+					Temp:  mi.Temp,
+					Delta: mi.Delta,
+					Fb:    run.cur.Fb(),
+					Fc:    run.cur.Fc(),
+					Ftot:  run.cur.Cost(),
+				})
 			}
-			run.res, run.err = anneal.Minimize(&run.pk, ropt)
-		}(r)
+		}
+		run.err = run.step.Reset(run.cur, ropt)
+		run.stopped = run.err != nil
+		run.lag = 0
 	}
-	wg.Wait()
+	abandonAfter := 0
+	switch {
+	case temper:
+		// Every rung must stay live for exchanges to percolate good
+		// states toward the cold end, so abandonment is disabled. The
+		// exchange RNG's seed follows the restarts' seeds.
+		seed := s.rng.Int63()
+		if s.exchRng == nil {
+			s.exchRng = rand.New(rand.NewSource(seed))
+		} else {
+			s.exchRng.Seed(seed)
+		}
+	case n > 1 && s.opt.Cooperative:
+		abandonAfter = s.opt.AbandonAfter
+		if abandonAfter == 0 {
+			abandonAfter = defaultAbandonAfter
+		}
+	}
+
+	for stage := 0; ; stage++ {
+		live := false
+		for r := range runs {
+			if run := &runs[r]; !run.stopped {
+				run.stopped = !run.step.Step()
+				live = true
+			}
+		}
+		if !live {
+			break
+		}
+		// Interrupt (the request context, threaded in by the solver) cuts
+		// the anneal short; the best mapping so far is still adopted and
+		// the simulator surfaces the cancellation itself. This is the one
+		// wall-clock-dependent exit, and it only fires on runs whose
+		// results are being discarded.
+		if s.opt.Interrupt != nil && s.opt.Interrupt() != nil {
+			break
+		}
+		// The portfolio's incumbent bound, polled at anneal granularity:
+		// the epoch's simulation clock only advances, so once it exceeds
+		// the incumbent best this run cannot win — stop annealing now
+		// instead of finishing the packet and letting the simulator's next
+		// event-batch poll abort the run. Same wall-clock caveat (and the
+		// same discarded-runs-only guarantee) as Interrupt.
+		if s.opt.Bound != nil && s.opt.Bound(s.epochTime) != nil {
+			break
+		}
+		if abandonAfter > 0 {
+			s.abandonLagging(runs, abandonAfter, report)
+		}
+		if temper {
+			s.exchangeReplicas(runs, stage, report)
+		}
+	}
 
 	best := -1
-	for r := 0; r < restarts; r++ {
-		run := &s.runs[r]
+	for r := range runs {
+		run := &runs[r]
 		if run.err != nil {
 			continue
 		}
+		run.res = run.step.Result()
 		report.Moves += run.res.Moves
 		report.Accepted += run.res.Accepted
 		report.Stages += run.res.Stages
-		if best < 0 || run.res.FinalCost < s.runs[best].res.FinalCost {
+		if best < 0 || run.res.FinalCost < runs[best].res.FinalCost {
 			best = r
 		}
 	}
 	if best < 0 {
-		return // every restart failed: keep the current mapping
+		return // every run failed: keep the current mapping
 	}
-	win := &s.runs[best]
-	pk.adoptMapping(&win.pk)
+	win := &runs[best]
+	if win.cur != pk {
+		pk.adoptMapping(win.cur)
+	}
 	report.FinalCost = win.res.FinalCost
 	report.PlateauStop = win.res.PlateauStop
 	report.Restart = best
 	if s.opt.RecordTrace {
 		report.Trace = append(report.Trace[:0], win.trace...)
+	}
+}
+
+// abandonLagging applies the cooperative incumbent rule at a barrier. The
+// incumbent is the run with the lowest best cost, ties to the lowest
+// index — the rule that picks the final winner — and is never abandoned.
+// Any other live run whose best has trailed the incumbent's for after
+// consecutive barriers is abandoned.
+func (s *Scheduler) abandonLagging(runs []restartRun, after int, report *PacketReport) {
+	inc := -1
+	for r := range runs {
+		if runs[r].err == nil && (inc < 0 || runs[r].step.BestCost() < runs[inc].step.BestCost()) {
+			inc = r
+		}
+	}
+	if inc < 0 {
+		return // every run failed validation
+	}
+	incBest := runs[inc].step.BestCost()
+	for r := range runs {
+		run := &runs[r]
+		if run.stopped || r == inc {
+			continue
+		}
+		if run.step.BestCost() > incBest {
+			run.lag++
+		} else {
+			run.lag = 0
+		}
+		if run.lag >= after {
+			run.step.Abandon()
+			run.stopped = true
+			s.abandoned++
+			report.Abandoned++
+		}
 	}
 }
 
@@ -607,227 +670,6 @@ func (c scaledCooling) Temperature(stage int) float64 {
 }
 func (c scaledCooling) Stages() int { return c.base.Stages() }
 
-// replicaTemp is the temperature replica r ran during the given stage.
-func replicaTemp(base anneal.Cooling, r, stage int) float64 {
-	t := base.Temperature(stage)
-	if r > 0 {
-		t *= math.Pow(temperRatio, float64(r))
-	}
-	return t
-}
-
-// annealCooperative is annealRestarts with a shared incumbent: every
-// restart runs as an incremental anneal (anneal.Stepper) on its own
-// worker goroutine, and all restarts synchronize after every temperature
-// stage. At the barrier the coordinator — always this goroutine, always
-// iterating in restart order — publishes the incumbent best cost,
-// abandons restarts that have trailed it for AbandonAfter consecutive
-// stages, and (in tempering mode) attempts Metropolis replica exchanges
-// from a dedicated seed-derived RNG. Because no cross-restart decision
-// ever depends on goroutine timing, the adopted schedule is byte-identical
-// to a serial execution at any GOMAXPROCS; and because the incumbent
-// holder is immune to abandonment, the winner is the same mapping a full
-// independent race would adopt whenever it is found by barrier order —
-// abandonment only prunes runs that are provably behind at the time.
-func (s *Scheduler) annealCooperative(pk *packet, aopt anneal.Options, report *PacketReport) {
-	restarts := s.opt.Restarts
-	if len(s.runs) < restarts {
-		s.runs = append(s.runs, make([]restartRun, restarts-len(s.runs))...)
-	}
-	// Seed derivation is identical to annealRestarts: per-restart seeds
-	// drawn up front, in order, from the scheduler RNG. Tempering draws
-	// one extra seed for the exchange RNG.
-	for r := 0; r < restarts; r++ {
-		s.runs[r].seed = s.rng.Int63()
-	}
-	abandonAfter := s.opt.AbandonAfter
-	if abandonAfter == 0 {
-		abandonAfter = defaultAbandonAfter
-	}
-	if s.opt.Tempering {
-		// Every rung must stay live for exchanges to percolate good
-		// states toward the cold end, so abandonment is disabled.
-		abandonAfter = -1
-		seed := s.rng.Int63()
-		if s.exchRng == nil {
-			s.exchRng = rand.New(rand.NewSource(seed))
-		} else {
-			s.exchRng.Seed(seed)
-		}
-	}
-	if cap(s.coopDone) < restarts {
-		// Capacity >= restarts: a worker can always post its barrier
-		// token without blocking, even if the coordinator is behind.
-		s.coopDone = make(chan struct{}, restarts)
-	}
-
-	// Per-restart setup mirrors annealRestarts; each restart additionally
-	// gets a (pooled) Stepper so the run can pause at stage barriers.
-	for r := 0; r < restarts; r++ {
-		run := &s.runs[r]
-		if run.rng == nil {
-			run.rng = rand.New(rand.NewSource(run.seed))
-		} else {
-			run.rng.Seed(run.seed)
-		}
-		run.pk.cloneFrom(pk)
-		if r > 0 {
-			run.pk.clearMapping()
-			s.initPacket(&run.pk, run.rng)
-		}
-		ropt := aopt
-		ropt.RNG = run.rng
-		if s.opt.Tempering && r > 0 {
-			ropt.Cooling = scaledCooling{base: aopt.Cooling, scale: math.Pow(temperRatio, float64(r))}
-		}
-		run.trace = run.trace[:0]
-		if s.opt.RecordTrace {
-			rpk := &run.pk
-			trace := &run.trace
-			ropt.OnMove = func(mi anneal.MoveInfo) {
-				*trace = append(*trace, TracePoint{
-					Iter:  mi.Move,
-					Temp:  mi.Temp,
-					Delta: mi.Delta,
-					Fb:    rpk.Fb(),
-					Fc:    rpk.Fc(),
-					Ftot:  rpk.Cost(),
-				})
-			}
-		}
-		if run.step == nil {
-			run.step = new(anneal.Stepper)
-		}
-		run.err = run.step.Reset(&run.pk, ropt)
-		run.stopped = run.err != nil
-		run.stepOK = false
-		run.lag = 0
-		if run.start == nil {
-			run.start = make(chan bool, 1)
-		}
-	}
-
-	// One worker per restart; workers only ever run one stage per wake-up
-	// and park at the barrier. All shared decisions stay on this
-	// goroutine.
-	for r := 0; r < restarts; r++ {
-		go func(run *restartRun) {
-			for <-run.start {
-				run.stepOK = run.step.Step()
-				s.coopDone <- struct{}{}
-			}
-		}(&s.runs[r])
-	}
-
-	for stage := 0; ; stage++ {
-		launched := 0
-		for r := 0; r < restarts; r++ {
-			if !s.runs[r].stopped {
-				s.runs[r].start <- true
-				launched++
-			}
-		}
-		if launched == 0 {
-			break
-		}
-		for i := 0; i < launched; i++ {
-			<-s.coopDone
-		}
-		for r := 0; r < restarts; r++ {
-			run := &s.runs[r]
-			if !run.stopped && !run.stepOK {
-				run.stopped = true
-			}
-		}
-		// Interrupt (the request context, threaded in by the solver) cuts
-		// the anneal short; the best mapping so far is still adopted and
-		// the simulator surfaces the cancellation itself. This is the one
-		// wall-clock-dependent exit, and it only fires on runs whose
-		// results are being discarded.
-		if s.opt.Interrupt != nil && s.opt.Interrupt() != nil {
-			break
-		}
-		// The portfolio's incumbent bound, polled at anneal granularity:
-		// the epoch's simulation clock only advances, so once it exceeds
-		// the incumbent best this run cannot win — stop annealing now
-		// instead of finishing the packet and letting the simulator's next
-		// event-batch poll abort the run. Same wall-clock caveat (and the
-		// same discarded-runs-only guarantee) as Interrupt.
-		if s.opt.Bound != nil && s.opt.Bound(s.epochTime) != nil {
-			break
-		}
-		// The shared incumbent: lowest best cost over all restarts, ties
-		// to the lowest index — the same rule that picks the final winner.
-		inc := -1
-		for r := 0; r < restarts; r++ {
-			run := &s.runs[r]
-			if run.err != nil {
-				continue
-			}
-			if inc < 0 || run.step.BestCost() < s.runs[inc].step.BestCost() {
-				inc = r
-			}
-		}
-		if inc < 0 {
-			break // every restart failed validation; nothing to anneal
-		}
-		if abandonAfter > 0 {
-			incBest := s.runs[inc].step.BestCost()
-			for r := 0; r < restarts; r++ {
-				run := &s.runs[r]
-				if run.stopped || run.err != nil || r == inc {
-					continue
-				}
-				if run.step.BestCost() > incBest {
-					run.lag++
-				} else {
-					run.lag = 0
-				}
-				if run.lag >= abandonAfter {
-					run.step.Abandon()
-					run.stopped = true
-					s.abandoned++
-					report.Abandoned++
-				}
-			}
-		}
-		if s.opt.Tempering {
-			s.exchangeReplicas(aopt.Cooling, stage, restarts, report)
-		}
-	}
-	// Park every worker permanently; stopped runs still have live workers
-	// waiting on their start channel.
-	for r := 0; r < restarts; r++ {
-		s.runs[r].start <- false
-	}
-
-	best := -1
-	for r := 0; r < restarts; r++ {
-		run := &s.runs[r]
-		if run.err != nil {
-			continue
-		}
-		run.res = run.step.Result()
-		report.Moves += run.res.Moves
-		report.Accepted += run.res.Accepted
-		report.Stages += run.res.Stages
-		if best < 0 || run.res.FinalCost < s.runs[best].res.FinalCost {
-			best = r
-		}
-	}
-	if best < 0 {
-		return // every restart failed: keep the current mapping
-	}
-	win := &s.runs[best]
-	pk.adoptMapping(&win.pk)
-	report.FinalCost = win.res.FinalCost
-	report.PlateauStop = win.res.PlateauStop
-	report.Restart = best
-	if s.opt.RecordTrace {
-		report.Trace = append(report.Trace[:0], win.trace...)
-	}
-}
-
 // exchangeReplicas attempts the parallel-tempering swap between adjacent
 // live replicas after a stage — even pairs on even stages, odd pairs on
 // odd ones, so every rung couples with both neighbours over time. The
@@ -835,14 +677,14 @@ func (s *Scheduler) annealCooperative(pk *packet, aopt anneal.Options, report *P
 // distribution invariant; the exchange RNG is seeded from the scheduler
 // stream and consumed only here, in index order, so swap decisions are
 // identical at any worker count.
-func (s *Scheduler) exchangeReplicas(base anneal.Cooling, stage, restarts int, report *PacketReport) {
-	for r := stage % 2; r+1 < restarts; r += 2 {
-		a, b := &s.runs[r], &s.runs[r+1]
-		if a.stopped || b.stopped || a.err != nil || b.err != nil {
+func (s *Scheduler) exchangeReplicas(runs []restartRun, stage int, report *PacketReport) {
+	for r := stage % 2; r+1 < len(runs); r += 2 {
+		a, b := &runs[r], &runs[r+1]
+		if a.stopped || b.stopped {
 			continue
 		}
-		ta := replicaTemp(base, r, stage)
-		tb := replicaTemp(base, r+1, stage)
+		ta := a.rung.Temperature(stage)
+		tb := b.rung.Temperature(stage)
 		if ta <= 0 || tb <= 0 {
 			continue
 		}
@@ -852,7 +694,7 @@ func (s *Scheduler) exchangeReplicas(base anneal.Cooling, stage, restarts int, r
 		if d < 0 && s.exchRng.Float64() >= math.Exp(d) {
 			continue
 		}
-		a.pk.swapCurrent(&b.pk)
+		a.cur.swapCurrent(b.cur)
 		ca, cb := a.step.Cost(), b.step.Cost()
 		a.step.SetCost(cb)
 		b.step.SetCost(ca)

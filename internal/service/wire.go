@@ -70,8 +70,8 @@ type ScheduleRequest struct {
 	// for a fixed seed, so cooperative results cache like plain ones.
 	Cooperative bool `json:"cooperative,omitempty"`
 	// Tempering runs the restarts as a parallel-tempering ladder
-	// (epoch-synchronized replica exchange) instead of independent
-	// chains; implies cooperative barriers. Deterministic per seed.
+	// (replica exchange at stage barriers) instead of independent
+	// chains. Deterministic per seed.
 	Tempering bool `json:"tempering,omitempty"`
 	// TimeoutMS bounds the solve wall-clock; 0 means the server default.
 	TimeoutMS int `json:"timeout_ms,omitempty"`

@@ -138,18 +138,17 @@ func (p policySolver) Solve(ctx context.Context, req Request) (*machsim.Result, 
 	if err := req.Validate(); err != nil {
 		return nil, err
 	}
-	if p.name == "sa" && (req.SA.Cooperative || req.SA.Tempering) && req.SA.Interrupt == nil {
-		// Thread the request context into the cooperative stage barrier:
-		// a cancelled request — a pruned portfolio member, a disconnected
+	if p.name == "sa" && req.SA.Interrupt == nil {
+		// Thread the request context into the anneal's stage barrier: a
+		// cancelled request — a pruned portfolio member, a disconnected
 		// client, a lost engine race — stops annealing at the next
-		// barrier instead of finishing the packet. Abandonment itself
-		// stays seed-deterministic; only cancelled (discarded) runs ever
-		// observe this hook firing.
+		// barrier instead of finishing the packet. Only cancelled
+		// (discarded) runs ever observe this hook firing.
 		req.SA.Interrupt = ctx.Err
 	}
 	if p.name == "sa" && req.Sim.Bound != nil && req.SA.Bound == nil {
-		// Thread the simulator's incumbent-bound hook into the cooperative
-		// stage barrier too: a portfolio SA member whose epoch clock has
+		// Thread the simulator's incumbent-bound hook into the stage
+		// barrier too: a portfolio SA member whose epoch clock has
 		// fallen past the incumbent best stops mid-anneal instead of
 		// finishing the packet and dying at the next event-batch poll.
 		req.SA.Bound = req.Sim.Bound
