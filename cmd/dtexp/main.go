@@ -11,12 +11,11 @@
 //	                         mapping, exact-optimum and policy-zoo studies
 //	dtexp -scaling           speedup-vs-processors curves
 //	dtexp -all               everything above
-//	dtexp -loadgen           drive a dtserve instance with synthetic
-//	                         scheduling traffic and report throughput
+//	dtexp -lg-overload       QoS overload scenario against an in-process
+//	                         scheduling service
 //
-// All experiments are deterministic for a given -seed. The loadgen mode
-// targets -addr when given, or starts an in-process dtserve-equivalent
-// server on a loopback port otherwise.
+// All experiments are deterministic for a given -seed. Service load is
+// measured by the end-to-end benchmark in bench/ (bench/run.sh).
 package main
 
 import (
@@ -27,13 +26,11 @@ import (
 	"net/http"
 	"os"
 	"runtime"
-	"strings"
 	"time"
 
 	"repro/internal/buildinfo"
 	"repro/internal/chaos"
 	"repro/internal/expt"
-	"repro/internal/proxy"
 	"repro/internal/service"
 	"repro/internal/solver"
 )
@@ -56,23 +53,9 @@ func main() {
 		seed      = flag.Int64("seed", 1991, "random seed")
 		restarts  = flag.Int("restarts", 0, "SA restarts per Table 2 cell (0 = default of 3)")
 
-		loadgen     = flag.Bool("loadgen", false, "generate scheduling-service traffic and report throughput")
-		addr        = flag.String("addr", "", "dtserve base URL for -loadgen (empty = start an in-process server)")
-		requests    = flag.Int("requests", 200, "loadgen request count")
-		concurrency = flag.Int("concurrency", 8, "loadgen in-flight clients")
-		distinct    = flag.Int("distinct", 8, "loadgen distinct payloads (controls the cache hit ratio)")
-		lgSolver    = flag.String("lg-solver", "", "loadgen solver name (empty = server default)")
-		lgCacheDir  = flag.String("lg-cache-dir", "", "persistent cache dir for the in-process loadgen server (empty = memory only)")
-		lgBatch     = flag.Int("lg-batch", 0, "loadgen batch size: > 0 streams batches of this many items over NDJSON and reports first-item vs last-item latency")
-		lgLane      = flag.String("lg-lane", "", "QoS lane tag on every loadgen request: interactive or batch (empty = server default)")
-		lgMemberTO  = flag.Duration("lg-member-timeout", 0, "per-member portfolio budget on every loadgen request (0 omits the field)")
-		lgTrace     = flag.Int("lg-trace", 0, "loadgen: trace every Nth request and report a per-stage latency breakdown (0 disables)")
-		lgWarm      = flag.Bool("lg-warm", false, "loadgen: pre-seed every distinct payload before the clock starts, so the run measures the pure warm-hit RPS and latency floor")
-		lgDelta     = flag.Bool("lg-delta", false, "loadgen: solve each distinct payload once for its content address, then drive /v1/schedule/delta edits against those bases and report how many answers warm-started")
-		lgFleet     = flag.Int("lg-fleet", 0, "loadgen: > 0 starts an in-process fleet of this many dtserve replicas behind dtcached + dtproxy and drives the proxy; reports the fleet-wide RPS and the per-replica hit/solve split (ignores -addr and -lg-cache-dir)")
-
-		lgOverload   = flag.Bool("lg-overload", false, "run the two-phase overload scenario: unloaded interactive probes, then the same probes under a batch-lane flood")
-		lgAssertFlat = flag.Float64("lg-assert-flat", 0, "overload verdict: fail unless loaded interactive p99 <= this factor of the unloaded baseline and every shed carries Retry-After (0 = report only)")
+		lgOverload   = flag.Bool("lg-overload", false, "run the two-phase QoS overload scenario on an in-process server: hlf interactive probes unloaded, then again while 40 clients flood the batch lane")
+		requests     = flag.Int("requests", 200, "overload: interactive probes per phase")
+		lgAssertFlat = flag.Float64("lg-assert-flat", 0, "overload verdict: fail unless loaded interactive p99 <= this factor of the unloaded baseline, the flood was shed, every shed carries Retry-After and every probe was answered (0 = report only)")
 
 		version = flag.Bool("version", false, "print version and exit")
 	)
@@ -87,19 +70,7 @@ func main() {
 		*table1, *table2, *fig1, *fig2, *packets, *anomaly, *ablations, *scaling = true, true, true, true, true, true, true, true
 	}
 	if *lgOverload {
-		if err := runOverload(*addr, *requests, *concurrency, *lgSolver, *lgAssertFlat); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-	if *loadgen {
-		if *lgFleet > 0 {
-			if err := runFleetLoadgen(*lgFleet, *requests, *concurrency, *distinct, *lgBatch, *lgSolver, *lgLane, *lgWarm); err != nil {
-				log.Fatal(err)
-			}
-			return
-		}
-		if err := runLoadgen(*addr, *requests, *concurrency, *distinct, *lgBatch, *lgTrace, *lgSolver, *lgCacheDir, *lgLane, *lgMemberTO, *lgWarm, *lgDelta); err != nil {
+		if err := runOverload(*requests, *lgAssertFlat); err != nil {
 			log.Fatal(err)
 		}
 		return
@@ -212,123 +183,13 @@ func main() {
 	}
 }
 
-// runLoadgen drives a scheduling service with synthetic traffic. With an
-// empty addr it starts an in-process server on a loopback port — the
-// zero-setup way to measure service throughput and cache behaviour. A
-// cacheDir gives that server the persistent disk tier, so back-to-back
-// runs over the same dir measure the disk-hit path. A batch size > 0
-// exercises the streaming batch endpoint instead, reporting first-item
-// and last-item latency separately. traceEvery > 0 traces every Nth
-// request and reports where the time went, stage by stage. warm
-// pre-seeds every distinct payload before timing, so the reported
-// throughput and percentiles are the pure warm-hit serving floor.
-func runLoadgen(addr string, requests, concurrency, distinct, batch, traceEvery int, solverName, cacheDir, lane string, memberTO time.Duration, warm, delta bool) error {
-	var svc *service.Server
-	if addr == "" {
-		var err error
-		svc, err = service.New(service.Config{CacheSize: 4096, CacheDir: cacheDir})
-		if err != nil {
-			return err
-		}
-		defer svc.Close()
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return err
-		}
-		httpSrv := &http.Server{Handler: svc.Handler(), ReadHeaderTimeout: 10 * time.Second}
-		go httpSrv.Serve(ln)
-		defer httpSrv.Close()
-		addr = "http://" + ln.Addr().String()
-		fmt.Printf("loadgen: in-process server on %s (%d workers, 4096 cache entries)\n",
-			addr, runtime.GOMAXPROCS(0))
-	}
-
-	report, err := service.LoadGen(service.LoadGenConfig{
-		URL:             strings.TrimSuffix(addr, "/"),
-		Requests:        requests,
-		Concurrency:     concurrency,
-		Distinct:        distinct,
-		Batch:           batch,
-		Solver:          solverName,
-		Lane:            lane,
-		MemberTimeoutMS: int(memberTO.Milliseconds()),
-		TraceEvery:      traceEvery,
-		Warm:            warm,
-		Delta:           delta,
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Print(report)
-	if svc != nil {
-		st := svc.Stats()
-		fmt.Printf("  server: %d solves for %d requests (memory: %d hits, %d misses, %d entries; disk: %d hits, %d writes)\n",
-			st.Solves, st.Requests, st.Cache.Hits, st.Cache.Misses, st.Cache.Entries, st.Disk.Hits, st.Disk.Writes)
-		if delta {
-			fmt.Printf("  server: %d warm-started solves, %d annealing stages saved\n",
-				st.WarmHits, st.WarmEpochsSaved)
-		}
-	}
-	return nil
-}
-
-// runFleetLoadgen drives an in-process fleet — n dtserve replicas behind
-// a shared dtcached and a dtproxy front — through the proxy, then prints
-// the fleet-wide report plus the per-replica hit/solve split. Hedging is
-// disabled so every solve in the split is a routing decision, not a
-// duplicated race; with -lg-warm the timed numbers are the fleet's pure
-// warm-hit serving floor, including remote-tier hits where routing moved
-// a key's follow-up traffic across replicas.
-func runFleetLoadgen(n, requests, concurrency, distinct, batch int, solverName, lane string, warm bool) error {
-	fleet, err := service.RunFleet(service.FleetConfig{
-		Replicas: n,
-		Server:   service.Config{CacheSize: 4096},
-		Proxy:    proxy.Config{HedgeDelay: -1},
-	})
-	if err != nil {
-		return err
-	}
-	defer fleet.Close()
-	fmt.Printf("loadgen: in-process fleet: %d replicas behind dtproxy %s (dtcached %s)\n",
-		n, fleet.ProxyURL, fleet.CachedAddr)
-
-	report, err := service.LoadGen(service.LoadGenConfig{
-		URL:         fleet.ProxyURL,
-		Requests:    requests,
-		Concurrency: concurrency,
-		Distinct:    distinct,
-		Batch:       batch,
-		Solver:      solverName,
-		Lane:        lane,
-		Warm:        warm,
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Print(report)
-
-	fs := fleet.Stats()
-	fmt.Printf("  fleet: %d solves for %d items (memory: %d, disk: %d, remote: %d, coalesced: %d)\n",
-		fs.Solves, fs.Items, fs.MemHits, fs.DiskHits, fs.RemoteHits, fs.Coalesced)
-	for i, st := range fs.PerReplica {
-		fmt.Printf("    replica %d  %6d items  %6d solves  %6d mem  %6d disk  %6d remote  %6d coalesced\n",
-			i, st.Items, st.Solves, st.Cache.Hits, st.Disk.Hits, st.Remote.Hits, st.Coalesced)
-		if err := service.CheckLaw(st); err != nil {
-			return fmt.Errorf("replica %d: %w", i, err)
-		}
-	}
-	ps := fleet.Proxy.Stats()
-	fmt.Printf("    proxy      %6d requests  %6d rerouted  %6d hedges (%d won)  %6d unrouted\n",
-		ps.Requests, ps.Reroutes, ps.Hedges, ps.HedgeWins, ps.Unrouted)
-	return nil
-}
-
-// runOverload runs the two-phase QoS overload scenario. With an empty
-// addr it starts an in-process server with deliberately tight budgets —
-// a small fixed pool, shallow batch queue and a 25ms queue-delay target
-// — so a modest flood overloads it reproducibly on any machine: the
-// point is the shape of the degradation (flat interactive percentiles,
-// structured 429s on the flood), not absolute throughput.
+// runOverload runs the two-phase QoS overload scenario against an
+// in-process server with deliberately tight budgets — a small fixed
+// pool, shallow batch queue and a 25ms queue-delay target — so a modest
+// flood overloads it reproducibly on any machine: the point is the shape
+// of the degradation (flat interactive percentiles, structured 429s on
+// the flood), not absolute throughput. The interactive probes solve with
+// hlf, RunOverload's default.
 //
 // The flood runs on a chaos-delayed solver (40ms injected latency over
 // hlf): flood solves hold workers without holding the CPU, so on a
@@ -336,71 +197,60 @@ func runFleetLoadgen(n, requests, concurrency, distinct, batch int, solverName, 
 // contention. The delay doubles as a rate limit — 16 workers at 40ms
 // cap the flood near 400 solved requests/s, little enough HTTP churn
 // that a single core can absorb it without inflating probe latencies.
-func runOverload(addr string, probes, floodConcurrency int, solverName string, assertFlat float64) error {
-	floodSolver := solverName
-	var svc *service.Server
-	if addr == "" {
-		under, err := solver.Get("hlf")
-		if err != nil {
-			return err
-		}
-		// Half jitter on the injected delay: an exact fixed delay would
-		// march all 16 workers in lockstep (simultaneous completions,
-		// forever), making an interactive probe wait out a whole flood
-		// solve instead of the ~delay/16 gap between staggered
-		// completions.
-		flood := chaos.NewFlakySolver("floodmo", under, chaos.Config{
-			SolverDelay: 40 * time.Millisecond, SolverJitter: 0.5, Seed: 1991,
-		})
-		if err := solver.Register(flood); err != nil {
-			return err
-		}
-		floodSolver = flood.Name()
-		svc, err = service.New(service.Config{
-			CacheSize:        4096,
-			Workers:          16,
-			MaxWorkers:       16,
-			QueueDepth:       64,
-			QueueDelayTarget: 25 * time.Millisecond,
-		})
-		if err != nil {
-			return err
-		}
-		defer svc.Close()
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return err
-		}
-		httpSrv := &http.Server{Handler: svc.Handler(), ReadHeaderTimeout: 10 * time.Second}
-		go httpSrv.Serve(ln)
-		defer httpSrv.Close()
-		addr = "http://" + ln.Addr().String()
+func runOverload(probes int, assertFlat float64) error {
+	under, err := solver.Get("hlf")
+	if err != nil {
+		return err
+	}
+	// Half jitter on the injected delay: an exact fixed delay would
+	// march all 16 workers in lockstep (simultaneous completions,
+	// forever), making an interactive probe wait out a whole flood
+	// solve instead of the ~delay/16 gap between staggered
+	// completions.
+	flood := chaos.NewFlakySolver("floodmo", under, chaos.Config{
+		SolverDelay: 40 * time.Millisecond, SolverJitter: 0.5, Seed: 1991,
+	})
+	if err := solver.Register(flood); err != nil {
+		return err
+	}
+	svc, err := service.New(service.Config{
+		CacheSize:        4096,
+		Workers:          16,
+		MaxWorkers:       16,
+		QueueDepth:       64,
+		QueueDelayTarget: 25 * time.Millisecond,
+	})
+	if err != nil {
+		return err
+	}
+	defer svc.Close()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		return err
+	}
+	httpSrv := &http.Server{Handler: svc.Handler(), ReadHeaderTimeout: 10 * time.Second}
+	go httpSrv.Serve(ln)
+	defer httpSrv.Close()
+	addr := "http://" + ln.Addr().String()
+	fmt.Printf("overload: in-process server on %s (16 workers, queue depth 64, 25ms delay target, 40ms flood solves)\n", addr)
+
+	report, err := service.RunOverload(service.OverloadConfig{
+		URL:    addr,
+		Probes: probes,
 		// The flood must hold more requests in flight than workers plus
 		// the ~25ms of queue the delay target allows (~10 jobs at 40ms
 		// solves on 16 workers), or admission control never trips. The
 		// surplus above ~26 is what sheds; keeping it modest keeps the
 		// 429 churn off the probes' core.
-		if floodConcurrency < 40 {
-			floodConcurrency = 40
-		}
-		fmt.Printf("overload: in-process server on %s (16 workers, queue depth 64, 25ms delay target, 40ms flood solves)\n", addr)
-	}
-
-	report, err := service.RunOverload(service.OverloadConfig{
-		URL:              strings.TrimSuffix(addr, "/"),
-		Probes:           probes,
-		FloodConcurrency: floodConcurrency,
-		Solver:           solverName,
-		FloodSolver:      floodSolver,
+		FloodConcurrency: 40,
+		FloodSolver:      flood.Name(),
 		FloodPrograms:    []string{"graham"},
 		AssertFlat:       assertFlat,
 	})
 	if report != nil {
 		fmt.Print(report)
-		if svc != nil {
-			st := svc.Stats()
-			fmt.Printf("  server: %d shed, lanes: %+v\n", st.Shed, st.Pool.Lanes)
-		}
+		st := svc.Stats()
+		fmt.Printf("  server: %d shed, lanes: %+v\n", st.Shed, st.Pool.Lanes)
 	}
 	return err
 }

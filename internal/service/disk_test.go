@@ -333,47 +333,3 @@ func TestDiskTierConservationUnderConcurrency(t *testing.T) {
 		t.Fatalf("raced portfolio result found on disk (err=%v)", err)
 	}
 }
-
-// TestLoadGenReportsDiskHits: the loadgen client splits warm traffic into
-// memory and disk hits; against a freshly restarted server the first
-// touch of every distinct payload is a disk hit.
-func TestLoadGenReportsDiskHits(t *testing.T) {
-	dir := t.TempDir()
-	lg := LoadGenConfig{
-		Requests:    12,
-		Concurrency: 1, // sequential: deterministic hit accounting
-		Distinct:    3,
-		Programs:    []string{"FFT", "NE"},
-		Solver:      "hlf",
-	}
-
-	_, ts1, stop1 := startServer(t, Config{CacheSize: 64, CacheDir: dir})
-	lg.URL = ts1.URL
-	if _, err := LoadGen(lg); err != nil {
-		t.Fatal(err)
-	}
-	stop1()
-
-	svc2, ts2, _ := startServer(t, Config{CacheSize: 64, CacheDir: dir})
-	lg.URL = ts2.URL
-	report, err := LoadGen(lg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if report.Errors != 0 {
-		t.Fatalf("loadgen errors: %d", report.Errors)
-	}
-	if report.DiskHits != lg.Distinct {
-		t.Fatalf("disk hits=%d, want %d (first touch of each distinct payload)", report.DiskHits, lg.Distinct)
-	}
-	if report.CacheHits != lg.Requests-lg.Distinct {
-		t.Fatalf("memory hits=%d, want %d", report.CacheHits, lg.Requests-lg.Distinct)
-	}
-	st := svc2.Stats()
-	if st.Solves != 0 {
-		t.Fatalf("restarted loadgen run reached a solver: %d solves", st.Solves)
-	}
-	if got := st.Solves + st.Cache.Hits + st.Disk.Hits + st.Coalesced; got != uint64(report.Requests) {
-		t.Fatalf("conservation law: %d, want %d", got, report.Requests)
-	}
-}

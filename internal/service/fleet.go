@@ -14,7 +14,7 @@ import (
 // FleetConfig drives RunFleet: an in-process replica fleet — one shared
 // dtcached daemon, N dtserve replicas pointed at it, and a dtproxy
 // routing front — all on loopback listeners. It exists so tests (and
-// dtexp -lg-fleet) can prove fleet-wide properties without shelling out
+// benchmarks) can prove fleet-wide properties without shelling out
 // to binaries: fleet-wide singleflight, cross-replica remote hits, the
 // extended conservation law on every replica, and proxy
 // ejection/readmission when a replica dies.

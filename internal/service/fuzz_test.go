@@ -5,8 +5,12 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/taskgraph"
 )
 
 // FuzzScheduleWire drives arbitrary bytes at the schedule endpoint's
@@ -79,6 +83,84 @@ func FuzzScheduleWire(f *testing.F) {
 		if rec.Code == http.StatusBadRequest {
 			if got := svc.Stats().Solves; got != solvesBefore {
 				t.Fatalf("malformed request reached a solver (solves %d -> %d)", solvesBefore, got)
+			}
+		}
+	})
+}
+
+// FuzzSimIndexLoad writes arbitrary bytes as a similarity-index sidecar
+// file and loads it into rings of 1 to 3 slots. A hostile or corrupt
+// file may be rejected, but must never panic; a file that loads must
+// leave an index that answers Get and Lookup for every entry it named,
+// saves, and reloads from its own snapshot with the same Len.
+//
+// Every execution does file I/O, so run it locally with
+// -fuzzminimizetime 0, or input minimisation looks like a stall.
+func FuzzSimIndexLoad(f *testing.F) {
+	sk := func(seed int64) taskgraph.Sketch {
+		g, err := taskgraph.Chain("c", 4, float64(seed), 10)
+		if err != nil {
+			f.Fatal(err)
+		}
+		return g.Sketch()
+	}
+	valid, err := json.Marshal(simIndexFile{Entries: []simEntry{
+		{Key: "a", Topo: "ring-4", Spec: "ring:4", Sketch: sk(1), Graph: json.RawMessage(`{}`), NumTasks: 4},
+		{Key: "b", Topo: "ring-4", Spec: "ring:4", Sketch: sk(2), Graph: json.RawMessage(`{}`), NumTasks: 4},
+		{Key: "a", Topo: "ring-4", Sketch: sk(3)}, // duplicate address
+		{Key: "", Topo: "ring-4"}, // no address
+		{Key: "c", Topo: "hypercube-8", Sketch: sk(1)},
+	}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid)
+	f.Add(valid[:len(valid)/2])
+	f.Add([]byte(``))
+	f.Add([]byte(`{}`))
+	f.Add([]byte(`null`))
+	f.Add([]byte(`{"entries":null}`))
+	f.Add([]byte(`{"entries":[{}]}`))
+	f.Add([]byte(`{"entries":[{"key":"k","sketch":[1,2,3]}]}`))
+	f.Add([]byte(`{"entries":[{"key":"k","graph":"not an object","num_tasks":-1}]}`))
+	f.Add([]byte("\x00\xff"))
+
+	dir := f.TempDir()
+	path := filepath.Join(dir, "simindex.json")
+	resaved := filepath.Join(dir, "resaved.json")
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var file simIndexFile
+		named := json.Unmarshal(data, &file) == nil
+		for size := 1; size <= 3; size++ {
+			ix := NewSimIndex(size)
+			if err := ix.Load(path); err != nil {
+				continue
+			}
+			if n := ix.Len(); n > size {
+				t.Fatalf("ring of %d holds %d entries", size, n)
+			}
+			if named {
+				for _, e := range file.Entries {
+					if got, ok := ix.Get(e.Key); ok && got.Key != e.Key {
+						t.Fatalf("Get(%q) returned the entry for %q", e.Key, got.Key)
+					}
+					if got, _, ok := ix.Lookup(e.Sketch, "", e.Topo, 1); ok && got.Topo != e.Topo {
+						t.Fatalf("Lookup on %q returned an entry on %q", e.Topo, got.Topo)
+					}
+				}
+			}
+			if err := ix.Save(resaved); err != nil {
+				t.Fatalf("Save after a clean Load: %v", err)
+			}
+			re := NewSimIndex(size)
+			if err := re.Load(resaved); err != nil {
+				t.Fatalf("reloading its own snapshot: %v", err)
+			}
+			if re.Len() != ix.Len() {
+				t.Fatalf("Save/Load round trip changed Len from %d to %d", ix.Len(), re.Len())
 			}
 		}
 	})

@@ -62,7 +62,8 @@ type OverloadConfig struct {
 	// fails unless loaded interactive p99 <= AssertFlat * the flatness
 	// baseline (unloaded p99, floored at flatFloor to keep microsecond
 	// baselines from manufacturing huge ratios), at least one flood
-	// request was shed, and every shed carried a Retry-After header.
+	// request was shed, every shed carried a Retry-After header, and
+	// every interactive probe was answered 200.
 	AssertFlat float64
 }
 
@@ -87,6 +88,24 @@ type OverloadReport struct {
 	FloodShed   int            `json:"flood_shed"` // 429 responses
 	ShedRetryOK int            `json:"flood_shed_with_retry_after"`
 	FloodErrors int            `json:"flood_errors"` // non-200/429 outcomes
+}
+
+// LatencySummary is the percentile triple of one latency population.
+type LatencySummary struct {
+	P50 time.Duration `json:"p50_ns"`
+	P95 time.Duration `json:"p95_ns"`
+	P99 time.Duration `json:"p99_ns"`
+}
+
+// percentiles summarizes a sorted latency slice.
+func percentiles(lat []time.Duration) LatencySummary {
+	pct := func(p float64) time.Duration {
+		if len(lat) == 0 {
+			return 0
+		}
+		return lat[int(p*float64(len(lat)-1))]
+	}
+	return LatencySummary{P50: pct(0.50), P95: pct(0.95), P99: pct(0.99)}
 }
 
 // String renders the report for terminals.
@@ -282,6 +301,10 @@ func RunOverload(cfg OverloadConfig) (*OverloadReport, error) {
 	report.Ratio = float64(report.Loaded.P99) / float64(floor)
 
 	if cfg.AssertFlat > 0 {
+		if report.ProbeErrors > 0 {
+			return report, fmt.Errorf("overload: %d interactive probes failed (a shed or failed probe is dropped from the percentiles, so flatness cannot be judged)",
+				report.ProbeErrors)
+		}
 		if report.FloodShed == 0 {
 			return report, fmt.Errorf("overload: flood was never shed — the scenario did not overload the server")
 		}

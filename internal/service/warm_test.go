@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"path/filepath"
 	"sync"
@@ -224,6 +225,84 @@ func TestDeltaAddTaskAndEdge(t *testing.T) {
 		t.Fatalf("edited solve scheduled %d tasks, want %d", len(res.Schedule), n+1)
 	}
 	checkLaw(t, getStats(t, ts.URL))
+}
+
+// TestDeltaEditsAllWarmStart is the delta-rescheduling verdict: one base
+// solve each for NE, GJ, FFT and MM, then 40 set_load edits on task 0
+// from 8 concurrent clients, edit i against base i%4 with a load of its
+// own. Every edited graph is a near miss of its base and no two edits
+// share a key, so every answer must be a warm-started solve: none may
+// come from memory.
+func TestDeltaEditsAllWarmStart(t *testing.T) {
+	_, ts := newTestServer(t, Config{CacheSize: 4096})
+
+	programs := []string{"NE", "GJ", "FFT", "MM"}
+	bases := make([]string, len(programs))
+	for i, program := range programs {
+		g, err := cliutil.BuildProgram(program)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := json.Marshal(ScheduleRequest{Graph: g, Topo: "hypercube:3", Seed: int64(1991 + i)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, rbody := post(t, ts.URL+"/v1/schedule", body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("base %s: status %d: %s", program, resp.StatusCode, rbody)
+		}
+		if bases[i] = resp.Header.Get("X-DTServe-Address"); bases[i] == "" {
+			t.Fatalf("base %s: no X-DTServe-Address", program)
+		}
+	}
+	memHits := getStats(t, ts.URL).Cache.Hits
+
+	const edits, clients = 40, 8
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := c; i < edits; i += clients {
+				load := 2.0 + 0.25*float64(i)
+				body, err := json.Marshal(DeltaRequest{
+					Base:  bases[i%len(bases)],
+					Edits: []DeltaEdit{{Op: "set_load", Task: 0, Load: &load}},
+				})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				resp, err := http.Post(ts.URL+"/v1/schedule/delta", "application/json", bytes.NewReader(body))
+				if err != nil {
+					t.Errorf("delta %d: %v", i, err)
+					return
+				}
+				rbody, err := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				switch {
+				case err != nil:
+					t.Errorf("delta %d: reading the body: %v", i, err)
+				case resp.StatusCode != http.StatusOK:
+					t.Errorf("delta %d: status %d: %s", i, resp.StatusCode, rbody)
+				case resp.Header.Get("X-DTServe-Warm") == "":
+					t.Errorf("delta %d: answered without X-DTServe-Warm", i)
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+
+	st := getStats(t, ts.URL)
+	if st.WarmHits != edits {
+		t.Fatalf("warm_hits = %d, want %d (one warm solve per delta)", st.WarmHits, edits)
+	}
+	if st.Cache.Hits != memHits {
+		t.Fatalf("memory hits grew from %d to %d during the deltas, want none", memHits, st.Cache.Hits)
+	}
+	if err := CheckLaw(st); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestWarmStartPlainRequest: with Config.WarmStart, a near-miss plain
