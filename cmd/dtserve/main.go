@@ -63,7 +63,7 @@ func main() {
 		workers     = flag.Int("workers", 0, "base solver pool size (0 = one per CPU)")
 		maxWorkers  = flag.Int("max-workers", 0, "adaptive pool ceiling under queue pressure (0 = fixed at -workers)")
 		queueDepth  = flag.Int("queue-depth", 0, "per-lane admission budget in queued jobs (0 = 1024)")
-		delayTarget = flag.String("queue-delay-target", "0s", "shed a lane once its head-of-queue age exceeds this (0 disables); \"auto\" derives per-lane targets from observed p95 delay")
+		delayTarget = flag.Duration("queue-delay-target", 0, "shed a lane once its head-of-queue age exceeds this (0 disables; negative is rejected)")
 		laneWeight  = flag.Int("interactive-weight", 0, "interactive jobs dequeued per batch job when both lanes wait (0 = 4)")
 		cacheSize   = flag.Int("cache", 4096, "result cache capacity in entries (0 disables)")
 		cacheBytes  = flag.Int64("cache-bytes", 0, "result cache byte budget (0 = 256 MiB)")
@@ -113,6 +113,7 @@ func main() {
 		Workers:           *workers,
 		MaxWorkers:        *maxWorkers,
 		QueueDepth:        *queueDepth,
+		QueueDelayTarget:  *delayTarget,
 		InteractiveWeight: *laneWeight,
 		CacheSize:         *cacheSize,
 		CacheBytes:        *cacheBytes,
@@ -129,16 +130,6 @@ func main() {
 		TraceSample:       *traceSample,
 		TraceRecent:       *traceRecent,
 		TraceSlowest:      *traceSlow,
-	}
-	if *delayTarget == "auto" {
-		cfg.QueueDelayAuto = true
-	} else {
-		d, err := time.ParseDuration(*delayTarget)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "dtserve: bad -queue-delay-target %q (want a duration or \"auto\")\n", *delayTarget)
-			os.Exit(2)
-		}
-		cfg.QueueDelayTarget = d
 	}
 	if !*quiet {
 		cfg.Logger = logger

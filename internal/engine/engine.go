@@ -1,8 +1,7 @@
 // Package engine is the shared solve-orchestration layer underneath every
 // front-end of the repository: the dtsched CLI, the dtexp experiment
-// harness, the dtserve HTTP service and its load generator all route
-// solver executions through one Engine instead of wiring their own worker
-// pools.
+// harness and the dtserve HTTP service all route solver executions
+// through one Engine instead of wiring their own worker pools.
 //
 // An Engine is a worker pool draining per-lane bounded queues, so at most
 // the current worker count of solves run at once, excess submissions wait
@@ -73,17 +72,6 @@ type Config struct {
 	// up, so admitting more work only manufactures timeouts. 0 disables
 	// delay-based shedding (depth still bounds the queue).
 	QueueDelayTarget time.Duration
-	// QueueDelayAuto derives each lane's shedding target from its own
-	// observed behavior instead of one static number: a periodic tuner
-	// estimates the lane's recent p95 enqueue-to-dequeue delay from the
-	// delay histogram (windowed bucket deltas, so old traffic ages out),
-	// smooths it with an EWMA, and sets the target to a headroom multiple
-	// of that, clamped to [5ms, 1s]. A lane with too few recent samples
-	// keeps its last derived target — or QueueDelayTarget (possibly 0,
-	// i.e. depth-only shedding) until the first derivation. Interactive
-	// and batch lanes therefore get independent budgets matching their
-	// actual service rates.
-	QueueDelayAuto bool
 	// InteractiveWeight is the weighted-dequeue ratio: when both lanes
 	// hold work, workers take this many interactive jobs per batch job.
 	// <= 0 means 4.
@@ -178,7 +166,6 @@ type Engine struct {
 	maxBatch    int
 	queueDepth  int
 	delayTarget time.Duration
-	delayAuto   bool
 	weight      int
 	growEvery   time.Duration
 	shrinkIdle  time.Duration
@@ -223,7 +210,6 @@ func New(cfg Config) *Engine {
 		maxBatch:    cfg.MaxBatch,
 		queueDepth:  cfg.QueueDepth,
 		delayTarget: cfg.QueueDelayTarget,
-		delayAuto:   cfg.QueueDelayAuto,
 		weight:      cfg.InteractiveWeight,
 		growEvery:   cfg.GrowInterval,
 		shrinkIdle:  cfg.ShrinkIdle,
@@ -240,145 +226,7 @@ func New(cfg Config) *Engine {
 		e.wg.Add(1)
 		go e.pressureMonitor()
 	}
-	if cfg.QueueDelayAuto {
-		e.wg.Add(1)
-		go e.delayTuner()
-	}
 	return e
-}
-
-// Auto delay-target tuning knobs: retune cadence, the minimum windowed
-// sample count worth acting on, the EWMA smoothing weight, the headroom
-// multiple over the smoothed p95, and the clamp range keeping a derived
-// target sane on both idle services (no shedding storms off a handful of
-// microsecond delays) and badly backed-up ones.
-const (
-	delayTunePeriod   = 250 * time.Millisecond
-	delayTuneMinCount = 20
-	delayTuneAlpha    = 0.3
-	delayTuneHeadroom = 4.0
-	delayTargetFloor  = 5 * time.Millisecond
-	delayTargetCeil   = time.Second
-)
-
-// delayTuner periodically re-derives each lane's shedding target from
-// its own delay distribution.
-func (e *Engine) delayTuner() {
-	defer e.wg.Done()
-	tick := time.NewTicker(delayTunePeriod)
-	defer tick.Stop()
-	for {
-		select {
-		case <-tick.C:
-			e.retuneDelayTargets()
-		case <-e.quit:
-			return
-		}
-	}
-}
-
-// retuneDelayTargets runs one tuning pass: for every lane, estimate the
-// p95 enqueue-to-dequeue delay of the observations made since the last
-// pass (bucket-delta window over the cumulative histogram, linear
-// interpolation inside the p95 bucket), fold it into the lane's EWMA,
-// and set the lane's target to a clamped headroom multiple. Lanes whose
-// window holds fewer than delayTuneMinCount samples keep their current
-// target — a quiet lane's budget should not drift on noise.
-func (e *Engine) retuneDelayTargets() {
-	var snaps [numLanes]obs.HistSnapshot
-	for l := Lane(0); l < numLanes; l++ {
-		snaps[l] = e.lanes[l].delayHist.Snapshot()
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.closed {
-		return
-	}
-	for l := Lane(0); l < numLanes; l++ {
-		c := &e.lanes[l]
-		snap := snaps[l]
-		n := len(snap.Cum)
-		if n == 0 {
-			continue
-		}
-		if len(c.prevCum) != n {
-			c.prevCum = make([]uint64, n)
-		}
-		window := snap.Cum[n-1] - c.prevCum[n-1]
-		if window >= delayTuneMinCount {
-			p95 := windowQuantile(snap, c.prevCum, 0.95)
-			if !c.hasP95 {
-				c.p95EWMA = p95
-				c.hasP95 = true
-			} else {
-				c.p95EWMA = (1-delayTuneAlpha)*c.p95EWMA + delayTuneAlpha*p95
-			}
-			target := time.Duration(delayTuneHeadroom * c.p95EWMA * float64(time.Second))
-			if target < delayTargetFloor {
-				target = delayTargetFloor
-			}
-			if target > delayTargetCeil {
-				target = delayTargetCeil
-			}
-			c.autoTarget = target
-		}
-		copy(c.prevCum, snap.Cum)
-	}
-}
-
-// windowQuantile estimates quantile q of the observations a histogram
-// gained since prev (both cumulative). The estimate interpolates
-// linearly inside the quantile's bucket; observations past the last
-// finite bound are credited to that bound (the histogram cannot resolve
-// them further, and a clamped answer keeps the derived target finite).
-func windowQuantile(snap obs.HistSnapshot, prev []uint64, q float64) float64 {
-	n := len(snap.Cum)
-	total := snap.Cum[n-1] - prev[n-1]
-	if total == 0 {
-		return 0
-	}
-	rank := uint64(q*float64(total) + 0.999999)
-	if rank < 1 {
-		rank = 1
-	}
-	for i := 0; i < n; i++ {
-		cum := snap.Cum[i] - prev[i]
-		if cum < rank {
-			continue
-		}
-		if i >= len(snap.Bounds) {
-			// +Inf bucket: the best finite statement is the last bound.
-			return snap.Bounds[len(snap.Bounds)-1]
-		}
-		lo := 0.0
-		if i > 0 {
-			lo = snap.Bounds[i-1]
-		}
-		hi := snap.Bounds[i]
-		inBucket := cum
-		if i > 0 {
-			inBucket = cum - (snap.Cum[i-1] - prev[i-1])
-		}
-		if inBucket == 0 {
-			return hi
-		}
-		below := cum - inBucket
-		frac := (float64(rank) - float64(below)) / float64(inBucket)
-		return lo + frac*(hi-lo)
-	}
-	return snap.Bounds[len(snap.Bounds)-1]
-}
-
-// effectiveDelayTargetLocked is the shedding target currently in force
-// for a lane: the auto-derived one when tuning is on and has derived a
-// value, else the static configuration.
-func (e *Engine) effectiveDelayTargetLocked(lane Lane) time.Duration {
-	if e.delayAuto {
-		if at := e.lanes[lane].autoTarget; at > 0 {
-			return at
-		}
-	}
-	return e.delayTarget
 }
 
 // pressureMonitor re-evaluates pool growth on a timer: Submit grows the
@@ -472,7 +320,7 @@ func (e *Engine) admitLocked(lane Lane, now time.Time) *OverloadError {
 	if len(q) > 0 {
 		headAge = now.Sub(q[0].enq)
 	}
-	target := e.effectiveDelayTargetLocked(lane)
+	target := e.delayTarget
 	overDepth := len(q) >= e.queueDepth
 	overDelay := target > 0 && headAge > target
 	if !overDepth && !overDelay {
@@ -766,7 +614,7 @@ func (e *Engine) Stats() Stats {
 			Expired:            c.expired,
 			QueueDelayEWMA:     c.delayEWMA,
 			MaxQueueDelayNS:    c.maxDelay.Nanoseconds(),
-			QueueDelayTargetNS: int64(e.effectiveDelayTargetLocked(l)),
+			QueueDelayTargetNS: int64(e.delayTarget),
 			QueueDelay:         c.delayHist.Snapshot(),
 		}
 	}

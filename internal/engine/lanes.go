@@ -104,10 +104,8 @@ type LaneStats struct {
 	QueueDelayEWMA float64 `json:"queue_delay_ewma_seconds"`
 	// MaxQueueDelayNS is the worst enqueue-to-dequeue delay observed.
 	MaxQueueDelayNS int64 `json:"max_queue_delay_ns"`
-	// QueueDelayTargetNS is the shedding target currently in force for
-	// the lane: the auto-derived one (Config.QueueDelayAuto) once the
-	// tuner has enough samples, else the static QueueDelayTarget (0 when
-	// delay-based shedding is off).
+	// QueueDelayTargetNS is the configured Config.QueueDelayTarget the
+	// lane sheds against (0 when delay-based shedding is off).
 	QueueDelayTargetNS int64 `json:"queue_delay_target_ns"`
 	// QueueDelay is the full enqueue-to-dequeue delay distribution —
 	// what /metrics exports per lane; /statsz keeps the scalar summary
@@ -125,16 +123,6 @@ type laneCounters struct {
 	maxDelay  time.Duration
 	hasEWMA   bool
 	delayHist *obs.Histogram
-
-	// Auto delay-target tuner state (Config.QueueDelayAuto): the derived
-	// shedding target, the smoothed windowed p95 (seconds), and the
-	// cumulative histogram counts at the last tuning pass — the baseline
-	// the next pass diffs against so only recent traffic drives the
-	// target.
-	autoTarget time.Duration
-	p95EWMA    float64
-	hasP95     bool
-	prevCum    []uint64
 }
 
 // observeDelay folds one enqueue-to-dequeue delay into the lane's moving

@@ -206,7 +206,8 @@ func TestAdmissionControlShedsOnDepth(t *testing.T) {
 
 // TestAdmissionControlShedsOnQueueDelay checks delay-based shedding: once
 // the head of a lane's queue has waited past the target, new submissions
-// to that lane are refused with a RetryAfter at least the head's age.
+// to that lane are refused with a RetryAfter at least the head's age, and
+// Stats reports the configured target for both lanes.
 func TestAdmissionControlShedsOnQueueDelay(t *testing.T) {
 	eng := New(Config{Workers: 1, QueueDelayTarget: 5 * time.Millisecond})
 	defer eng.Close()
@@ -240,6 +241,12 @@ func TestAdmissionControlShedsOnQueueDelay(t *testing.T) {
 	}
 	if ov.QueueDelay < 5*time.Millisecond || ov.RetryAfter < time.Second {
 		t.Fatalf("overload detail = %+v", ov)
+	}
+	// Stats echoes the configured target for every lane.
+	for lane, ls := range eng.Stats().Lanes {
+		if ls.QueueDelayTargetNS != int64(5*time.Millisecond) {
+			t.Errorf("%s QueueDelayTargetNS = %d, want 5ms", lane, ls.QueueDelayTargetNS)
+		}
 	}
 
 	block.open()

@@ -156,7 +156,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	for _, lane := range laneNames(st.Pool.Lanes) {
 		fmt.Fprintf(&b, "dtserve_lane_queue_delay_ewma_seconds{lane=%q} %g\n", lane, st.Pool.Lanes[lane].QueueDelayEWMA)
 	}
-	fmt.Fprintf(&b, "# HELP dtserve_lane_queue_delay_target_seconds Queue-delay shedding target in force for the lane (auto-derived when -queue-delay-target auto, else static; 0 means depth-only shedding).\n# TYPE dtserve_lane_queue_delay_target_seconds gauge\n")
+	fmt.Fprintf(&b, "# HELP dtserve_lane_queue_delay_target_seconds Configured queue-delay shedding target for the lane (-queue-delay-target; 0 means depth-only shedding).\n# TYPE dtserve_lane_queue_delay_target_seconds gauge\n")
 	for _, lane := range laneNames(st.Pool.Lanes) {
 		fmt.Fprintf(&b, "dtserve_lane_queue_delay_target_seconds{lane=%q} %g\n", lane, float64(st.Pool.Lanes[lane].QueueDelayTargetNS)/1e9)
 	}

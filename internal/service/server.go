@@ -38,14 +38,8 @@ type Config struct {
 	QueueDepth int
 	// QueueDelayTarget sheds new work on a lane once its oldest queued
 	// job has waited longer than this (429 + Retry-After). 0 disables
-	// delay-based shedding.
+	// delay-based shedding; a negative target is rejected by New.
 	QueueDelayTarget time.Duration
-	// QueueDelayAuto derives each lane's shedding target from its own
-	// observed p95 queue delay (EWMA-smoothed, headroom-multiplied,
-	// clamped) instead of the static QueueDelayTarget — see
-	// engine.Config.QueueDelayAuto. QueueDelayTarget then only serves as
-	// the fallback before the first derivation.
-	QueueDelayAuto bool
 	// InteractiveWeight is the weighted-dequeue ratio between the
 	// interactive and batch lanes; <= 0 means the engine default (4).
 	InteractiveWeight int
@@ -340,6 +334,9 @@ func New(cfg Config) (*Server, error) {
 	if _, err := solver.Get(cfg.DefaultSolver); err != nil {
 		return nil, fmt.Errorf("service: default solver: %w", err)
 	}
+	if cfg.QueueDelayTarget < 0 {
+		return nil, fmt.Errorf("service: negative queue delay target %v", cfg.QueueDelayTarget)
+	}
 	// Tiers travel as interfaces from here on: a rung that is not
 	// configured stays a nil interface (never a typed nil), and the
 	// WrapTier seam decides whether it exists at all.
@@ -363,7 +360,6 @@ func New(cfg Config) (*Server, error) {
 			MaxBatch:          cfg.MaxBatch,
 			QueueDepth:        cfg.QueueDepth,
 			QueueDelayTarget:  cfg.QueueDelayTarget,
-			QueueDelayAuto:    cfg.QueueDelayAuto,
 			InteractiveWeight: cfg.InteractiveWeight,
 		}),
 		cache:          NewCache(cfg.CacheSize, cfg.CacheBytes),

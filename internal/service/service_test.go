@@ -337,9 +337,24 @@ func TestSolversAndHealthEndpoints(t *testing.T) {
 	}
 }
 
-func TestDefaultSolverValidation(t *testing.T) {
-	if _, err := New(Config{DefaultSolver: "nope"}); err == nil {
-		t.Fatal("unknown default solver accepted")
+// TestNewRejectsBadConfig: a configuration New cannot honour is an
+// error at startup, never a silently different server.
+func TestNewRejectsBadConfig(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"unknown default solver", Config{DefaultSolver: "nope"}},
+		// A negative target would turn delay shedding off while /statsz
+		// and /metrics reported it as in force.
+		{"negative queue delay target", Config{QueueDelayTarget: -5 * time.Millisecond}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if svc, err := New(tc.cfg); err == nil {
+				svc.Close()
+				t.Fatal("New accepted the config")
+			}
+		})
 	}
 }
 
@@ -620,7 +635,7 @@ func TestSingleflightWaiterReplaysLeaderBytes(t *testing.T) {
 // TestMetricsEndpoint scrapes /metrics and checks the exposition carries
 // the counters and the solve-latency histogram.
 func TestMetricsEndpoint(t *testing.T) {
-	_, ts := newTestServer(t, Config{CacheSize: 16})
+	_, ts := newTestServer(t, Config{CacheSize: 16, QueueDelayTarget: 25 * time.Millisecond})
 	post(t, ts.URL+"/v1/schedule", wireRequest(t, "FFT", func(r *ScheduleRequest) { r.Solver = "hlf" }))
 	post(t, ts.URL+"/v1/schedule", wireRequest(t, "FFT", func(r *ScheduleRequest) { r.Solver = "hlf" })) // warm hit
 
@@ -651,6 +666,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		"dtserve_solve_duration_seconds_bucket{le=\"+Inf\"} 1",
 		"dtserve_solve_duration_seconds_count 1",
 		"# TYPE dtserve_solve_duration_seconds histogram",
+		`dtserve_lane_queue_delay_target_seconds{lane="batch"} 0.025`,
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics missing %q\n%s", want, text)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"os"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -486,4 +487,77 @@ func TestWarmIndexPersistsAcrossRestart(t *testing.T) {
 		t.Fatal("restarted server did not warm-start from the reloaded index")
 	}
 	checkLaw(t, getStats(t, ts2.URL))
+}
+
+// TestCorruptSimIndexCostsOnlyWarmth: a hostile simindex.json in the
+// cache directory costs the server its restored warmth and nothing else.
+// It still starts, answers byte-identically to a server without the file,
+// warm-starts a delta against the fresh answer, keeps the conservation
+// law, and replaces the file with a sound index on Close.
+func TestCorruptSimIndexCostsOnlyWarmth(t *testing.T) {
+	req := wireRequest(t, "FFT", nil)
+
+	refDir := t.TempDir()
+	_, refTS, stopRef := startServer(t, Config{CacheSize: 64, CacheDir: refDir})
+	resp, want := post(t, refTS.URL+"/v1/schedule", req)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("reference status %d: %s", resp.StatusCode, want)
+	}
+	stopRef()
+	sound, err := os.ReadFile(filepath.Join(refDir, "simindex.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, tc := range []struct {
+		name  string
+		bytes []byte
+	}{
+		{"garbage", []byte("\x00\xffnot json at all")},
+		{"truncated", sound[:len(sound)/2]},
+		{"wrong types", []byte(`{"entries":[{"key":7,"topo":["ring:4"],"sketch":"x","num_tasks":"many"}]}`)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			path := filepath.Join(dir, "simindex.json")
+			if err := os.WriteFile(path, tc.bytes, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if err := NewSimIndex(8).Load(path); err == nil {
+				t.Fatal("the hostile file loads cleanly")
+			}
+			svc, ts, stop := startServer(t, Config{CacheSize: 64, CacheDir: dir})
+
+			resp, got := post(t, ts.URL+"/v1/schedule", req)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("schedule status %d: %s", resp.StatusCode, got)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatal("body differs from a server without the index file")
+			}
+			load := 4.0
+			dresp, dbody := postDelta(t, ts.URL, DeltaRequest{
+				Base:  resp.Header.Get("X-DTServe-Address"),
+				Edits: []DeltaEdit{{Op: "set_load", Task: 0, Load: &load}},
+			})
+			if dresp.StatusCode != http.StatusOK {
+				t.Fatalf("delta status %d: %s", dresp.StatusCode, dbody)
+			}
+			if dresp.Header.Get("X-DTServe-Warm") == "" {
+				t.Fatal("delta did not warm-start")
+			}
+			if err := CheckLaw(svc.Stats()); err != nil {
+				t.Fatal(err)
+			}
+			stop()
+
+			re := NewSimIndex(8)
+			if err := re.Load(path); err != nil {
+				t.Fatalf("index saved on Close does not load: %v", err)
+			}
+			if re.Len() != 2 {
+				t.Fatalf("reloaded index has %d entries, want 2", re.Len())
+			}
+		})
+	}
 }
