@@ -10,7 +10,7 @@ import (
 // u < AcceptProb(delta, temp), on one input.
 func checkAccept(t *testing.T, u, delta, temp float64) {
 	t.Helper()
-	if got, want := accept(u, delta, temp), u < AcceptProb(delta, temp); got != want {
+	if got, want := accept(u, delta, temp, 1/temp), u < AcceptProb(delta, temp); got != want {
 		t.Fatalf("accept(%v, %v, %v) = %v, want %v (P = %v)", u, delta, temp, got, want, AcceptProb(delta, temp))
 	}
 }
@@ -48,10 +48,10 @@ func TestAcceptMatchesAcceptProbRandom(t *testing.T) {
 	fallbacks := 0
 	for k := 0; k < n; k++ {
 		u, delta, temp := randomTriple(rng)
-		if accept(u, delta, temp) != (u < AcceptProb(delta, temp)) {
+		if accept(u, delta, temp, 1/temp) != (u < AcceptProb(delta, temp)) {
 			t.Fatalf("triple %d: accept(%v, %v, %v) disagrees with AcceptProb = %v", k, u, delta, temp, AcceptProb(delta, temp))
 		}
-		if decided, _ := bracket(u, delta, temp); !decided {
+		if decided, _ := bracket(u, delta, temp, 1/temp); !decided {
 			fallbacks++
 		}
 	}
@@ -72,10 +72,10 @@ func TestAcceptAtThreshold(t *testing.T) {
 		for _, temp := range []float64{1, 0.37, 1e-3} {
 			delta := x * temp
 			p := AcceptProb(delta, temp)
-			if accept(p, delta, temp) {
+			if accept(p, delta, temp, 1/temp) {
 				t.Fatalf("x=%v temp=%v: u = P = %v accepted", x, temp, p)
 			}
-			if below := math.Nextafter(p, 0); below < p && !accept(below, delta, temp) {
+			if below := math.Nextafter(p, 0); below < p && !accept(below, delta, temp, 1/temp) {
 				t.Fatalf("x=%v temp=%v: u = nextafter(P, 0) = %v rejected", x, temp, below)
 			}
 			checkAccept(t, math.Nextafter(p, 1), delta, temp)
@@ -111,7 +111,7 @@ func TestAcceptBoundaryCases(t *testing.T) {
 		for _, delta := range []float64{-1, 0, math.Copysign(0, -1), 1, inf, -inf, nan} {
 			for _, u := range us {
 				checkAccept(t, u, delta, temp)
-				if decided, _ := bracket(u, delta, temp); decided {
+				if decided, _ := bracket(u, delta, temp, 1/temp); decided {
 					t.Fatalf("bracket decided at temp=%v; degenerate temperatures must take the exact path", temp)
 				}
 			}
@@ -125,7 +125,7 @@ func TestAcceptBoundaryCases(t *testing.T) {
 		}
 	}
 	// u = 0 accepts exactly when P > 0, i.e. unless AcceptProb clamps to 0.
-	if !accept(0, 699*0.5, 0.5) || accept(0, 701*0.5, 0.5) {
+	if !accept(0, 699*0.5, 0.5, 2) || accept(0, 701*0.5, 0.5, 2) {
 		t.Fatal("u = 0 must accept iff P > 0")
 	}
 }
@@ -142,6 +142,7 @@ func FuzzAccept(f *testing.F) {
 	f.Add(0.25, -1.0, math.Inf(1))
 	f.Add(0.25, math.NaN(), 1.0)
 	f.Add(math.NaN(), 0.1, 1.0)
+	f.Add(5e-324, 4e-323, 5e-324) // 1/temp overflows to +Inf
 	f.Fuzz(func(t *testing.T, u, delta, temp float64) {
 		checkAccept(t, u, delta, temp)
 	})

@@ -16,7 +16,6 @@ package anneal
 import (
 	"errors"
 	"math"
-	"math/rand"
 )
 
 // Problem is a mutable optimization state. Implementations carry their own
@@ -32,11 +31,10 @@ type Problem interface {
 	// Propose applies one random elementary move to the state and returns
 	// the resulting cost change. ok reports whether a move was possible at
 	// all; when ok is false the engine stops.
-	Propose(rng *rand.Rand) (delta float64, ok bool)
+	Propose(rng *Rand) (delta float64, ok bool)
 	// Undo reverts the move applied by the most recent Propose call.
 	// Callers invoke Undo at most once per proposed move, before the next
-	// Propose (the engine undoes rejected moves; CalibrateT0 undoes every
-	// probe).
+	// Propose (the engine undoes rejected moves).
 	Undo()
 }
 
@@ -83,7 +81,7 @@ type Options struct {
 	// number", §6a). Zero means no cap.
 	MaxMoves int
 	// RNG is the random source; if nil, a source seeded with Seed is used.
-	RNG  *rand.Rand
+	RNG  *Rand
 	Seed int64
 	// OnMove, when non-nil, observes every proposed move.
 	OnMove func(MoveInfo)
@@ -165,17 +163,18 @@ const expRemainder = 0.023
 
 // accept decides one Glauber move: it returns exactly
 // u < AcceptProb(delta, temp) for every float64 input, calling math.Exp
-// only when bracket cannot settle the comparison.
-func accept(u, delta, temp float64) bool {
-	if decided, ok := bracket(u, delta, temp); decided {
+// only when bracket cannot settle the comparison. inv must be 1/temp,
+// which the annealing loop computes once per stage.
+func accept(u, delta, temp, inv float64) bool {
+	if decided, ok := bracket(u, delta, temp, inv); decided {
 		return ok
 	}
 	return u < AcceptProb(delta, temp)
 }
 
-// bracket tries to decide u < AcceptProb(delta, temp) without math.Exp.
-// With x = delta/temp, y = |x| and z = y/8 it brackets e^y between
-// multiply-only bounds,
+// bracket tries to decide u < AcceptProb(delta, temp) without math.Exp
+// or a division. With x = delta·inv (inv = 1/temp), y = |x| and z = y/8
+// it brackets e^y between multiply-only bounds,
 //
 //	lo = T4(z)⁸               ≤ e^y   (T4 the degree-4 Taylor polynomial; all z ≥ 0)
 //	hi = (T4(z) + 0.023·z⁵)⁸  ≥ e^y   (z ≤ 1)
@@ -185,13 +184,16 @@ func accept(u, delta, temp float64) bool {
 // A decision is taken from a bound only when it holds with relative
 // margin acceptMargin. decided is false when u lands inside the band, for
 // a NaN anywhere, and for temp ≤ 0 or +Inf; accept then evaluates
-// AcceptProb. See PERFORMANCE.md §15 for the derivation and the measured
-// fallback rate.
-func bracket(u, delta, temp float64) (decided, ok bool) {
+// AcceptProb. See PERFORMANCE.md §15 for the derivation, why x may differ
+// from delta/temp by 2 ulps, and the measured fallback rate.
+func bracket(u, delta, temp, inv float64) (decided, ok bool) {
 	if !(temp > 0) || math.IsInf(temp, 1) {
 		return false, false
 	}
-	x := delta / temp
+	x := delta * inv
+	if inv > math.MaxFloat64 {
+		x = delta / temp // 1/temp overflowed: temp < 2⁻¹⁰²⁴ is subnormal
+	}
 	z := math.Abs(x) * 0.125
 	// T4(z) = 1 + z + z²/2 + z³/6 + z⁴/24 in Estrin form: a shorter
 	// dependency chain than Horner's rule, and this chain gates the

@@ -2,7 +2,6 @@ package anneal
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -79,7 +78,7 @@ func (s *tourState) Cost() float64 {
 	return c
 }
 
-func (s *tourState) Propose(rng *rand.Rand) (float64, bool) {
+func (s *tourState) Propose(rng *Rand) (float64, bool) {
 	n := len(s.perm)
 	if n < 2 {
 		return 0, false
@@ -100,12 +99,20 @@ func (s *tourState) SaveBest() { copy(s.best, s.perm) }
 
 func (s *tourState) RestoreBest() { copy(s.perm, s.best) }
 
-func newTour(n int, rng *rand.Rand) *tourState {
-	return &tourState{perm: rng.Perm(n), best: make([]int, n)}
+// newTour returns a random tour of 0..n-1, drawn exactly like
+// (*rand.Rand).Perm(n).
+func newTour(n int, rng *Rand) *tourState {
+	perm := make([]int, n)
+	for i := range perm {
+		j := rng.Intn(i + 1)
+		perm[i] = perm[j]
+		perm[j] = i
+	}
+	return &tourState{perm: perm, best: make([]int, n)}
 }
 
 func TestMinimizeImprovesToyProblem(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
+	rng := NewRand(12)
 	s := newTour(12, rng)
 	initial := s.Cost()
 	res, err := Minimize(s, Options{
@@ -133,7 +140,7 @@ func TestMinimizeImprovesToyProblem(t *testing.T) {
 }
 
 func TestMinimizeZeroTemperatureIsDescent(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
+	rng := NewRand(13)
 	s := newTour(10, rng)
 	res, err := Minimize(s, Options{
 		Cooling:       Constant{T: 0, NumStages: 30},
@@ -151,7 +158,7 @@ func TestMinimizeZeroTemperatureIsDescent(t *testing.T) {
 }
 
 func TestMinimizePlateauStops(t *testing.T) {
-	rng := rand.New(rand.NewSource(14))
+	rng := NewRand(14)
 	s := newTour(4, rng)
 	res, err := Minimize(s, Options{
 		Cooling:       Constant{T: 0, NumStages: 1000},
@@ -171,7 +178,7 @@ func TestMinimizePlateauStops(t *testing.T) {
 }
 
 func TestMinimizeMoveCap(t *testing.T) {
-	rng := rand.New(rand.NewSource(15))
+	rng := NewRand(15)
 	s := newTour(10, rng)
 	res, err := Minimize(s, Options{
 		Cooling:       Geometric{T0: 1, Alpha: 0.99, NumStages: 100},
@@ -188,7 +195,7 @@ func TestMinimizeMoveCap(t *testing.T) {
 }
 
 func TestMinimizeOnMoveObserver(t *testing.T) {
-	rng := rand.New(rand.NewSource(16))
+	rng := NewRand(16)
 	s := newTour(8, rng)
 	var seen int
 	var lastCost float64
@@ -214,7 +221,7 @@ func TestMinimizeOnMoveObserver(t *testing.T) {
 }
 
 func TestMinimizeErrors(t *testing.T) {
-	s := newTour(5, rand.New(rand.NewSource(17)))
+	s := newTour(5, NewRand(17))
 	if _, err := Minimize(s, Options{MovesPerStage: 10}); err != ErrNoCooling {
 		t.Errorf("missing cooling: err = %v", err)
 	}
@@ -239,7 +246,7 @@ func TestMinimizeNoMovesProblem(t *testing.T) {
 
 func TestMinimizeDeterministicBySeed(t *testing.T) {
 	run := func(seed int64) float64 {
-		rng := rand.New(rand.NewSource(seed))
+		rng := NewRand(seed)
 		s := newTour(10, rng)
 		res, err := Minimize(s, Options{
 			Cooling:       Geometric{T0: 2, Alpha: 0.9, NumStages: 40},
@@ -261,7 +268,7 @@ func TestMinimizeDeterministicBySeed(t *testing.T) {
 // whole Minimize run over a pre-allocated problem is therefore
 // allocation-free.
 func TestMinimizeZeroAllocs(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
+	rng := NewRand(41)
 	s := newTour(16, rng)
 	opt := Options{
 		Cooling:       Geometric{T0: 1, Alpha: 0.9, NumStages: 20},
@@ -287,7 +294,7 @@ func TestMinimizeZeroAllocs(t *testing.T) {
 func TestQuickMinimizeInvariants(t *testing.T) {
 	f := func(seed int64, rawN uint8) bool {
 		n := int(rawN%12) + 2
-		rng := rand.New(rand.NewSource(seed))
+		rng := NewRand(seed)
 		s := newTour(n, rng)
 		res, err := Minimize(s, Options{
 			Cooling:       Geometric{T0: 1, Alpha: 0.85, NumStages: 20},

@@ -42,10 +42,10 @@ func TestAcceptReplaySchedulerTrace(t *testing.T) {
 	for _, pk := range sched.Packets() {
 		for _, tp := range pk.Trace {
 			u := rng.Float64()
-			if got, want := anneal.Accept(u, tp.Delta, tp.Temp), u < anneal.AcceptProb(tp.Delta, tp.Temp); got != want {
+			if got, want := anneal.Accept(u, tp.Delta, tp.Temp, 1/tp.Temp), u < anneal.AcceptProb(tp.Delta, tp.Temp); got != want {
 				t.Fatalf("move %d: accept(%v, %v, %v) = %v, want %v", tp.Iter, u, tp.Delta, tp.Temp, got, want)
 			}
-			if decided, _ := anneal.Bracket(u, tp.Delta, tp.Temp); !decided {
+			if decided, _ := anneal.Bracket(u, tp.Delta, tp.Temp, 1/tp.Temp); !decided {
 				fallbacks++
 			}
 			moves++

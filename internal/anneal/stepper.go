@@ -3,7 +3,6 @@ package anneal
 import (
 	"fmt"
 	"math"
-	"math/rand"
 )
 
 // Stepper is the annealing loop, one temperature stage per Step call, so
@@ -19,7 +18,7 @@ import (
 type Stepper struct {
 	p   Problem
 	opt Options
-	rng *rand.Rand
+	rng *Rand
 
 	res           Result
 	cost          float64
@@ -56,7 +55,7 @@ func (st *Stepper) Reset(p Problem, opt Options) error {
 	}
 	rng := opt.RNG
 	if rng == nil {
-		rng = rand.New(rand.NewSource(opt.Seed))
+		rng = NewRand(opt.Seed)
 	}
 	st.p = p
 	st.opt = opt
@@ -88,6 +87,7 @@ func (st *Stepper) Step() bool {
 	}
 	stage := st.stage
 	temp := st.opt.Cooling.Temperature(stage)
+	inv := 1 / temp // bracket multiplies by it instead of dividing per move
 	// The move loop runs on locals and writes them back once per stage:
 	// reading the fields through st on every move is measurably slower.
 	p, rng, res, cost := st.p, st.rng, st.res, st.cost
@@ -107,7 +107,7 @@ func (st *Stepper) Step() bool {
 			break
 		}
 		res.Moves++
-		accepted := accept(rng.Float64(), delta, temp)
+		accepted := accept(rng.Float64(), delta, temp, inv)
 		if accepted {
 			res.Accepted++
 			cost += delta

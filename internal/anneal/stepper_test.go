@@ -1,7 +1,6 @@
 package anneal
 
 import (
-	"math/rand"
 	"reflect"
 	"testing"
 )
@@ -26,19 +25,19 @@ func stepperOptions() []Options {
 func TestStepperEquivalentToMinimize(t *testing.T) {
 	for oi, opt := range stepperOptions() {
 		for seed := int64(1); seed <= 5; seed++ {
-			init := rand.New(rand.NewSource(seed))
+			init := NewRand(seed)
 			pm := newTour(16, init)
 			ps := &tourState{perm: append([]int(nil), pm.perm...), best: make([]int, 16)}
 
 			mo := opt
-			mo.RNG = rand.New(rand.NewSource(seed * 1009))
+			mo.RNG = NewRand(seed * 1009)
 			want, err := Minimize(pm, mo)
 			if err != nil {
 				t.Fatal(err)
 			}
 
 			so := opt
-			so.RNG = rand.New(rand.NewSource(seed * 1009))
+			so.RNG = NewRand(seed * 1009)
 			st, err := NewStepper(ps, so)
 			if err != nil {
 				t.Fatal(err)
@@ -68,7 +67,7 @@ func TestStepperEquivalentToMinimize(t *testing.T) {
 // no RNG derives one from Options.Seed.
 func TestStepperSeedRNG(t *testing.T) {
 	opt := Options{Cooling: Geometric{T0: 2, Alpha: 0.9, NumStages: 30}, MovesPerStage: 40, Seed: 99}
-	init := rand.New(rand.NewSource(7))
+	init := NewRand(7)
 	pm := newTour(10, init)
 	ps := &tourState{perm: append([]int(nil), pm.perm...), best: make([]int, 10)}
 	want, err := Minimize(pm, opt)
@@ -89,7 +88,7 @@ func TestStepperSeedRNG(t *testing.T) {
 // TestStepperAbandon proves an abandoned run finalizes cleanly: Step
 // refuses to continue, and Result restores the best state seen so far.
 func TestStepperAbandon(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
+	rng := NewRand(3)
 	s := newTour(12, rng)
 	opt := Options{Cooling: Geometric{T0: 4, Alpha: 0.9, NumStages: 60},
 		MovesPerStage: 100, RNG: rng}
@@ -120,7 +119,7 @@ func TestStepperAbandon(t *testing.T) {
 
 // TestStepperValidation pins the error parity with Minimize.
 func TestStepperValidation(t *testing.T) {
-	s := newTour(4, rand.New(rand.NewSource(1)))
+	s := newTour(4, NewRand(1))
 	if _, err := NewStepper(s, Options{MovesPerStage: 10}); err != ErrNoCooling {
 		t.Errorf("no cooling: got %v, want ErrNoCooling", err)
 	}

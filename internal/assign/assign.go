@@ -20,7 +20,6 @@ package assign
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
 	"repro/internal/anneal"
 	"repro/internal/machsim"
@@ -90,7 +89,7 @@ func SolveMapping(g *taskgraph.Graph, topo *topology.Topology, opt MappingOption
 		}
 	}
 	if aopt.RNG == nil {
-		aopt.RNG = rand.New(rand.NewSource(opt.Seed))
+		aopt.RNG = anneal.NewRand(opt.Seed)
 	}
 	res, err := anneal.Minimize(st, aopt)
 	if err != nil {
@@ -143,7 +142,7 @@ func (m *mappingState) Cost() float64 {
 
 // Propose implements anneal.Problem: move a task to a free processor or
 // exchange two tasks.
-func (m *mappingState) Propose(rng *rand.Rand) (float64, bool) {
+func (m *mappingState) Propose(rng *anneal.Rand) (float64, bool) {
 	n, p := len(m.procOf), len(m.taskAt)
 	if n == 0 || p < 2 {
 		return 0, false
@@ -250,7 +249,7 @@ func SolveBalancing(g *taskgraph.Graph, topo *topology.Topology, opt BalancingOp
 		}
 	}
 	if aopt.RNG == nil {
-		aopt.RNG = rand.New(rand.NewSource(opt.Seed))
+		aopt.RNG = anneal.NewRand(opt.Seed)
 	}
 	res, err := anneal.Minimize(st, aopt)
 	if err != nil {
@@ -308,7 +307,7 @@ func (b *balanceState) taskCommCost(i taskgraph.TaskID, proc int) float64 {
 
 // Propose implements anneal.Problem: move a random task to a random other
 // processor.
-func (b *balanceState) Propose(rng *rand.Rand) (float64, bool) {
+func (b *balanceState) Propose(rng *anneal.Rand) (float64, bool) {
 	n, p := len(b.procOf), len(b.load)
 	if n == 0 || p < 2 {
 		return 0, false

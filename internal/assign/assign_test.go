@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/anneal"
 	"repro/internal/machsim"
 	"repro/internal/taskgraph"
 	"repro/internal/topology"
@@ -130,8 +131,7 @@ func TestSolveBalancingPullsCommunicatingTasksTogether(t *testing.T) {
 }
 
 func TestBalancingDeltaConsistency(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	g, err := taskgraph.GnpDAG("g", 15, 0.3, 1, 9, 10, 500, rng)
+	g, err := taskgraph.GnpDAG("g", 15, 0.3, 1, 9, 10, 500, rand.New(rand.NewSource(5)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,6 +153,7 @@ func TestBalancingDeltaConsistency(t *testing.T) {
 		st.procOf[i] = i % ring.N()
 		st.load[i%ring.N()] += g.Load(taskgraph.TaskID(i))
 	}
+	rng := anneal.NewRand(5)
 	for move := 0; move < 300; move++ {
 		before := st.Cost()
 		delta, ok := st.Propose(rng)

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math/rand"
 	"testing"
 
 	"repro/internal/anneal"
@@ -15,7 +14,7 @@ import (
 // reject loop stays off the heap entirely.
 func TestPacketProposeZeroAllocs(t *testing.T) {
 	pk, _ := packetFixture(t, 0.5, 0.5)
-	rng := rand.New(rand.NewSource(51))
+	rng := anneal.NewRand(51)
 	pk.initRandom(rng)
 	allocs := testing.AllocsPerRun(1000, func() {
 		if _, ok := pk.Propose(rng); !ok {
@@ -33,7 +32,7 @@ func TestPacketProposeZeroAllocs(t *testing.T) {
 // double buffer, not through per-improvement snapshot copies.
 func TestPacketMinimizeZeroAllocs(t *testing.T) {
 	pk, _ := packetFixture(t, 0.5, 0.5)
-	rng := rand.New(rand.NewSource(52))
+	rng := anneal.NewRand(52)
 	pk.initRandom(rng)
 	opt := anneal.Options{
 		Cooling:       anneal.Geometric{T0: 1, Alpha: 0.9, NumStages: 30},

@@ -16,9 +16,9 @@
 package core
 
 import (
-	"math/rand"
 	"sort"
 
+	"repro/internal/anneal"
 	"repro/internal/machsim"
 	"repro/internal/taskgraph"
 	"repro/internal/topology"
@@ -61,6 +61,11 @@ type packet struct {
 	// Undo state of the last Propose: candidate, target slot, the
 	// candidate's previous slot, and the displaced incumbent (-1 if none).
 	undoI, undoJ, undoCur, undoOther int
+
+	// Precomputed divisors of Propose's draws, Intn(n), Intn(n−1),
+	// Intn(p) and Intn(p−1) for n tasks and p processors; a bound whose
+	// n would be 0 is left zero and never drawn from.
+	drawN, drawN1, drawP, drawP1 anneal.Bound
 
 	// Best-state double buffer backing anneal.Snapshotter.
 	bestTaskAt []int
@@ -161,6 +166,8 @@ func (pk *packet) reset(ready []taskgraph.TaskID, idle []int, locate Locator, le
 			}
 		}
 	}
+	pk.drawN, pk.drawN1 = bounds(n)
+	pk.drawP, pk.drawP1 = bounds(p)
 	pk.dFb = pk.balanceRange()
 	pk.dFc = pk.commRange()
 	for i := range pk.tasks {
@@ -170,16 +177,29 @@ func (pk *packet) reset(ready []taskgraph.TaskID, idle []int, locate Locator, le
 	}
 }
 
+// bounds returns the draw divisors for k and k−1, each left zero when its
+// value is below 1.
+func bounds(k int) (b, b1 anneal.Bound) {
+	if k >= 1 {
+		b = anneal.NewBound(k)
+	}
+	if k >= 2 {
+		b1 = anneal.NewBound(k - 1)
+	}
+	return b, b1
+}
+
 // cloneFrom makes pk an independent copy of src for a restart:
-// the immutable cost tables (tasks, procs, level, commCost, contrib) are
-// shared, only the mutable mapping state is deep-copied into pk's own
-// buffers.
+// the immutable cost tables (tasks, procs, level, commCost, contrib) and
+// draw divisors are shared, only the mutable mapping state is deep-copied
+// into pk's own buffers.
 func (pk *packet) cloneFrom(src *packet) {
 	pk.tasks = src.tasks
 	pk.procs = src.procs
 	pk.level = src.level
 	pk.commCost = src.commCost
 	pk.contrib = src.contrib
+	pk.drawN, pk.drawN1, pk.drawP, pk.drawP1 = src.drawN, src.drawN1, src.drawP, src.drawP1
 	pk.np = src.np
 	pk.dFb, pk.dFc = src.dFb, src.dFc
 	pk.wb, pk.wc = src.wb, src.wc
@@ -325,22 +345,24 @@ func (pk *packet) Fc() float64 { return pk.rawFc }
 // (§5.2a): pick a task tᵢ and a processor pⱼ ≠ m(tᵢ); if pⱼ is free,
 // (re)assign tᵢ to pⱼ, otherwise exchange tᵢ with the task occupying pⱼ.
 // The move is recorded in the undo fields; no heap allocation happens.
-func (pk *packet) Propose(rng *rand.Rand) (float64, bool) {
+// Every draw is rng.Intn(k) for k in {n, n−1, p, p−1}, taken through the
+// packet's precomputed divisors.
+func (pk *packet) Propose(rng *anneal.Rand) (float64, bool) {
 	n, p := len(pk.tasks), len(pk.procs)
 	if n == 0 || p == 0 || (n == 1 && p == 1) {
 		return 0, false // no alternative mapping exists
 	}
-	i := rng.Intn(n)
+	i := rng.Draw(&pk.drawN)
 	cur := pk.procOf[i]
 	if p == 1 && cur == 0 {
 		// The single slot already holds ti; a legal move must involve a
 		// different task (which then displaces the incumbent).
-		i = (i + 1 + rng.Intn(n-1)) % n
+		i = wrap(i+1+rng.Draw(&pk.drawN1), n)
 		cur = pk.procOf[i]
 	}
-	j := rng.Intn(p)
+	j := rng.Draw(&pk.drawP)
 	if j == cur {
-		j = (j + 1 + rng.Intn(p-1)) % p // resample a slot different from m(ti); p > 1 here
+		j = wrap(j+1+rng.Draw(&pk.drawP1), p) // resample a slot different from m(ti); p > 1 here
 	}
 	other := pk.taskAt[j]
 
@@ -363,6 +385,14 @@ func (pk *packet) Propose(rng *rand.Rand) (float64, bool) {
 	}
 	pk.undoI, pk.undoJ, pk.undoCur, pk.undoOther = i, j, cur, other
 	return after - before, true
+}
+
+// wrap returns k mod m for 0 ≤ k < 2m without a division.
+func wrap(k, m int) int {
+	if k >= m {
+		k -= m
+	}
+	return k
 }
 
 // Undo implements anneal.Problem: revert the move recorded by the last
@@ -476,7 +506,7 @@ func (pk *packet) initWarm(assign []int) {
 // initRandom fills the processor slots with uniformly random candidates.
 // The inside-out Fisher-Yates below consumes the RNG exactly like
 // rand.Perm but fills the reusable index scratch instead of allocating.
-func (pk *packet) initRandom(rng *rand.Rand) {
+func (pk *packet) initRandom(rng *anneal.Rand) {
 	idx := grow(pk.idxScratch, len(pk.tasks))
 	pk.idxScratch = idx
 	for i := range idx {

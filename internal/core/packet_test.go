@@ -2,9 +2,9 @@ package core
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 
+	"repro/internal/anneal"
 	"repro/internal/taskgraph"
 	"repro/internal/topology"
 )
@@ -120,7 +120,7 @@ func TestPacketGreedyInitPicksHighestLevels(t *testing.T) {
 }
 
 func TestPacketInitRandomFillsAllSlots(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
+	rng := anneal.NewRand(31)
 	for trial := 0; trial < 10; trial++ {
 		pk, _ := packetFixture(t, 0.5, 0.5)
 		pk.initRandom(rng)
@@ -139,7 +139,7 @@ func TestPacketInitRandomFillsAllSlots(t *testing.T) {
 // Property: Propose's reported delta always equals the recomputed cost
 // difference, and undo restores the exact previous state.
 func TestPropertyProposeDeltaConsistent(t *testing.T) {
-	rng := rand.New(rand.NewSource(32))
+	rng := anneal.NewRand(32)
 	pk, _ := packetFixture(t, 0.4, 0.6)
 	pk.initRandom(rng)
 	for move := 0; move < 500; move++ {
@@ -177,7 +177,7 @@ func TestPropertyProposeDeltaConsistent(t *testing.T) {
 // and taskAt stay mutually consistent and the number of placed tasks never
 // changes after the initial fill.
 func TestPropertyMappingInvariants(t *testing.T) {
-	rng := rand.New(rand.NewSource(33))
+	rng := anneal.NewRand(33)
 	pk, _ := packetFixture(t, 0.5, 0.5)
 	pk.initRandom(rng)
 	countPlaced := func() int {
@@ -208,7 +208,7 @@ func TestPropertyMappingInvariants(t *testing.T) {
 }
 
 func TestPacketSaveRestoreBest(t *testing.T) {
-	rng := rand.New(rand.NewSource(34))
+	rng := anneal.NewRand(34)
 	pk, _ := packetFixture(t, 0.5, 0.5)
 	pk.initGreedy()
 	pk.SaveBest()
@@ -251,7 +251,7 @@ func TestPacketSingleTaskSingleProcHasNoMoves(t *testing.T) {
 	pk := newPacket([]taskgraph.TaskID{a}, []int{0}, func(taskgraph.TaskID) int { return -1 },
 		levels, topo, topology.DefaultCommParams(), g, 0.5, 0.5)
 	pk.initGreedy()
-	if _, ok := pk.Propose(rand.New(rand.NewSource(1))); ok {
+	if _, ok := pk.Propose(anneal.NewRand(1)); ok {
 		t.Error("move proposed on a 1x1 packet")
 	}
 }
@@ -266,7 +266,7 @@ func TestPacketSingleProcMovesSwapTasks(t *testing.T) {
 	pk := newPacket([]taskgraph.TaskID{a, b}, []int{0}, func(taskgraph.TaskID) int { return -1 },
 		levels, topo, topology.DefaultCommParams(), g, 1, 0)
 	pk.initGreedy() // a (level 5) on the slot
-	rng := rand.New(rand.NewSource(35))
+	rng := anneal.NewRand(35)
 	for i := 0; i < 20; i++ {
 		_, ok := pk.Propose(rng)
 		if !ok {

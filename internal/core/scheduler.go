@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
 	"repro/internal/anneal"
 	"repro/internal/machsim"
@@ -177,7 +176,7 @@ type Scheduler struct {
 	comm   topology.CommParams
 	levels []float64
 	opt    Options
-	rng    *rand.Rand
+	rng    *anneal.Rand
 
 	// Scratch for the reusable level computation (reverse Kahn pass).
 	lvlDeg   []int32
@@ -191,7 +190,7 @@ type Scheduler struct {
 	// Restart-mode state: the replica-exchange RNG (re-seeded from the
 	// scheduler stream per packet) and run-level counters surfaced
 	// through RestartsAbandoned/Exchanges.
-	exchRng   *rand.Rand
+	exchRng   *anneal.Rand
 	abandoned int
 	exchanges int
 
@@ -212,7 +211,7 @@ type restartRun struct {
 	// run, else the run's clone pk.
 	cur  *packet
 	pk   packet
-	rng  *rand.Rand
+	rng  *anneal.Rand
 	step anneal.Stepper
 	// rung is the run's tempering schedule. The Stepper holds &rung, so
 	// the ladder is not boxed into an interface per packet.
@@ -267,10 +266,10 @@ func (s *Scheduler) Reset(g *taskgraph.Graph, topo *topology.Topology, comm topo
 		return err
 	}
 	if s.rng == nil {
-		s.rng = rand.New(rand.NewSource(opt.Seed))
+		s.rng = anneal.NewRand(opt.Seed)
 	} else {
 		// Re-seeding the existing source restarts the identical stream a
-		// fresh rand.NewSource(seed) would produce.
+		// fresh anneal.NewRand(seed) would produce.
 		s.rng.Seed(opt.Seed)
 	}
 	// Warm the packet arena to the whole-problem bounds (every task ready,
@@ -439,7 +438,7 @@ func (s *Scheduler) anneal(pk *packet, aopt anneal.Options, report *PacketReport
 			// order; setup draws only from the restart's own RNG.
 			seed := s.rng.Int63()
 			if run.rng == nil {
-				run.rng = rand.New(rand.NewSource(seed))
+				run.rng = anneal.NewRand(seed)
 			} else {
 				run.rng.Seed(seed)
 			}
@@ -486,7 +485,7 @@ func (s *Scheduler) anneal(pk *packet, aopt anneal.Options, report *PacketReport
 		// exchange RNG's seed follows the restarts' seeds.
 		seed := s.rng.Int63()
 		if s.exchRng == nil {
-			s.exchRng = rand.New(rand.NewSource(seed))
+			s.exchRng = anneal.NewRand(seed)
 		} else {
 			s.exchRng.Seed(seed)
 		}
@@ -601,7 +600,7 @@ func (s *Scheduler) abandonLagging(runs []restartRun, after int, report *PacketR
 // according to the scheduler options: the warm seed when one is active,
 // else HLF-greedy or random. All three are deterministic for a fixed RNG
 // stream position.
-func (s *Scheduler) initPacket(pk *packet, rng *rand.Rand) {
+func (s *Scheduler) initPacket(pk *packet, rng *anneal.Rand) {
 	switch {
 	case s.warmOK:
 		pk.initWarm(s.opt.Warm.Assignment)
