@@ -216,7 +216,6 @@ func runOverload(probes int, assertFlat float64) error {
 	svc, err := service.New(service.Config{
 		CacheSize:        4096,
 		Workers:          16,
-		MaxWorkers:       16,
 		QueueDepth:       64,
 		QueueDelayTarget: 25 * time.Millisecond,
 	})

@@ -9,9 +9,9 @@
 // Solves run on the shared internal/engine worker pool, split into an
 // interactive lane (single schedule calls) and a batch lane (batch
 // members) with weighted dequeue, per-lane admission control (shed
-// requests get a structured 429 with Retry-After) and an adaptive
-// worker pool bounded by -workers/-max-workers. Identical payloads
-// produce byte-identical responses; completed results are memoized in a
+// requests get a structured 429 with Retry-After) and a fixed pool of
+// -workers solve workers. Identical payloads produce byte-identical
+// responses; completed results are memoized in a
 // content-addressed LRU cache (cache status in the X-DTServe-Cache
 // header), optionally backed by a persistent disk tier (-cache-dir) so
 // a restarted server replays its warm set without re-solving, and by a
@@ -60,8 +60,7 @@ import (
 func main() {
 	var (
 		addr        = flag.String("addr", ":8080", "listen address")
-		workers     = flag.Int("workers", 0, "base solver pool size (0 = one per CPU)")
-		maxWorkers  = flag.Int("max-workers", 0, "adaptive pool ceiling under queue pressure (0 = fixed at -workers)")
+		workers     = flag.Int("workers", 0, "solver pool size (0 = one per CPU)")
 		queueDepth  = flag.Int("queue-depth", 0, "per-lane admission budget in queued jobs (0 = 1024)")
 		delayTarget = flag.Duration("queue-delay-target", 0, "shed a lane once its head-of-queue age exceeds this (0 disables; negative is rejected)")
 		laneWeight  = flag.Int("interactive-weight", 0, "interactive jobs dequeued per batch job when both lanes wait (0 = 4)")
@@ -111,7 +110,6 @@ func main() {
 
 	cfg := service.Config{
 		Workers:           *workers,
-		MaxWorkers:        *maxWorkers,
 		QueueDepth:        *queueDepth,
 		QueueDelayTarget:  *delayTarget,
 		InteractiveWeight: *laneWeight,

@@ -3,16 +3,16 @@
 // harness and the dtserve HTTP service all route solver executions
 // through one Engine instead of wiring their own worker pools.
 //
-// An Engine is a worker pool draining per-lane bounded queues, so at most
-// the current worker count of solves run at once, excess submissions wait
+// An Engine is a fixed pool of Workers workers draining per-lane bounded
+// queues, so at most Workers solves run at once, excess submissions wait
 // in lane queues (subject to their contexts), and submissions beyond a
 // lane's depth or delay budget are shed with an *OverloadError instead of
 // queueing unboundedly. Two QoS lanes exist: interactive (the default,
 // latency-sensitive) and batch (throughput work that yields to interactive
-// under contention via weighted dequeue). The pool itself adapts: it
-// starts at Workers, grows one worker at a time up to MaxWorkers while the
-// pool stays saturated with queued work, and shrinks back when workers sit
-// idle. Each worker owns, for its whole lifetime,
+// under contention via weighted dequeue). Solves are pure CPU, so the pool
+// keeps its size for the engine's whole life: a worker beyond the CPUs
+// could only time-slice with the ones already running. Each worker owns,
+// for its whole lifetime,
 //
 //   - one machsim simulator arena (machsim.NewArena), so back-to-back
 //     solves rebind warm buffers instead of rebuilding simulator state, and
@@ -54,12 +54,9 @@ import (
 
 // Config tunes an Engine.
 type Config struct {
-	// Workers is the base pool size; <= 0 means one per available CPU.
-	// The pool never shrinks below it.
+	// Workers is the pool size, fixed for the engine's life; <= 0 means
+	// one per available CPU (GOMAXPROCS).
 	Workers int
-	// MaxWorkers is the adaptive-pool ceiling. <= Workers (including 0)
-	// keeps the pool fixed at Workers — the pre-QoS behavior.
-	MaxWorkers int
 	// MaxBatch caps the jobs of one Stream (or Fan) call; <= 0 means 256.
 	// The engine owns this limit so every front-end enforces it the same
 	// way instead of re-checking per handler.
@@ -76,13 +73,6 @@ type Config struct {
 	// hold work, workers take this many interactive jobs per batch job.
 	// <= 0 means 4.
 	InteractiveWeight int
-	// GrowInterval rate-limits pool growth to one worker per interval, so
-	// only sustained saturation (not one burst) grows the pool. <= 0
-	// means 100ms.
-	GrowInterval time.Duration
-	// ShrinkIdle is how long a surplus worker (above Workers) idles
-	// before retiring. <= 0 means 2s.
-	ShrinkIdle time.Duration
 }
 
 // DefaultMaxBatch is the Stream/Fan batch cap when Config leaves it zero.
@@ -91,11 +81,7 @@ const DefaultMaxBatch = 256
 // DefaultQueueDepth is the per-lane queue bound when Config leaves it zero.
 const DefaultQueueDepth = 1024
 
-const (
-	defaultInteractiveWeight = 4
-	defaultGrowInterval      = 100 * time.Millisecond
-	defaultShrinkIdle        = 2 * time.Second
-)
+const defaultInteractiveWeight = 4
 
 // Job is one solver execution: the solver to run and its request. Index is
 // an opaque caller tag replayed on the resulting Item — batch consumers
@@ -147,28 +133,21 @@ type task struct {
 
 // Engine is the worker pool. Create with New, stop with Close.
 type Engine struct {
-	mu       sync.Mutex
-	queues   [numLanes][]*task
-	lanes    [numLanes]laneCounters
-	cur      int // current worker count
-	grown    uint64
-	shrunk   uint64
-	lastGrow time.Time
-	rr       uint64 // weighted-dequeue cursor
-	closed   bool
+	mu     sync.Mutex
+	queues [numLanes][]*task
+	lanes  [numLanes]laneCounters
+	rr     uint64 // weighted-dequeue cursor
+	closed bool
 
 	wake chan struct{}
 	quit chan struct{}
 	wg   sync.WaitGroup
 
-	base        int
-	maxWorkers  int
+	workers     int
 	maxBatch    int
 	queueDepth  int
 	delayTarget time.Duration
 	weight      int
-	growEvery   time.Duration
-	shrinkIdle  time.Duration
 
 	busy      atomic.Int64
 	completed atomic.Int64
@@ -180,9 +159,6 @@ func New(cfg Config) *Engine {
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
-	if cfg.MaxWorkers < cfg.Workers {
-		cfg.MaxWorkers = cfg.Workers
-	}
 	if cfg.MaxBatch <= 0 {
 		cfg.MaxBatch = DefaultMaxBatch
 	}
@@ -192,71 +168,31 @@ func New(cfg Config) *Engine {
 	if cfg.InteractiveWeight <= 0 {
 		cfg.InteractiveWeight = defaultInteractiveWeight
 	}
-	if cfg.GrowInterval <= 0 {
-		cfg.GrowInterval = defaultGrowInterval
-	}
-	if cfg.ShrinkIdle <= 0 {
-		cfg.ShrinkIdle = defaultShrinkIdle
-	}
 	e := &Engine{
 		// The wake buffer is sized so an enqueue's non-blocking send only
 		// drops when enough tokens are already pending to cover every
 		// queued task — a pending token always wakes a worker that then
 		// drains the queues until empty, so no admitted task is stranded.
-		wake:        make(chan struct{}, cfg.MaxWorkers+2*int(numLanes)*cfg.QueueDepth),
+		wake:        make(chan struct{}, cfg.Workers+2*int(numLanes)*cfg.QueueDepth),
 		quit:        make(chan struct{}),
-		base:        cfg.Workers,
-		maxWorkers:  cfg.MaxWorkers,
+		workers:     cfg.Workers,
 		maxBatch:    cfg.MaxBatch,
 		queueDepth:  cfg.QueueDepth,
 		delayTarget: cfg.QueueDelayTarget,
 		weight:      cfg.InteractiveWeight,
-		growEvery:   cfg.GrowInterval,
-		shrinkIdle:  cfg.ShrinkIdle,
 	}
 	for l := Lane(0); l < numLanes; l++ {
 		e.lanes[l].delayHist = obs.NewHistogram(obs.QueueBuckets)
 	}
-	e.cur = cfg.Workers
 	for i := 0; i < cfg.Workers; i++ {
 		e.wg.Add(1)
 		go e.worker()
 	}
-	if cfg.MaxWorkers > cfg.Workers {
-		e.wg.Add(1)
-		go e.pressureMonitor()
-	}
 	return e
 }
 
-// pressureMonitor re-evaluates pool growth on a timer: Submit grows the
-// pool on the spot, but when every worker is pinned by long solves and no
-// new submissions arrive, queued work would otherwise wait on a pool that
-// never reconsiders its size.
-func (e *Engine) pressureMonitor() {
-	defer e.wg.Done()
-	period := e.growEvery
-	if period < time.Millisecond {
-		period = time.Millisecond
-	}
-	tick := time.NewTicker(period)
-	defer tick.Stop()
-	for {
-		select {
-		case <-tick.C:
-			e.mu.Lock()
-			if !e.closed {
-				e.maybeGrowLocked(time.Now())
-			}
-			e.mu.Unlock()
-		case <-e.quit:
-			return
-		}
-	}
-}
-
-// Workers returns the base pool size (the pool's floor).
-func (e *Engine) Workers() int { return e.base }
+// Workers returns the pool size.
+func (e *Engine) Workers() int { return e.workers }
 
 // MaxBatch returns the engine's batch cap.
 func (e *Engine) MaxBatch() int { return e.maxBatch }
@@ -299,7 +235,6 @@ func (e *Engine) Submit(ctx context.Context, job Job) <-chan Item {
 	t.enq = now
 	e.queues[lane] = append(e.queues[lane], t)
 	e.lanes[lane].submitted++
-	e.maybeGrowLocked(now)
 	e.mu.Unlock()
 
 	if t.claimed != nil {
@@ -337,52 +272,6 @@ func (e *Engine) admitLocked(lane Lane, now time.Time) *OverloadError {
 	return &OverloadError{Lane: lane, Queued: len(q), QueueDelay: headAge, RetryAfter: retry}
 }
 
-// maybeGrowLocked adds one worker when the pool is saturated (every
-// worker busy with more work just queued), bounded by MaxWorkers and
-// rate-limited to one growth per GrowInterval so only sustained pressure
-// grows the pool.
-func (e *Engine) maybeGrowLocked(now time.Time) {
-	if e.cur >= e.maxWorkers {
-		return
-	}
-	if int(e.busy.Load()) < e.cur {
-		return
-	}
-	queued := 0
-	for l := Lane(0); l < numLanes; l++ {
-		queued += len(e.queues[l])
-	}
-	if queued == 0 {
-		return
-	}
-	if now.Sub(e.lastGrow) < e.growEvery {
-		return
-	}
-	e.lastGrow = now
-	e.cur++
-	e.grown++
-	e.wg.Add(1)
-	go e.worker()
-}
-
-// tryRetire removes this worker from the pool if it is surplus (above the
-// base size) and no work is queued.
-func (e *Engine) tryRetire() bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.closed || e.cur <= e.base {
-		return false
-	}
-	for l := Lane(0); l < numLanes; l++ {
-		if len(e.queues[l]) > 0 {
-			return false
-		}
-	}
-	e.cur--
-	e.shrunk++
-	return true
-}
-
 // watch delivers ErrQueueTimeout if the task's context ends while it is
 // still queued; it exits as soon as anyone claims the task.
 func (e *Engine) watch(t *task) {
@@ -401,28 +290,15 @@ func (e *Engine) watch(t *task) {
 func (e *Engine) worker() {
 	defer e.wg.Done()
 	w := &Worker{}
-	idle := time.NewTimer(e.shrinkIdle)
-	defer idle.Stop()
 	for {
 		if t := e.next(); t != nil {
 			e.runTask(w, t)
 			continue
 		}
-		if !idle.Stop() {
-			select {
-			case <-idle.C:
-			default:
-			}
-		}
-		idle.Reset(e.shrinkIdle)
 		select {
 		case <-e.wake:
 		case <-e.quit:
 			return
-		case <-idle.C:
-			if e.tryRetire() {
-				return
-			}
 		}
 	}
 }
@@ -582,14 +458,8 @@ func (e *Engine) Close() {
 
 // Stats is a point-in-time snapshot of the engine counters.
 type Stats struct {
-	// Workers is the current pool size (== MinWorkers when fixed).
+	// Workers is the pool size.
 	Workers int `json:"workers"`
-	// MinWorkers and MaxWorkers are the adaptive-pool bounds.
-	MinWorkers int `json:"min_workers"`
-	MaxWorkers int `json:"max_workers"`
-	// Grown and Shrunk count adaptive pool-size changes.
-	Grown  uint64 `json:"grown"`
-	Shrunk uint64 `json:"shrunk"`
 	// Busy is the number of workers currently running a job.
 	Busy int64 `json:"busy"`
 	// Completed counts jobs run to completion across all lanes.
@@ -619,13 +489,9 @@ func (e *Engine) Stats() Stats {
 		}
 	}
 	return Stats{
-		Workers:    e.cur,
-		MinWorkers: e.base,
-		MaxWorkers: e.maxWorkers,
-		Grown:      e.grown,
-		Shrunk:     e.shrunk,
-		Busy:       e.busy.Load(),
-		Completed:  e.completed.Load(),
-		Lanes:      lanes,
+		Workers:   e.workers,
+		Busy:      e.busy.Load(),
+		Completed: e.completed.Load(),
+		Lanes:     lanes,
 	}
 }

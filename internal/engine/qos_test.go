@@ -258,76 +258,6 @@ func TestAdmissionControlShedsOnQueueDelay(t *testing.T) {
 	}
 }
 
-// TestAdaptivePoolGrowsAndShrinks saturates a Workers=1, MaxWorkers=3
-// pool and checks it grows under pressure, runs more than one job at
-// once, and shrinks back to the base once idle.
-func TestAdaptivePoolGrowsAndShrinks(t *testing.T) {
-	eng := New(Config{
-		Workers:      1,
-		MaxWorkers:   3,
-		GrowInterval: time.Nanosecond,
-		ShrinkIdle:   10 * time.Millisecond,
-	})
-	defer eng.Close()
-
-	gates := make([]*gate, 3)
-	started := make(chan int, 3)
-	var chs []<-chan Item
-	base := testJobs(t, 1)[0]
-	for i := range gates {
-		gates[i] = newGate()
-		g := gates[i]
-		idx := i
-		job := base
-		job.Solver = probeSolver{fn: func() {
-			started <- idx
-			g.wait()
-		}}
-		chs = append(chs, eng.Submit(context.Background(), job))
-	}
-
-	// All three jobs must end up running concurrently: the pool grew from
-	// 1 to 3. (Each probe blocks its worker until its gate opens, so only
-	// growth can start the later jobs.)
-	runningAll := time.After(10 * time.Second)
-	for i := 0; i < 3; i++ {
-		select {
-		case <-started:
-		case <-runningAll:
-			t.Fatalf("only %d jobs started; pool did not grow (stats %+v)", i, eng.Stats())
-		}
-	}
-	st := eng.Stats()
-	if st.Workers != 3 || st.Grown != 2 || st.MinWorkers != 1 || st.MaxWorkers != 3 {
-		t.Fatalf("grown stats %+v", st)
-	}
-
-	for _, g := range gates {
-		g.open()
-	}
-	for _, ch := range chs {
-		if item := <-ch; item.Err != nil {
-			t.Fatal(item.Err)
-		}
-	}
-
-	// Idle surplus workers retire back to the base size.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		st = eng.Stats()
-		if st.Workers == 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("pool never shrank: %+v", st)
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	if st.Shrunk != 2 {
-		t.Fatalf("shrunk = %d, want 2 (stats %+v)", st.Shrunk, st)
-	}
-}
-
 // TestQueuedJobCancelledByContextCountsExpired re-checks the queue-timeout
 // contract under the lane machinery: the expired job is answered without
 // running, counted in the lane's Expired, and never in Completed.

@@ -126,11 +126,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	counter("dtserve_remote_puts_total", "Results published to the shared remote tier by the write-behind writer.", st.Remote.Puts)
 	counter("dtserve_remote_errors_total", "Remote tier failures: network/daemon errors, checksum mismatches, dropped writes — every one degraded, none served.", st.Remote.Errors)
 	counter("dtserve_remote_corrupt_total", "Remote values that failed the client-side checksum and were refused.", st.Remote.Corrupt)
-	gauge("dtserve_pool_workers", "Current solver pool size (adaptive).", int64(st.Pool.Workers))
-	gauge("dtserve_pool_min_workers", "Adaptive pool floor.", int64(st.Pool.MinWorkers))
-	gauge("dtserve_pool_max_workers", "Adaptive pool ceiling.", int64(st.Pool.MaxWorkers))
-	counter("dtserve_pool_grown_total", "Workers added by the adaptive pool under sustained queue pressure.", st.Pool.Grown)
-	counter("dtserve_pool_shrunk_total", "Surplus workers retired by the adaptive pool after idling.", st.Pool.Shrunk)
+	gauge("dtserve_pool_workers", "Solver pool size (fixed for the server's life).", int64(st.Pool.Workers))
 	gauge("dtserve_pool_busy", "Workers currently running a solve.", st.Pool.Busy)
 	counter("dtserve_pool_completed_total", "Jobs completed by the solver pool.", uint64(st.Pool.Completed))
 

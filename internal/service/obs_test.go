@@ -7,6 +7,8 @@ import (
 	"log/slog"
 	"net/http"
 	"regexp"
+	"slices"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -566,6 +568,78 @@ func TestStatszLawUnderLoad(t *testing.T) {
 	}
 	t.Logf("law held across %d scrapes under load (%d items: %d solves, %d mem, %d coalesced)",
 		scrapes, st.Items, st.Solves, st.Cache.Hits, st.Coalesced)
+}
+
+// TestStatszPoolShape runs a burst of more jobs than workers, then checks
+// the /statsz pool block: exactly the fixed pool's keys, the configured
+// size, and — with no traffic in flight — the same scalars /metrics
+// exports.
+func TestStatszPoolShape(t *testing.T) {
+	const workers, burst = 2, 8
+	_, ts := newTestServer(t, Config{Workers: workers, CacheSize: 64})
+	var wg sync.WaitGroup
+	for i := 0; i < burst; i++ {
+		payload := wireRequest(t, "FFT", func(r *ScheduleRequest) { r.Seed = int64(i + 1) })
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if resp, body := post(t, ts.URL+"/v1/schedule", payload); resp.StatusCode != http.StatusOK {
+				t.Errorf("status %d: %s", resp.StatusCode, body)
+			}
+		}()
+	}
+	wg.Wait()
+
+	resp, err := http.Get(ts.URL + "/statsz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var raw struct {
+		Pool map[string]json.RawMessage `json:"pool"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&raw)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var keys []string
+	for k := range raw.Pool {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	if want := []string{"busy", "completed", "lanes", "workers"}; !slices.Equal(keys, want) {
+		t.Fatalf("/statsz pool keys = %v, want %v", keys, want)
+	}
+	scalar := func(key string) int64 {
+		v, err := strconv.ParseInt(string(raw.Pool[key]), 10, 64)
+		if err != nil {
+			t.Fatalf("pool.%s = %s: %v", key, raw.Pool[key], err)
+		}
+		return v
+	}
+	if got := scalar("workers"); got != workers {
+		t.Fatalf("pool.workers = %d, want %d", got, workers)
+	}
+	if got := scalar("completed"); got < burst {
+		t.Fatalf("pool.completed = %d, want >= %d", got, burst)
+	}
+
+	mresp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	buf.ReadFrom(mresp.Body)
+	mresp.Body.Close()
+	for family, key := range map[string]string{
+		"dtserve_pool_workers":         "workers",
+		"dtserve_pool_busy":            "busy",
+		"dtserve_pool_completed_total": "completed",
+	} {
+		if line := fmt.Sprintf("\n%s %d\n", family, scalar(key)); !strings.Contains(buf.String(), line) {
+			t.Errorf("exposition lacks %q matching /statsz pool.%s", strings.TrimSpace(line), key)
+		}
+	}
 }
 
 // TestDebugRequestsRing: /debug/requests serves the retained traces, most

@@ -27,12 +27,9 @@ import (
 
 // Config tunes a Server.
 type Config struct {
-	// Workers bounds concurrent solves; <= 0 means one per CPU. This is
-	// the engine pool's floor.
+	// Workers is the engine pool's fixed size, which bounds concurrent
+	// solves; <= 0 means one per CPU.
 	Workers int
-	// MaxWorkers lets the engine pool grow under sustained queue pressure
-	// up to this many workers; <= Workers keeps the pool fixed.
-	MaxWorkers int
 	// QueueDepth bounds each QoS lane's queue; submissions past it are
 	// shed with a 429. <= 0 means engine.DefaultQueueDepth.
 	QueueDepth int
@@ -298,7 +295,8 @@ type Stats struct {
 	// zeros. Their Hits are law-bound and mirrored like the memory tier's.
 	Disk   TierStats `json:"disk"`
 	Remote TierStats `json:"remote"`
-	Pool   PoolStats `json:"pool"`
+	// Pool is the engine's worker and lane snapshot.
+	Pool engine.Stats `json:"pool"`
 }
 
 // tier returns the field that reports the named ladder rung.
@@ -307,23 +305,6 @@ func (st *Stats) tier(name string) *TierStats {
 		return &st.Remote
 	}
 	return &st.Disk
-}
-
-// PoolStats mirrors the engine's worker and lane counters under the
-// historical "pool" key of the /statsz payload.
-type PoolStats struct {
-	// Workers is the current pool size; MinWorkers/MaxWorkers are the
-	// adaptive bounds and Grown/Shrunk count the resizes.
-	Workers    int    `json:"workers"`
-	MinWorkers int    `json:"min_workers"`
-	MaxWorkers int    `json:"max_workers"`
-	Grown      uint64 `json:"grown"`
-	Shrunk     uint64 `json:"shrunk"`
-	Busy       int64  `json:"busy"`
-	Completed  int64  `json:"completed"`
-	// Lanes holds the per-lane queue/admission counters, keyed by lane
-	// name ("interactive", "batch").
-	Lanes map[string]engine.LaneStats `json:"lanes"`
 }
 
 // New validates the configuration and starts the worker pool.
@@ -356,7 +337,6 @@ func New(cfg Config) (*Server, error) {
 		cfg: cfg,
 		eng: engine.New(engine.Config{
 			Workers:           cfg.Workers,
-			MaxWorkers:        cfg.MaxWorkers,
 			MaxBatch:          cfg.MaxBatch,
 			QueueDepth:        cfg.QueueDepth,
 			QueueDelayTarget:  cfg.QueueDelayTarget,
@@ -507,16 +487,7 @@ func (s *Server) Stats() Stats {
 		MemberOutcomes:        mo,
 		Traces:                ring.Total,
 		Cache:                 cs,
-		Pool: PoolStats{
-			Workers:    est.Workers,
-			MinWorkers: est.MinWorkers,
-			MaxWorkers: est.MaxWorkers,
-			Grown:      est.Grown,
-			Shrunk:     est.Shrunk,
-			Busy:       est.Busy,
-			Completed:  est.Completed,
-			Lanes:      est.Lanes,
-		},
+		Pool:                  est,
 	}
 	for i, r := range s.rungs {
 		tiers[i].Enabled = true // an absent rung keeps the zero TierStats
