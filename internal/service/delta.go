@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/engine"
+	"repro/internal/taskgraph"
 )
 
 // DeltaRequest is the wire form of POST /v1/schedule/delta: online
@@ -53,93 +54,83 @@ type DeltaEdit struct {
 	Bits *float64 `json:"bits,omitempty"`
 }
 
-// deltaGraph mirrors the canonical graph JSON for server-side editing.
-type deltaGraph struct {
-	Name  string      `json:"name"`
-	Tasks []deltaTask `json:"tasks"`
-	Edges []deltaEdge `json:"edges"`
-}
-
-type deltaTask struct {
-	ID   int     `json:"id"`
-	Name string  `json:"name,omitempty"`
-	Load float64 `json:"load"`
-}
-
-type deltaEdge struct {
-	From int     `json:"from"`
-	To   int     `json:"to"`
-	Bits float64 `json:"bits"`
-}
-
-// apply mutates the graph document by one edit.
-func (g *deltaGraph) apply(e DeltaEdit) error {
+// applyEdit applies one edit to the base graph c has read, before it is
+// checked: tasks and edges are addressed by their position in the
+// indexed document, which for the canonical graphs the index stores is
+// their ID and canonical order. Whatever the edits leave wrong about the
+// graph — a self-loop, a negative volume, a cycle — is rejected later by
+// the same checks a /v1/schedule graph goes through.
+func applyEdit(c *taskgraph.Canonicalizer, e DeltaEdit) error {
+	n := c.NumTasks()
 	switch e.Op {
 	case "add_task":
-		if e.Task != len(g.Tasks) {
-			return badRequest("add_task: task id %d must be the next dense id %d", e.Task, len(g.Tasks))
+		if e.Task != n {
+			return badRequest("add_task: task id %d must be the next dense id %d", e.Task, n)
 		}
 		load := 0.0
 		if e.Load != nil {
 			load = *e.Load
 		}
-		g.Tasks = append(g.Tasks, deltaTask{ID: e.Task, Name: e.Name, Load: load})
-		return nil
+		c.AppendTask(e.Task, e.Name, load)
 	case "set_load":
-		if e.Task < 0 || e.Task >= len(g.Tasks) {
+		if e.Task < 0 || e.Task >= n {
 			return badRequest("set_load: no task %d", e.Task)
 		}
 		if e.Load == nil {
 			return badRequest("set_load: missing load")
 		}
-		g.Tasks[e.Task].Load = *e.Load
-		return nil
+		c.SetLoad(e.Task, *e.Load)
 	case "add_edge":
 		if e.Bits == nil {
 			return badRequest("add_edge: missing bits")
 		}
-		if err := g.checkEndpoints(e.From, e.To); err != nil {
-			return err
+		if e.From < 0 || e.From >= n || e.To < 0 || e.To >= n {
+			return badRequest("edge %d->%d references a missing task", e.From, e.To)
 		}
-		g.Edges = append(g.Edges, deltaEdge{From: e.From, To: e.To, Bits: *e.Bits})
-		return nil
+		c.AppendEdge(e.From, e.To, *e.Bits)
 	case "set_edge":
 		if e.Bits == nil {
 			return badRequest("set_edge: missing bits")
 		}
-		for i := range g.Edges {
-			if g.Edges[i].From == e.From && g.Edges[i].To == e.To {
-				g.Edges[i].Bits = *e.Bits
-				return nil
-			}
+		if !c.SetEdge(e.From, e.To, *e.Bits) {
+			return badRequest("set_edge: no edge %d->%d", e.From, e.To)
 		}
-		return badRequest("set_edge: no edge %d->%d", e.From, e.To)
 	case "del_edge":
-		for i := range g.Edges {
-			if g.Edges[i].From == e.From && g.Edges[i].To == e.To {
-				g.Edges = append(g.Edges[:i], g.Edges[i+1:]...)
-				return nil
-			}
+		if !c.DeleteEdge(e.From, e.To) {
+			return badRequest("del_edge: no edge %d->%d", e.From, e.To)
 		}
-		return badRequest("del_edge: no edge %d->%d", e.From, e.To)
 	default:
 		return badRequest("unknown edit op %q (want add_task, set_load, add_edge, set_edge or del_edge)", e.Op)
 	}
+	return nil
 }
 
-func (g *deltaGraph) checkEndpoints(from, to int) error {
-	if from < 0 || from >= len(g.Tasks) || to < 0 || to >= len(g.Tasks) {
-		return badRequest("edge %d->%d references a missing task", from, to)
+// editGraph reads an indexed graph into c and applies the edit list to
+// it. A graph encoding/json cannot decode is a 500 (the index is
+// corrupt); a bad edit is a 400 naming the edit's position in the list.
+func editGraph(c *taskgraph.Canonicalizer, graph []byte, edits []DeltaEdit) error {
+	if err := c.Read(graph); err != nil {
+		return &httpError{status: http.StatusInternalServerError,
+			msg: "service: corrupt indexed graph: " + err.Error()}
+	}
+	for i, e := range edits {
+		if err := applyEdit(c, e); err != nil {
+			return badRequest("edit %d: %v", i, err)
+		}
 	}
 	return nil
 }
 
 // handleDelta answers POST /v1/schedule/delta: resolve the base from the
-// similarity index, apply the edit list to its canonical graph, rebuild
-// the base's request around the edited graph, and run it through the
-// exact same process pipeline as /v1/schedule — cache tiers,
-// singleflight, accounting and all. Only the seeding differs: unless
-// NoWarm is set, the solve warm-starts from the base's own assignment.
+// similarity index, read its canonical graph into a pooled
+// taskgraph.Canonicalizer and apply the edit list there, rebuild the
+// base's request around the edited graph, and run it through the exact
+// same process pipeline as /v1/schedule — cache tiers, singleflight,
+// accounting and all. The graph is read once and checked once, as on
+// /v1/schedule: process canonicalizes the edited state the handler hands
+// it, and no edited document is ever written out. Only the seeding
+// differs: unless NoWarm is set, the solve warm-starts from the base's
+// own assignment.
 func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 	t0 := time.Now()
 	if s.draining.Load() {
@@ -161,21 +152,10 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 			msg: "service: unknown base address (not indexed, or evicted)"})
 		return
 	}
-	var doc deltaGraph
-	if err := json.Unmarshal(ent.Graph, &doc); err != nil {
-		writeError(w, &httpError{status: http.StatusInternalServerError,
-			msg: "service: corrupt indexed graph: " + err.Error()})
-		return
-	}
-	for i, e := range dreq.Edits {
-		if err := doc.apply(e); err != nil {
-			writeError(w, badRequest("edit %d: %v", i, err))
-			return
-		}
-	}
-	edited, err := json.Marshal(doc)
-	if err != nil {
-		writeError(w, &httpError{status: http.StatusInternalServerError, msg: err.Error()})
+	scratch := canonPool.Get().(*canonScratch)
+	defer putScratch(scratch)
+	if err := editGraph(&scratch.c, ent.Graph, dreq.Edits); err != nil {
+		writeError(w, err)
 		return
 	}
 
@@ -190,8 +170,7 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 		timeoutMS = dreq.TimeoutMS
 	}
 	raw := rawRequest{
-		Graph: edited,
-		Topo:  ent.Spec,
+		Topo: ent.Spec,
 		Comm: &CommOverride{
 			Bandwidth: &opt.Comm.Bandwidth,
 			Sigma:     &opt.Comm.Sigma,
@@ -209,6 +188,7 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 		Lane:            dreq.Lane,
 		NoCache:         dreq.NoCache,
 		Trace:           dreq.Trace,
+		scanned:         scratch,
 	}
 
 	sw, _ := w.(*statusWriter)

@@ -3,13 +3,18 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
+	"repro/internal/cliutil"
+	"repro/internal/schedule"
 	"repro/internal/taskgraph"
 )
 
@@ -162,6 +167,155 @@ func FuzzSimIndexLoad(f *testing.F) {
 			if re.Len() != ix.Len() {
 				t.Fatalf("Save/Load round trip changed Len from %d to %d", ix.Len(), re.Len())
 			}
+		}
+	})
+}
+
+// FuzzDeltaEditsMatchReference applies a random edit list to a random
+// layered graph (dtgen's generator) both ways: editGraph on the
+// canonicalizer, and referenceEdit's decode, edit and re-encode followed
+// by a parse of the re-encoded bytes. The edit errors, the check errors,
+// the canonical bytes, the fingerprint and the materialization error
+// must all be equal. Each edit is four script bytes: the op (one in six
+// is unknown), two task positions in [-1, n+1] — or, for every other
+// add_task, the next dense ID, and for every other set_edge or del_edge
+// on a graph with edges, an existing edge — and a value that is absent at 255, else a load or
+// volume in [-8, 55.75] and a name.
+func FuzzDeltaEditsMatchReference(f *testing.F) {
+	f.Add(int64(1), []byte{})
+	f.Add(int64(2), []byte{1, 3, 0, 9, 1, 1, 0, 0, 1, 2, 0, 255})
+	f.Add(int64(3), []byte{0, 0, 0, 40, 0, 0, 0, 3, 2, 0, 7, 40, 2, 9, 9, 12})
+	f.Add(int64(4), []byte{3, 1, 0, 8, 4, 5, 0, 0, 4, 5, 0, 0, 3, 1, 2, 255, 5, 0, 0, 0})
+	f.Add(int64(5), []byte{2, 1, 1, 40, 2, 4, 2, 255, 2, 3, 0, 0, 3, 0, 1, 31})
+	ops := []string{"add_task", "set_load", "add_edge", "set_edge", "del_edge", "del_task"}
+	names := []string{"", "x", "<b>&amp;</b>", "täsk 世界", "a\"b\\c\n", " "}
+	var c, ref taskgraph.Canonicalizer
+	f.Fuzz(func(t *testing.T, seed int64, script []byte) {
+		rng := rand.New(rand.NewSource(seed))
+		g, err := taskgraph.Layered("layered", taskgraph.LayeredConfig{Layers: 1 + rng.Intn(4), MinWidth: 1,
+			MaxWidth: 4, MinLoad: 1, MaxLoad: 20, MaxBits: 64, EdgeProb: 0.5}, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		graph, err := g.CanonicalJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, ge := g.NumTasks(), g.Edges()
+		var edits []DeltaEdit
+		added := 0
+		for ; len(script) >= 4; script = script[4:] {
+			b := script[:4]
+			e := DeltaEdit{Op: ops[int(b[0])%len(ops)], Task: int(b[1])%(n+3) - 1,
+				From: int(b[1])%(n+3) - 1, To: int(b[2])%(n+3) - 1}
+			switch {
+			case e.Op == "add_task" && b[1]%2 == 0:
+				e.Task = n + added
+			case (e.Op == "set_edge" || e.Op == "del_edge") && b[2]%2 == 0 && len(ge) > 0:
+				pick := ge[int(b[1])%len(ge)]
+				e.From, e.To = int(pick.From), int(pick.To)
+			}
+			if e.Op == "add_task" {
+				added++
+			}
+			if b[3] != 255 {
+				v := (float64(b[3]) - 32) / 4
+				e.Load, e.Bits, e.Name = &v, &v, names[int(b[3])%len(names)]
+			}
+			edits = append(edits, e)
+		}
+
+		edited, refErr := referenceEdit(graph, edits)
+		err = editGraph(&c, graph, edits)
+		if fmt.Sprint(err) != fmt.Sprint(refErr) {
+			t.Fatalf("edit error %v, reference %v", err, refErr)
+		}
+		if err != nil {
+			return
+		}
+		err, refErr = c.Canonicalize(), ref.Parse(edited)
+		if fmt.Sprint(err) != fmt.Sprint(refErr) {
+			t.Fatalf("check error %v, reference %v", err, refErr)
+		}
+		if err != nil {
+			return
+		}
+		if got, want := c.AppendCanonicalJSON(nil), ref.AppendCanonicalJSON(nil); !bytes.Equal(got, want) {
+			t.Fatalf("canonical bytes differ:\nedited    %s\nreference %s", got, want)
+		}
+		if c.Fingerprint() != ref.Fingerprint() {
+			t.Fatalf("fingerprint %x, reference %x", c.Fingerprint(), ref.Fingerprint())
+		}
+		_, err = c.Graph()
+		_, refErr = ref.Graph()
+		if fmt.Sprint(err) != fmt.Sprint(refErr) {
+			t.Fatalf("graph error %v, reference %v", err, refErr)
+		}
+	})
+}
+
+// FuzzScheduleScanMatchesUnmarshal holds the warm path's schedule scan to
+// encoding/json: wherever scanSchedule accepts a body, encoding/json
+// must accept it too and give the same seed and the same verdict on
+// whether the schedule has entries. The corpus starts from served result
+// bodies, which the scanner must accept.
+func FuzzScheduleScanMatchesUnmarshal(f *testing.F) {
+	svc, err := New(Config{CacheSize: 16})
+	if err != nil {
+		f.Fatal(err)
+	}
+	defer svc.Close()
+	h := svc.Handler()
+	for _, program := range []string{"NE", "GJ", "FFT", "MM"} {
+		body := []byte(nil)
+		for _, slv := range []string{"sa", "hlf"} {
+			g, err := cliutil.BuildProgram(program)
+			if err != nil {
+				f.Fatal(err)
+			}
+			req, err := json.Marshal(ScheduleRequest{Graph: g, Topo: "hypercube:3", Solver: slv, Seed: 1991})
+			if err != nil {
+				f.Fatal(err)
+			}
+			code, resp := serve(h, req)
+			if code != http.StatusOK {
+				f.Fatalf("%s %s: %d %s", program, slv, code, resp)
+			}
+			if ok, entries := scanSchedule(resp, make([]int, g.NumTasks())); !ok || !entries {
+				f.Fatalf("%s %s: the scanner declines a served result body", program, slv)
+			}
+			f.Add(resp, uint8(g.NumTasks()))
+			body = resp
+		}
+		f.Add(body, uint8(7))
+	}
+	for _, body := range []string{
+		`{"schedule":null}`, `{"schedule":[]}`, `{"schedule":[{"task":0,"proc":1}]}`,
+		`{"schedule":[{"task":2,"proc":1},{"task":2,"proc":3,"start":0.5,"finish":1e3}]}`,
+		`{"Schedule":[{"task":0,"proc":1}]}`, `{"schedule":[null]}`, `{"schedule":[{"task":-1,"proc":2}]}`,
+		`{"schedule":[{"task":0,"proc":1}],"schedule":[]}`, `{"schedule":[{"task":0,"proc":1}]} x`,
+		`{"solver":"a\"b","schedule":[{"task":0,"proc":1}]}`, `{"speedup":1,"extra":2,"schedule":[]}`,
+	} {
+		f.Add([]byte(body), uint8(4))
+	}
+	f.Fuzz(func(t *testing.T, body []byte, n uint8) {
+		seed := make([]int, n)
+		ok, entries := scanSchedule(body, seed)
+		if !ok {
+			return // declined: unmarshalSchedule reads the body
+		}
+		var base struct {
+			Schedule []schedule.Entry `json:"schedule"`
+		}
+		if err := json.Unmarshal(body, &base); err != nil {
+			t.Fatalf("the scanner accepted a body encoding/json rejects: %v", err)
+		}
+		want := make([]int, n)
+		if wantEntries := unmarshalSchedule(body, want); entries != wantEntries {
+			t.Fatalf("entries %v, encoding/json %v", entries, wantEntries)
+		}
+		if entries && !slices.Equal(seed, want) {
+			t.Fatalf("seed %v, encoding/json %v", seed, want)
 		}
 	})
 }

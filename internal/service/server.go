@@ -815,7 +815,9 @@ func (s *Server) decodeSchedule(w http.ResponseWriter, r *http.Request, scratch 
 	body := buf.Bytes()
 	scratch.body = body // the canonicalizer's name spans point into it
 	if rerr == nil && scanRequest(body, req, &scratch.c) {
-		req.scanned = scratch
+		if len(req.Graph) > 0 && string(req.Graph) != "null" {
+			req.scanned = scratch
+		}
 		return nil
 	}
 	s.wireSlowDecodes.Add(1)
@@ -1113,9 +1115,6 @@ func (s *Server) process(ctx context.Context, req *rawRequest, defLane engine.La
 		meta = &procMeta{}
 	}
 	tr := obs.FromContext(ctx)
-	if len(req.Graph) == 0 || string(req.Graph) == "null" {
-		return nil, "", badRequest("missing graph")
-	}
 	// Graph errors precede the other validations, exactly as they did
 	// when the body decode materialized (and validated) the graph before
 	// process ever ran — and they carry the same messages. Acyclicity is
@@ -1124,9 +1123,12 @@ func (s *Server) process(ctx context.Context, req *rawRequest, defLane engine.La
 	// rejected by the cold closure with the unchanged wrapped message.
 	scratch := req.scanned
 	var err error
-	if scratch != nil {
+	switch {
+	case scratch != nil:
 		err = scratch.c.Canonicalize()
-	} else {
+	case len(req.Graph) == 0 || string(req.Graph) == "null":
+		return nil, "", badRequest("missing graph")
+	default:
 		scratch = canonPool.Get().(*canonScratch)
 		defer putScratch(scratch)
 		err = scratch.c.Parse(req.Graph)

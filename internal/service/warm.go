@@ -76,20 +76,11 @@ func (s *Server) warmAttempt(ctx context.Context, scratch *canonScratch, req *ra
 	if !ok {
 		return nil, "", false, nil
 	}
-	var base struct {
-		Schedule []schedule.Entry `json:"schedule"`
-	}
-	if err := json.Unmarshal(bbody, &base); err != nil || len(base.Schedule) == 0 {
+	// Tasks past the edited graph's count are never projected, so the
+	// seed stops there.
+	seed := make([]int, min(max(ent.NumTasks, 0), scratch.c.NumTasks()))
+	if !scheduleSeed(bbody, seed) {
 		return nil, "", false, nil
-	}
-	seed := make([]int, ent.NumTasks)
-	for i := range seed {
-		seed[i] = -1
-	}
-	for _, e := range base.Schedule {
-		if t := int(e.Task); t >= 0 && t < len(seed) {
-			seed[t] = e.Proc
-		}
 	}
 	assign := taskgraph.ProjectAssignment(seed, scratch.c.NumTasks(), topo.N())
 
@@ -137,4 +128,93 @@ func (s *Server) warmAttempt(ctx context.Context, scratch *canonScratch, req *ra
 	}
 	body, err := s.solve(ctx, slv, sreq, req.TimeoutMS, kopt.Topo, warmKey, lane, idx)
 	return body, "miss", true, err
+}
+
+// resultFields and entryFields are the wire keys of Result and
+// schedule.Entry, in the order of their struct fields.
+var (
+	resultFields = []string{"solver", "program", "topology", "makespan", "t1", "speedup", "messages",
+		"transfer_time", "overhead_time", "epochs", "forced", "utilization", "schedule"}
+	entryFields = []string{"task", "proc", "start", "finish"}
+)
+
+// scheduleSeed fills seed from a cached result body: seed[t] is the
+// processor the body's schedule places task t on (the last entry for t
+// wins), or -1. It reports whether the schedule has any entry; a body
+// without one, or one that is not a result, seeds nothing. The body is
+// read by scanSchedule, and by unmarshalSchedule when it lies outside
+// the scanner's subset.
+func scheduleSeed(body []byte, seed []int) bool {
+	if ok, entries := scanSchedule(body, seed); ok {
+		return entries
+	}
+	return unmarshalSchedule(body, seed)
+}
+
+// scanSchedule is scheduleSeed's one-pass read: a taskgraph.Scanner over
+// Result's exact keys, every value read as encoding/json would decode it
+// into Result. ok reports whether the whole body lay in the scanner's
+// subset; only then do seed and entries hold the answer.
+func scanSchedule(body []byte, seed []int) (ok, entries bool) {
+	for i := range seed {
+		seed[i] = -1
+	}
+	sc := taskgraph.NewScanner(body)
+	var seen uint32
+	sc.Begin('{')
+	for i := 0; sc.More('}', i); i++ {
+		switch sc.Field(&seen, resultFields) {
+		case "solver", "program", "topology":
+			sc.Str()
+		case "makespan", "t1", "speedup", "transfer_time", "overhead_time", "utilization":
+			sc.Float()
+		case "messages", "epochs", "forced":
+			sc.Int()
+		case "schedule":
+			if sc.Null() {
+				continue
+			}
+			sc.Begin('[')
+			for j := 0; sc.More(']', j); j++ {
+				entries = true
+				var task, proc int
+				var eseen uint32
+				sc.Begin('{')
+				for k := 0; sc.More('}', k); k++ {
+					switch sc.Field(&eseen, entryFields) {
+					case "task":
+						task = sc.Int()
+					case "proc":
+						proc = sc.Int()
+					case "start", "finish":
+						sc.Float()
+					}
+				}
+				if task >= 0 && task < len(seed) {
+					seed[task] = proc
+				}
+			}
+		}
+	}
+	return sc.End(), entries
+}
+
+// unmarshalSchedule is scheduleSeed by encoding/json, for any body the
+// scanner declines.
+func unmarshalSchedule(body []byte, seed []int) bool {
+	var base struct {
+		Schedule []schedule.Entry `json:"schedule"`
+	}
+	if err := json.Unmarshal(body, &base); err != nil || len(base.Schedule) == 0 {
+		return false
+	}
+	for i := range seed {
+		seed[i] = -1
+	}
+	for _, e := range base.Schedule {
+		if t := int(e.Task); t >= 0 && t < len(seed) {
+			seed[t] = e.Proc
+		}
+	}
+	return true
 }

@@ -153,9 +153,10 @@ type rawRequest struct {
 	NoCache         bool            `json:"nocache,omitempty"`
 	Trace           bool            `json:"trace,omitempty"`
 
-	// scanned, when set, holds the graph the one-pass wire scanner
-	// already read (syntax only): process checks and canonicalizes it
-	// there instead of parsing Graph again.
+	// scanned, when set, holds a graph already read (syntax only) — by
+	// the one-pass wire scanner, or the delta handler's edited base — and
+	// Graph is not consulted: process checks and canonicalizes the
+	// scanned graph instead of parsing Graph.
 	scanned *canonScratch
 }
 

@@ -23,18 +23,24 @@ import (
 // Graph.Fingerprint, so keys derived from either path are interchangeable.
 //
 // The graph is read by the hand-written Scanner when the document lies in
-// its subset and by encoding/json otherwise (ParseReference); both leave
+// its subset and by encoding/json otherwise (ReadReference); both leave
 // the same state behind. On the scanner's path task and graph names stay
 // spans into the parsed document, so the caller must leave those bytes
-// unchanged until the next Scan, Parse or Reset; Graph copies the names
-// out.
+// unchanged until the next Scan, Read, Parse or Reset; Graph copies the
+// names out. Nothing is ever written into the document.
+//
+// Between a read and Canonicalize the graph can be edited in place
+// (SetLoad, AppendTask, AppendEdge, SetEdge, DeleteEdge), so a caller
+// that changes a stored graph reads it once and checks it once, exactly
+// as if the edited document had arrived on the wire.
 //
 // A Canonicalizer is reusable: every parse resets all state, and steady
 // state reuse (e.g. from a sync.Pool) of the scanner's path allocates
 // nothing. It is not safe for concurrent use.
 type Canonicalizer struct {
 	text  []byte      // what every name span indexes: the parsed document, or own
-	own   []byte      // ParseReference's copies of the decoded names
+	own   []byte      // the document's text plus names decoded or appended since
+	owned bool        // text is own, so names may be appended to it
 	name  span        // the graph's name
 	tasks []canonTask // input order until Canonicalize sorts them by ID
 	edges []jsonEdge  // input order
@@ -71,16 +77,26 @@ var (
 // fingerprint are well-defined for cyclic inputs, and the served cache
 // path only materializes a Graph on a miss.
 //
-// The document is scanned once by the Scanner; if it lies outside the
-// scanner's subset, Parse falls back to ParseReference, so every
-// rejection is encoding/json's.
+// Parse is Read followed by Canonicalize. A document outside the
+// scanner's subset is decoded by encoding/json, so every rejection is
+// encoding/json's.
 func (c *Canonicalizer) Parse(data []byte) error {
+	if err := c.Read(data); err != nil {
+		return decodeError(err)
+	}
+	return c.Canonicalize()
+}
+
+// Read reads one whole graph document, syntax only, as Scan does: by the
+// Scanner when the document lies in its subset and by ReadReference
+// otherwise. An error is encoding/json's, unwrapped.
+func (c *Canonicalizer) Read(data []byte) error {
 	sc := NewScanner(data)
 	c.Scan(&sc)
 	if sc.End() {
-		return c.Canonicalize()
+		return nil
 	}
-	return c.ParseReference(data)
+	return c.ReadReference(data)
 }
 
 // Scan reads one graph object at the scanner's position, syntax only:
@@ -144,38 +160,101 @@ func (c *Canonicalizer) Scan(sc *Scanner) {
 }
 
 // ParseReference is Parse without the scanner: encoding/json decodes the
-// document, exactly as Graph.UnmarshalJSON does. Parse falls back to it
-// for any document outside the scanner's subset, and it is the oracle the
+// document, exactly as Graph.UnmarshalJSON does. It is the oracle the
 // scanner is tested against.
 func (c *Canonicalizer) ParseReference(data []byte) error {
+	if err := c.ReadReference(data); err != nil {
+		return decodeError(err)
+	}
+	return c.Canonicalize()
+}
+
+// ReadReference is Read without the scanner: encoding/json decodes the
+// document into the state Scan would have left, copying the names into
+// c's own text. Read falls back to it for any document outside the
+// scanner's subset. An error is encoding/json's, unwrapped.
+func (c *Canonicalizer) ReadReference(data []byte) error {
 	c.reset(nil)
 	var jg jsonGraph
 	if err := json.Unmarshal(data, &jg); err != nil {
-		// Match json.Unmarshal into a *Graph exactly: its validity
-		// pre-scan reports syntax errors bare, before Graph.UnmarshalJSON
-		// (whose "taskgraph: decode:" wrapper applies to everything else)
-		// ever runs.
-		var syn *json.SyntaxError
-		if errors.As(err, &syn) {
-			return err
-		}
-		return fmt.Errorf("taskgraph: decode: %w", err)
+		return err
 	}
-	c.own = c.own[:0]
 	c.name = c.keep(jg.Name)
 	for _, t := range jg.Tasks {
 		c.tasks = append(c.tasks, canonTask{id: t.ID, load: t.Load, name: c.keep(t.Name)})
 	}
 	c.edges = append(c.edges, jg.Edges...)
-	c.text = c.own
-	return c.Canonicalize()
+	return nil
 }
 
-// keep copies a decoded name into c.own and returns its span.
-func (c *Canonicalizer) keep(s string) span {
+// decodeError words a read error as json.Unmarshal into a *Graph does:
+// its validity pre-scan reports syntax errors bare, before
+// Graph.UnmarshalJSON (whose "taskgraph: decode:" wrapper applies to
+// everything else) ever runs.
+func decodeError(err error) error {
+	var syn *json.SyntaxError
+	if errors.As(err, &syn) {
+		return err
+	}
+	return fmt.Errorf("taskgraph: decode: %w", err)
+}
+
+// keep copies a name into c.own and returns its span. The first copy
+// moves the text read so far into c.own as well, so the spans already
+// taken stay valid and the document read is never written.
+func (c *Canonicalizer) keep(name string) span {
+	if name == "" {
+		return span{}
+	}
+	if !c.owned {
+		c.own = append(c.own[:0], c.text...)
+		c.owned = true
+	}
 	off := len(c.own)
-	c.own = append(c.own, s...)
+	c.own = append(c.own, name...)
+	c.text = c.own
 	return span{off, len(c.own)}
+}
+
+// SetLoad sets the load of the task at position i (0 <= i < NumTasks) in
+// document order, which for a canonical document is task i.
+func (c *Canonicalizer) SetLoad(i int, load float64) { c.tasks[i].load = load }
+
+// AppendTask appends a task to the document's task list. Its name is
+// copied into c's own text.
+func (c *Canonicalizer) AppendTask(id int, name string, load float64) {
+	c.tasks = append(c.tasks, canonTask{id: id, load: load, name: c.keep(name)})
+}
+
+// AppendEdge appends an edge to the document's edge list; Canonicalize
+// merges it with any earlier edge between the same tasks.
+func (c *Canonicalizer) AppendEdge(from, to int, bits float64) {
+	c.edges = append(c.edges, jsonEdge{From: from, To: to, Bits: bits})
+}
+
+// SetEdge sets the volume of the first edge from->to in document order
+// and reports whether there was one.
+func (c *Canonicalizer) SetEdge(from, to int, bits float64) bool {
+	i := c.edgeIndex(from, to)
+	if i >= 0 {
+		c.edges[i].Bits = bits
+	}
+	return i >= 0
+}
+
+// DeleteEdge removes the first edge from->to in document order, keeping
+// the order of the rest, and reports whether there was one.
+func (c *Canonicalizer) DeleteEdge(from, to int) bool {
+	i := c.edgeIndex(from, to)
+	if i >= 0 {
+		c.edges = slices.Delete(c.edges, i, i+1)
+	}
+	return i >= 0
+}
+
+// edgeIndex returns the position of the first edge from->to, or -1.
+func (c *Canonicalizer) edgeIndex(from, to int) int {
+	return slices.IndexFunc(c.edges, func(e jsonEdge) bool { return e.From == from && e.To == to })
 }
 
 // Reset empties c and drops its reference to the last parsed document,
@@ -186,6 +265,7 @@ func (c *Canonicalizer) Reset() { c.reset(nil) }
 // reset empties c for a document whose names live in text.
 func (c *Canonicalizer) reset(text []byte) {
 	c.text = text
+	c.owned = false
 	c.name = span{}
 	c.tasks = c.tasks[:0]
 	c.edges = c.edges[:0]
@@ -194,11 +274,12 @@ func (c *Canonicalizer) reset(text []byte) {
 	c.skOK = false
 }
 
-// Canonicalize checks the graph Scan read — dense task IDs, then each
-// edge's endpoints, self-loop and volume, in Graph.UnmarshalJSON's order
-// and with its messages — and builds the canonical form and fingerprint.
-// Parse calls it; a caller that used Scan directly calls it once the
-// surrounding document is known to be well-formed.
+// Canonicalize checks the graph Scan or Read read, edits included —
+// dense task IDs, then each edge's endpoints, self-loop and volume, in
+// Graph.UnmarshalJSON's order and with its messages — and builds the
+// canonical form and fingerprint. Parse calls it; a caller that used Scan
+// directly calls it once the surrounding document is known to be
+// well-formed.
 func (c *Canonicalizer) Canonicalize() error {
 	tasks := c.tasks
 	slices.SortFunc(tasks, func(a, b canonTask) int { return cmp.Compare(a.id, b.id) })
@@ -288,7 +369,7 @@ func (c *Canonicalizer) fingerprint() uint64 {
 // Graph.Fingerprint of the materialized graph.
 func (c *Canonicalizer) Fingerprint() uint64 { return c.fp }
 
-// NumTasks returns the parsed graph's task count.
+// NumTasks returns the task count of the graph read so far.
 func (c *Canonicalizer) NumTasks() int { return len(c.tasks) }
 
 // Sketch returns the parsed graph's structural minhash sketch, equal to

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -126,6 +127,78 @@ func TestCanonicalizerReuse(t *testing.T) {
 		}
 		if c.Fingerprint() != fresh.Fingerprint() {
 			t.Errorf("%s: reused fingerprint differs", name)
+		}
+	}
+}
+
+// TestCanonicalizerEdits edits a read document in place — on the
+// scanner's path and on encoding/json's — and checks the result against
+// the graph built with the same edits, and that the document itself,
+// spare capacity included, is never written: an appended task's name
+// goes to the canonicalizer's own text.
+func TestCanonicalizerEdits(t *testing.T) {
+	for name, doc := range map[string]string{
+		"scanned": `{"name":"g","tasks":[{"id":0,"name":"a","load":1},{"id":1,"name":"b","load":2},{"id":2,"load":3}],` +
+			`"edges":[{"from":0,"to":1,"bits":4},{"from":1,"to":2,"bits":5},{"from":0,"to":2,"bits":6}]}`,
+		"escaped": `{"name":"g\u0020","tasks":[{"id":0,"name":"a","load":1},{"id":1,"name":"b","load":2},{"id":2,"load":3}],` +
+			`"edges":[{"from":0,"to":1,"bits":4},{"from":1,"to":2,"bits":5},{"from":0,"to":2,"bits":6}]}`,
+	} {
+		data := make([]byte, len(doc), len(doc)+64)
+		copy(data, doc)
+		for i := len(doc); i < cap(data); i++ {
+			data[:cap(data)][i] = '#'
+		}
+		orig := slices.Clone(data[:cap(data)])
+
+		var c Canonicalizer
+		if err := c.Read(data); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		c.SetLoad(2, 7)
+		c.AppendTask(3, "new <task> ü", 8)
+		c.AppendEdge(2, 3, 9)
+		c.AppendEdge(0, 1, 0.5)
+		if !c.SetEdge(1, 2, 10) || c.SetEdge(2, 1, 1) {
+			t.Fatalf("%s: SetEdge found the wrong edges", name)
+		}
+		if !c.DeleteEdge(0, 2) || c.DeleteEdge(0, 2) {
+			t.Fatalf("%s: DeleteEdge found the wrong edges", name)
+		}
+		if err := c.Canonicalize(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !bytes.Equal(data[:cap(data)], orig) {
+			t.Fatalf("%s: editing wrote into the document:\n%s\nwas\n%s", name, data[:cap(data)], orig)
+		}
+
+		var g Graph
+		if err := json.Unmarshal([]byte(doc), &g); err != nil {
+			t.Fatal(err)
+		}
+		want := New(g.Name())
+		for id, load := range []float64{1, 2, 7} {
+			want.AddTask(g.Task(TaskID(id)).Name, load)
+		}
+		want.AddTask("new <task> ü", 8)
+		for _, e := range [][3]float64{{0, 1, 4}, {1, 2, 10}, {2, 3, 9}, {0, 1, 0.5}} {
+			want.MustAddEdge(TaskID(e[0]), TaskID(e[1]), e[2])
+		}
+		wantJSON, err := want.CanonicalJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := c.AppendCanonicalJSON(nil); !bytes.Equal(got, wantJSON) {
+			t.Errorf("%s: edited canonical form\n%s\nwant\n%s", name, got, wantJSON)
+		}
+		if c.Fingerprint() != want.Fingerprint() {
+			t.Errorf("%s: edited fingerprint differs from the built graph's", name)
+		}
+		got, err := c.Graph()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Task(3).Name != "new <task> ü" || got.Task(0).Name != "a" || got.Name() != g.Name() {
+			t.Errorf("%s: materialized names %q %q %q", name, got.Name(), got.Task(0).Name, got.Task(3).Name)
 		}
 	}
 }
