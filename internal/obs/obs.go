@@ -24,6 +24,8 @@
 //	mem_tier      memory-tier consult (and singleflight arbitration)
 //	singleflight  waiting on an identical in-flight solve
 //	disk_tier     persistent-tier consult
+//	warm_seed     near-miss lookup, base schedule read, seed projection
+//	materialize   canonical form -> *Graph, solver-request checks
 //	engine_queue  admission to worker pickup (per-lane queue wait)
 //	solve         worker-held solver execution
 //	marshal       result -> wire JSON
@@ -48,6 +50,7 @@ const (
 	StageDiskTier     = "disk_tier"
 	StageRemoteTier   = "remote_tier"
 	StageWarmSeed     = "warm_seed"
+	StageMaterialize  = "materialize"
 	StageQueue        = "engine_queue"
 	StageSolve        = "solve"
 	StageMarshal      = "marshal"
@@ -62,8 +65,8 @@ const (
 // duration histograms.
 var Stages = []string{
 	StageDecode, StageCanonicalize, StageMemTier, StageSingleflight,
-	StageDiskTier, StageRemoteTier, StageWarmSeed, StageQueue, StageSolve,
-	StageMarshal,
+	StageDiskTier, StageRemoteTier, StageWarmSeed, StageMaterialize, StageQueue,
+	StageSolve, StageMarshal,
 }
 
 // ProxyStages lists the dtproxy-side stage names in request order.

@@ -240,7 +240,7 @@ func TestDiskCacheDisabled(t *testing.T) {
 	if err := json.Unmarshal(body, &env); err != nil || env.Trace == nil {
 		t.Fatalf("no trace block (%v): %s", err, body)
 	}
-	want := []string{"decode", "canonicalize", "mem_tier", "engine_queue", "solve", "marshal"}
+	want := []string{"decode", "canonicalize", "mem_tier", "materialize", "engine_queue", "solve", "marshal"}
 	if got := depth0Stages(env.Trace); fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("memory-only stages = %v, want %v", got, want)
 	}

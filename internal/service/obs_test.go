@@ -69,7 +69,7 @@ func TestTracedRequestStageBreakdown(t *testing.T) {
 		t.Fatalf("trace splice damaged the result payload: %+v", env.Result)
 	}
 
-	want := []string{"decode", "canonicalize", "mem_tier", "disk_tier", "engine_queue", "solve", "marshal"}
+	want := []string{"decode", "canonicalize", "mem_tier", "disk_tier", "materialize", "engine_queue", "solve", "marshal"}
 	got := depth0Stages(env.Trace)
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("cold traced solve stages = %v, want %v", got, want)

@@ -1103,11 +1103,11 @@ func (s *Server) parseTopo(spec string) (*topology.Topology, error) {
 // "coalesced". defLane is the QoS lane used when the request names none:
 // interactive for single schedule calls, batch for batch members.
 //
-// The graph arrives as raw bytes and is decoded by the fused
-// canonicalizer: one pass yields the canonical form and fingerprint the
+// The graph arrives as raw bytes, or already read (req.scanned), and is
+// decoded by the fused canonicalizer: one pass yields the canonical form and fingerprint the
 // cache key hashes, so a warm hit is bounded by that pass plus the
 // response write — no *Graph is built and no canonical re-marshal
-// happens. The solver-ready Graph materializes inside the cold closure,
+// happens. The solver-ready Graph materializes inside solveGraph,
 // which only runs on a genuine miss (or an explicit nocache solve).
 func (s *Server) process(ctx context.Context, req *rawRequest, defLane engine.Lane, meta *procMeta) ([]byte, string, error) {
 	canonStart := time.Now()
@@ -1120,7 +1120,7 @@ func (s *Server) process(ctx context.Context, req *rawRequest, defLane engine.La
 	// process ever ran — and they carry the same messages. Acyclicity is
 	// the one check the canonicalizer defers to materialization: a cyclic
 	// graph misses every tier (nothing cyclic was ever cached) and is
-	// rejected by the cold closure with the unchanged wrapped message.
+	// rejected by solveGraph with the unchanged wrapped message.
 	scratch := req.scanned
 	var err error
 	switch {
@@ -1193,17 +1193,19 @@ func (s *Server) process(ctx context.Context, req *rawRequest, defLane engine.La
 	}
 	meta.key = key
 
-	// cold materializes the graph and runs the solver — the only path
-	// that pays for a *Graph. It runs at most once per process call (as
-	// flight leader, as a waiter retrying a leader's context death, or
-	// for a nocache solve), always within this frame, so borrowing the
-	// pooled canonicalizer is safe.
-	cold := func(ctx context.Context) ([]byte, error) {
+	// solveGraph materializes the graph, checks the solver request and
+	// runs the solver with SA options sa, storing the body under addr —
+	// the only path that pays for a *Graph. It runs at most once per
+	// process call (cold or warm-started; as flight leader, as a waiter
+	// retrying a leader's context death, or for a nocache solve), always
+	// within this frame, so borrowing the pooled canonicalizer is safe.
+	solveGraph := func(ctx context.Context, sa core.Options, addr string) ([]byte, error) {
+		start := time.Now()
 		g, err := scratch.c.Graph()
 		if err != nil {
 			return nil, badRequest("decode request: %v", err)
 		}
-		sreq := solver.Request{Graph: g, Topo: topo, Comm: comm, SA: saOpt}
+		sreq := solver.Request{Graph: g, Topo: topo, Comm: comm, SA: sa}
 		sreq.Portfolio.MemberTimeout = time.Duration(req.MemberTimeoutMS) * time.Millisecond
 		if err := sreq.Validate(); err != nil {
 			return nil, badRequest("%v", err)
@@ -1218,7 +1220,8 @@ func (s *Server) process(ctx context.Context, req *rawRequest, defLane engine.La
 				Graph: scratch.c.AppendCanonicalJSON(nil), Opt: kopt,
 				NumTasks: scratch.c.NumTasks()}
 		}
-		return s.solve(ctx, slv, sreq, req.TimeoutMS, topo.Name(), key, lane, idx)
+		obs.FromContext(ctx).Observe(obs.StageMaterialize, start, time.Since(start))
+		return s.solve(ctx, slv, sreq, req.TimeoutMS, kopt.Topo, addr, lane, idx)
 	}
 	if tr != nil {
 		// Notes first, so the stage that follows starts as soon as this
@@ -1252,7 +1255,7 @@ func (s *Server) process(ctx context.Context, req *rawRequest, defLane engine.La
 						// about the leader's connection, not this
 						// waiter's. Solve independently under our own
 						// context instead of propagating it.
-						body, err := cold(ctx)
+						body, err := solveGraph(ctx, saOpt, key)
 						return body, "miss", err
 					}
 					return nil, "", f.err
@@ -1304,17 +1307,17 @@ func (s *Server) process(ctx context.Context, req *rawRequest, defLane engine.La
 		// warm-start from a cached near-miss (or the delta endpoint's
 		// explicit base). The warm path answers the flight too, so
 		// coalesced waiters replay the warm bytes and headers.
-		if body, tag, handled, werr := s.warmAttempt(ctx, scratch, req, kopt, key,
-			meta, topo, comm, saOpt, slv, lane); handled {
+		if body, tag, handled, werr := s.warmAttempt(ctx, scratch, kopt, key,
+			meta, topo, saOpt, slv, solveGraph); handled {
 			f.body, f.err = body, werr
 			f.addr, f.warm, f.warmDist = meta.key, meta.warm, meta.warmDist
 			return body, tag, werr
 		}
-		body, err := cold(ctx)
+		body, err := solveGraph(ctx, saOpt, key)
 		f.body, f.err, f.addr = body, err, key
 		return body, "miss", err
 	}
-	body, err := cold(ctx)
+	body, err := solveGraph(ctx, saOpt, key)
 	return body, "miss", err
 }
 

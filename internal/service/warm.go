@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/schedule"
 	"repro/internal/solver"
@@ -31,11 +30,12 @@ import (
 // The caller is the flight leader: meta gets the warm verdict either
 // way, and tag is "hit" or a local rung's name for warm-key replays or
 // "miss" for a warm-started solver execution — a warm solve is still a
-// solve under the conservation law.
-func (s *Server) warmAttempt(ctx context.Context, scratch *canonScratch, req *rawRequest,
+// solve under the conservation law. The solve itself is process's
+// solveGraph, run with the warm start and under the warm key.
+func (s *Server) warmAttempt(ctx context.Context, scratch *canonScratch,
 	kopt keyOptions, key string, meta *procMeta, topo *topology.Topology,
-	comm topology.CommParams, saOpt core.Options, slv solver.Solver,
-	lane engine.Lane) ([]byte, string, bool, error) {
+	saOpt core.Options, slv solver.Solver,
+	solveGraph func(context.Context, core.Options, string) ([]byte, error)) ([]byte, string, bool, error) {
 
 	if s.sim == nil || meta.noWarm || slv.Name() != "sa" {
 		return nil, "", false, nil
@@ -111,22 +111,7 @@ func (s *Server) warmAttempt(ctx context.Context, scratch *canonScratch, req *ra
 
 	saw := saOpt
 	saw.Warm = &core.WarmStart{Assignment: assign, Distance: dist}
-	g, err := scratch.c.Graph()
-	if err != nil {
-		return nil, "", true, badRequest("decode request: %v", err)
-	}
-	sreq := solver.Request{Graph: g, Topo: topo, Comm: comm, SA: saw}
-	sreq.Portfolio.MemberTimeout = time.Duration(req.MemberTimeoutMS) * time.Millisecond
-	if err := sreq.Validate(); err != nil {
-		return nil, "", true, badRequest("%v", err)
-	}
-	var idx *simEntry
-	if !req.NoCache {
-		idx = &simEntry{Topo: kopt.Topo, Spec: req.Topo, Sketch: sk,
-			Graph: scratch.c.AppendCanonicalJSON(nil), Opt: kopt,
-			NumTasks: scratch.c.NumTasks()}
-	}
-	body, err := s.solve(ctx, slv, sreq, req.TimeoutMS, kopt.Topo, warmKey, lane, idx)
+	body, err := solveGraph(ctx, saw, warmKey)
 	return body, "miss", true, err
 }
 
