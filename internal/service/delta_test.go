@@ -327,10 +327,9 @@ func deltaParityRows(base string, n, from, to int) [][2]string {
 
 // decoderType maps the reference's decode-error type names to the
 // handler's. It is the table's one intended difference: encoding/json
-// names the type it failed to decode into, and a graph outside the
-// scanner's subset is now decoded into taskgraph's document type rather
-// than the handler's own, so a 500 for an undecodable indexed graph
-// names that type.
+// names the type it failed to decode into, which is taskgraph's
+// document type for the handler and deltaGraph for the reference, so a
+// 500 for an undecodable indexed graph names a different type.
 var decoderType = strings.NewReplacer(
 	"service.deltaGraph", "taskgraph.jsonGraph", "service.deltaTask", "taskgraph.jsonTask",
 	"service.deltaEdge", "taskgraph.jsonEdge", "deltaGraph.", "jsonGraph.")
@@ -474,9 +473,8 @@ func TestDeltaGoldenChain(t *testing.T) {
 // read and edited, canonicalized and keyed, the base schedule read and
 // projected into a seed, the warm key derived and the cached body
 // written. Only the solve itself is left out, so the budget prices the
-// request path around it. It measured 66 allocations (183 while the
-// handler re-encoded the edited graph and encoding/json read the base
-// body); the bound leaves 9 of margin.
+// request path around it. It measures 66 allocations on Go 1.24; the
+// bound leaves 9 of margin.
 func TestDeltaAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("-race randomly drops sync.Pool items, so pooled scratch is reallocated")
