@@ -515,3 +515,23 @@ func TestDeltaAllocs(t *testing.T) {
 	}
 	t.Logf("warm delta replay: %.0f allocs", allocs)
 }
+
+// TestDeltaHostileTaskCount: a sim-index entry whose num_tasks is
+// negative or far larger than any graph (as a hostile index file can
+// hold) still seeds a delta: the seed is sized by the edited graph, so
+// neither count reaches make.
+func TestDeltaHostileTaskCount(t *testing.T) {
+	svc, base, ent := deltaParityServer(t)
+	h := svc.Handler()
+	body, _ := svc.cache.Get(base)
+	for _, n := range []int{-1, 1 << 40} {
+		e := ent
+		e.Key, e.NumTasks = fmt.Sprintf("tasks%d", n), n
+		svc.sim.Add(e)
+		svc.cache.Put(e.Key, body)
+		rec := serveDelta(h, []byte(`{"base":"`+e.Key+`","edits":[{"op":"set_load","task":1,"load":3}]}`))
+		if rec.Code != http.StatusOK || rec.Header().Get("X-DTServe-Warm") == "" {
+			t.Errorf("num_tasks %d: %d warm=%q %s", n, rec.Code, rec.Header().Get("X-DTServe-Warm"), rec.Body.Bytes())
+		}
+	}
+}
