@@ -267,12 +267,12 @@ func FuzzScheduleScanMatchesUnmarshal(f *testing.F) {
 	defer svc.Close()
 	h := svc.Handler()
 	for _, program := range []string{"NE", "GJ", "FFT", "MM"} {
-		body := []byte(nil)
+		g, err := cliutil.BuildProgram(program)
+		if err != nil {
+			f.Fatal(err)
+		}
+		var body []byte
 		for _, slv := range []string{"sa", "hlf"} {
-			g, err := cliutil.BuildProgram(program)
-			if err != nil {
-				f.Fatal(err)
-			}
 			req, err := json.Marshal(ScheduleRequest{Graph: g, Topo: "hypercube:3", Solver: slv, Seed: 1991})
 			if err != nil {
 				f.Fatal(err)
