@@ -2,6 +2,7 @@ package service
 
 import (
 	"container/list"
+	"crypto/sha256"
 	"sync"
 )
 
@@ -59,6 +60,14 @@ type TierStats struct {
 // Cache is a bounded, content-addressed LRU of marshaled results. Values
 // are the exact response bytes, so a hit replays a byte-identical body
 // without re-marshaling (and without re-solving). Safe for concurrent use.
+//
+// Beside the entries the cache keeps aliases: the SHA-256 of a raw request
+// body mapped to the entry that body's full decode was answered from, so
+// the same bytes sent again skip the decode. An alias is a pure function
+// of the bytes (every input to the key besides them is fixed when the
+// server starts), it points at an entry rather than holding a copy, it
+// goes when its entry is evicted, and there are never more aliases than
+// the cache's entry bound, least recently used dropped first.
 type Cache struct {
 	mu        sync.Mutex
 	max       int
@@ -69,11 +78,25 @@ type Cache struct {
 	hits      uint64
 	misses    uint64
 	evictions uint64
+
+	aliases *list.List // of *alias; front = most recently used
+	byBody  map[[sha256.Size]byte]*alias
 }
 
 type cacheEntry struct {
-	key string
-	val []byte
+	key     string
+	val     []byte
+	aliases *alias // head of the aliases pointing here, linked by sprev/snext
+}
+
+// alias maps the SHA-256 of a request body to the entry that answered it.
+type alias struct {
+	sum    [sha256.Size]byte
+	target *list.Element // the entry's element in Cache.ll
+	lane   string        // the request's QoS lane, for the request log
+	el     *list.Element // this alias's element in Cache.aliases
+
+	sprev, snext *alias // the target entry's other aliases
 }
 
 // defaultMaxBytes bounds the cache's stored-bytes footprint when the
@@ -92,7 +115,8 @@ func NewCache(max int, maxBytes int64) *Cache {
 	if maxBytes <= 0 {
 		maxBytes = defaultMaxBytes
 	}
-	return &Cache{max: max, maxBytes: maxBytes, ll: list.New(), items: make(map[string]*list.Element, max)}
+	return &Cache{max: max, maxBytes: maxBytes, ll: list.New(), items: make(map[string]*list.Element, max),
+		aliases: list.New(), byBody: make(map[[sha256.Size]byte]*alias)}
 }
 
 // Get returns the cached bytes for key and whether they were present,
@@ -139,9 +163,84 @@ func (c *Cache) Put(key string, val []byte) {
 		c.ll.Remove(oldest)
 		e := oldest.Value.(*cacheEntry)
 		delete(c.items, e.key)
+		for a := e.aliases; a != nil; a = a.snext {
+			delete(c.byBody, a.sum)
+			c.aliases.Remove(a.el)
+		}
 		c.bytes -= int64(len(e.val))
 		c.evictions++
 	}
+}
+
+// getAlias answers a request body by its SHA-256: the bytes of the entry
+// the body's alias points at, that entry's key and the request's lane,
+// counted as a hit. A body with no alias, or whose key has a solve in
+// inflight, is a miss that counts nothing — the caller's full lookup
+// counts it, once.
+func (c *Cache) getAlias(sum *[sha256.Size]byte, inflight map[string]*flight) (val []byte, key, lane string, ok bool) {
+	if c == nil {
+		return nil, "", "", false
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	a := c.byBody[*sum]
+	if a == nil {
+		return nil, "", "", false
+	}
+	e := a.target.Value.(*cacheEntry)
+	if _, busy := inflight[e.key]; busy {
+		return nil, "", "", false
+	}
+	c.hits++
+	c.ll.MoveToFront(a.target)
+	c.aliases.MoveToFront(a.el)
+	return e.val, e.key, a.lane, true
+}
+
+// putAlias points the body hashing to sum at key's entry; a key evicted
+// since it answered gets no alias. At the bound the least recently used
+// alias makes way, its node reused.
+func (c *Cache) putAlias(sum *[sha256.Size]byte, key, lane string) {
+	if c == nil {
+		return
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	target, ok := c.items[key]
+	if !ok {
+		return
+	}
+	if a := c.byBody[*sum]; a != nil {
+		// The same bytes always decode to the same key, and an evicted
+		// entry takes its aliases with it, so a is already target's.
+		c.aliases.MoveToFront(a.el)
+		return
+	}
+	var a *alias
+	if len(c.byBody) < c.max {
+		a = new(alias)
+		a.el = c.aliases.PushFront(a)
+	} else {
+		a = c.aliases.Back().Value.(*alias)
+		delete(c.byBody, a.sum)
+		if a.sprev != nil {
+			a.sprev.snext = a.snext
+		} else {
+			a.target.Value.(*cacheEntry).aliases = a.snext
+		}
+		if a.snext != nil {
+			a.snext.sprev = a.sprev
+		}
+		c.aliases.MoveToFront(a.el)
+	}
+	e := target.Value.(*cacheEntry)
+	a.sum, a.target, a.lane = *sum, target, lane
+	a.sprev, a.snext = nil, e.aliases
+	if e.aliases != nil {
+		e.aliases.sprev = a
+	}
+	e.aliases = a
+	c.byBody[*sum] = a
 }
 
 // CacheStats is a point-in-time snapshot of the cache counters.
@@ -153,6 +252,8 @@ type CacheStats struct {
 	Max       int    `json:"max"`
 	Bytes     int64  `json:"bytes"`
 	MaxBytes  int64  `json:"max_bytes"`
+	// Aliases counts the request-body aliases held, at most Max.
+	Aliases int `json:"aliases"`
 }
 
 // Stats returns the current counters (zero-valued for a disabled cache).
@@ -170,5 +271,6 @@ func (c *Cache) Stats() CacheStats {
 		Max:       c.max,
 		Bytes:     c.bytes,
 		MaxBytes:  c.maxBytes,
+		Aliases:   len(c.byBody),
 	}
 }

@@ -70,6 +70,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	counter("dtserve_shed_total", "Requests refused by admission control with a 429 (lane depth or queue-delay budget exhausted).", st.Shed)
 	counter("dtserve_cancelled_total", "Solves cancelled by their caller going away (client disconnect, drain).", st.Cancelled)
 	counter("dtserve_wire_slow_decodes_total", "/v1/schedule bodies outside the one-pass scanner's subset, decoded by encoding/json instead.", st.WireSlowDecodes)
+	counter("dtserve_alias_hits_total", "/v1/schedule bodies answered from the memory tier by the alias of their exact bytes, without a decode; a subset of the memory hits.", st.AliasHits)
 	counter("dtserve_traces_total", "Completed request traces recorded to the /debug/requests ring.", st.Traces)
 	draining := int64(0)
 	if st.Draining {

@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -139,6 +140,11 @@ type Server struct {
 	// wireSlowDecodes counts /v1/schedule bodies the one-pass scanner
 	// declined, decoded by encoding/json instead.
 	wireSlowDecodes atomic.Uint64
+	// aliasHits counts /v1/schedule bodies answered from the memory tier
+	// by their bytes' alias, without a decode. Incremented after the
+	// item's account("hit"), so a snapshot never shows more alias hits
+	// than memory hits.
+	aliasHits atomic.Uint64
 
 	draining  atomic.Bool
 	drainCh   chan struct{} // closed by BeginDrain
@@ -277,6 +283,10 @@ type Stats struct {
 	// scanner's subset (escaped strings, unknown or case-variant keys,
 	// read errors, malformed JSON, ...), decoded by encoding/json instead.
 	WireSlowDecodes uint64 `json:"wire_slow_decodes"`
+	// AliasHits counts /v1/schedule bodies answered from the memory tier
+	// by the alias of their exact bytes, skipping the decode. They are
+	// memory hits: cache.hits already counts them, once.
+	AliasHits uint64 `json:"alias_hits"`
 	// Draining reports that BeginDrain was called: the server is
 	// finishing in-flight streams and refusing new solve work.
 	Draining bool              `json:"draining"`
@@ -481,6 +491,7 @@ func (s *Server) Stats() Stats {
 		Shed:                  s.shed,
 		Cancelled:             s.cancelled,
 		WireSlowDecodes:       s.wireSlowDecodes.Load(),
+		AliasHits:             s.aliasHits.Load(),
 		Draining:              s.draining.Load(),
 		BySolver:              by,
 		SolveErrors:           se,
@@ -705,13 +716,15 @@ const maxBodyBytes = 32 << 20
 const maxRestarts = 64
 
 // wantsTrace reports whether the request asked for a trace block
-// explicitly: "trace": true on the wire, or ?trace=1 on the URL. The
+// explicitly: "trace": true on the wire, or ?trace=1 on the URL.
+func wantsTrace(req *rawRequest, r *http.Request) bool {
+	return req.Trace || urlTrace(r)
+}
+
+// urlTrace reports whether the URL asks for a trace block (?trace=1). The
 // RawQuery guard keeps query parsing (which allocates) off the common
 // path of requests with no query string at all.
-func wantsTrace(req *rawRequest, r *http.Request) bool {
-	if req.Trace {
-		return true
-	}
+func urlTrace(r *http.Request) bool {
 	return r.URL.RawQuery != "" && r.URL.Query().Get("trace") == "1"
 }
 
@@ -724,19 +737,24 @@ func (s *Server) startTrace(ctx context.Context, sw *statusWriter, t0 time.Time,
 	if !explicit && !s.sampler.Sample() {
 		return ctx, nil
 	}
-	id := obs.NewID()
-	if sw != nil {
-		id = sw.traceID
-	}
-	tr := obs.NewTrace(id, t0)
-	if sw != nil {
-		sw.trace = tr // logged() completes and releases it
-	}
+	tr := newRequestTrace(sw, t0)
 	// The trace's own set-up is part of the decode stage, so the stage
 	// that follows starts as soon as this one is recorded.
 	ctx = obs.With(ctx, tr)
 	tr.Observe(obs.StageDecode, t0, time.Since(t0))
 	return ctx, tr
+}
+
+// newRequestTrace starts a request's trace at t0 under the logging
+// wrapper's span ID, handing the wrapper its completion; without a
+// wrapper (sw nil) the handler completes it.
+func newRequestTrace(sw *statusWriter, t0 time.Time) *obs.Trace {
+	if sw == nil {
+		return obs.NewTrace(obs.NewID(), t0)
+	}
+	tr := obs.NewTrace(sw.traceID, t0)
+	sw.trace = tr // logged() completes and releases it
+	return tr
 }
 
 // appendTraceBody splices a "trace" field into a marshaled response
@@ -767,8 +785,21 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 	}
 	scratch := canonPool.Get().(*canonScratch)
 	defer putScratch(scratch)
+	rerr := scratch.readBody(w, r)
+	// Bytes the memory tier answered before are answered again from
+	// their alias, before any decode. A body that did not read whole, or
+	// whose URL asks for a trace block, takes the full path.
+	var sum [sha256.Size]byte
+	aliasable := s.cache != nil && rerr == nil && !urlTrace(r)
+	if aliasable {
+		sum = sha256.Sum256(scratch.body)
+		if s.serveAlias(w, &sum, t0) {
+			return
+		}
+	}
 	var req rawRequest
-	if err := s.decodeSchedule(w, r, scratch, &req); err != nil {
+	scanned, err := s.decodeSchedule(scratch, rerr, &req)
+	if err != nil {
 		writeError(w, err)
 		return
 	}
@@ -799,26 +830,73 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 		// total.
 		body = appendTraceBody(body, tr.Snapshot(time.Since(t0)))
 	}
+	if aliasable && scanned && status == "hit" && !explicit {
+		// The full path answered these bytes from the memory tier under
+		// meta.key, with nothing but the body and headers the alias
+		// replays.
+		s.cache.putAlias(&sum, meta.key, laneName(req.Lane, engine.LaneInteractive))
+	}
 	writeResult(w, body, status, meta)
 }
 
-// decodeSchedule fills req from a /v1/schedule body. The body is read
-// into the scratch's pooled buffer (still capped at maxBodyBytes) and
-// decoded by scanRequest in one pass, which also leaves the graph read
-// into scratch. Whatever the scanner declines is decoded by
-// encoding/json's Decoder from the same bytes — followed, if the read
-// failed, by the same read error — so it answers exactly as it would
-// have reading the body itself.
-func (s *Server) decodeSchedule(w http.ResponseWriter, r *http.Request, scratch *canonScratch, req *rawRequest) error {
-	buf := bytes.NewBuffer(scratch.body[:0])
-	_, rerr := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	body := buf.Bytes()
-	scratch.body = body // the canonicalizer's name spans point into it
+// serveAlias answers a body from its bytes' alias in the memory tier,
+// exactly as the full path's memory hit would: same body, cache tag and
+// address, counted as a memory hit. Under s.mu, as on the full path, a
+// key with a solve in flight comes before the memory tier: it makes the
+// alias a miss, as does a body with none, and serveAlias reports false
+// having written nothing. A sampled hit records the decode stage (read
+// and hash) and the mem_tier stage, noted as an alias.
+func (s *Server) serveAlias(w http.ResponseWriter, sum *[sha256.Size]byte, t0 time.Time) bool {
+	memStart := time.Now()
+	s.mu.Lock()
+	body, key, lane, ok := s.cache.getAlias(sum, s.inflight)
+	s.mu.Unlock()
+	if !ok {
+		return false
+	}
+	s.account("hit")
+	s.aliasHits.Add(1)
+	sw, _ := w.(*statusWriter)
+	if sw != nil {
+		sw.lane = lane
+	}
+	if s.sampler.Sample() {
+		tr := newRequestTrace(sw, t0)
+		tr.Observe(obs.StageDecode, t0, memStart.Sub(t0))
+		tr.Observe(obs.StageMemTier, memStart, time.Since(memStart), obs.KV{Key: "alias", Val: "true"})
+		tr.Annotate("cache", "hit")
+		if sw == nil {
+			defer func() { s.finishTrace(tr, time.Since(t0)) }()
+		}
+	}
+	writeResult(w, body, "hit", &procMeta{key: key})
+	return true
+}
+
+// readBody reads a /v1/schedule body into the scratch's pooled buffer,
+// still capped at maxBodyBytes, returning the read error, if any, after
+// the bytes read before it.
+func (sc *canonScratch) readBody(w http.ResponseWriter, r *http.Request) error {
+	buf := bytes.NewBuffer(sc.body[:0])
+	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	sc.body = buf.Bytes() // the canonicalizer's name spans point into it
+	return err
+}
+
+// decodeSchedule fills req from the /v1/schedule body in scratch, read
+// with the error rerr. A body read whole is decoded by scanRequest in one
+// pass, which also leaves the graph read into scratch; it reports
+// scanned. Whatever the scanner declines is decoded by encoding/json's
+// Decoder from the same bytes — followed, if the read failed, by the same
+// read error — so it answers exactly as it would have reading the body
+// itself.
+func (s *Server) decodeSchedule(scratch *canonScratch, rerr error, req *rawRequest) (scanned bool, err error) {
+	body := scratch.body
 	if rerr == nil && scanRequest(body, req, &scratch.c) {
 		if len(req.Graph) > 0 && string(req.Graph) != "null" {
 			req.scanned = scratch
 		}
-		return nil
+		return true, nil
 	}
 	s.wireSlowDecodes.Add(1)
 	*req = rawRequest{} // drop whatever the declined scan had filled
@@ -827,9 +905,9 @@ func (s *Server) decodeSchedule(w http.ResponseWriter, r *http.Request, scratch 
 		src = io.MultiReader(src, errReader{rerr})
 	}
 	if err := json.NewDecoder(src).Decode(req); err != nil {
-		return badRequest("decode request: %v", err)
+		return false, badRequest("decode request: %v", err)
 	}
-	return nil
+	return false, nil
 }
 
 // errReader replays a body read error after the bytes read before it.

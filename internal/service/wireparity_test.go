@@ -297,6 +297,9 @@ func TestScratchPoolDropsBigBodies(t *testing.T) {
 
 // TestWarmHitAllocs pins the in-process warm hit's allocation budget:
 // handler entry to cached body written, for the benchmark's FFT request.
+// Every run sends the request with its own whitespace suffix, bytes no
+// alias has seen, so each takes the full decode; TestAliasHitAllocs pins
+// the repeat of identical bytes.
 func TestWarmHitAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("-race randomly drops sync.Pool items, so pooled scratch is reallocated")
@@ -313,8 +316,12 @@ func TestWarmHitAllocs(t *testing.T) {
 	}
 	req := httptest.NewRequest(http.MethodPost, "/v1/schedule", nil)
 	rd := bytes.NewReader(payload)
+	buf := make([]byte, 0, len(payload)+4)
+	i := 0
 	allocs := testing.AllocsPerRun(100, func() {
-		rd.Reset(payload)
+		buf = spaced(buf, payload, i, 4)
+		i++
+		rd.Reset(buf)
 		req.Body = io.NopCloser(rd)
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, req)
@@ -322,6 +329,9 @@ func TestWarmHitAllocs(t *testing.T) {
 			t.Fatalf("status %d, cache %q", rec.Code, rec.Header().Get("X-DTServe-Cache"))
 		}
 	})
+	if n := svc.Stats().AliasHits; n != 0 {
+		t.Fatalf("%d runs were alias hits, want every one decoded", n)
+	}
 	if allocs > 50 {
 		t.Errorf("warm hit allocates %.0f times, want <= 50", allocs)
 	}
