@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/obs"
@@ -520,4 +521,62 @@ func FuzzAliasMatchesFullPath(f *testing.F) {
 			t.Fatalf("repeat hits answered different bytes:\n%s\n%s", got[1].body, got[2].body)
 		}
 	})
+}
+
+// TestAliasConcurrent races alias probes, alias writes and evictions: 8
+// clients send 6 requests, as exact repeats and as whitespace variants,
+// to a 4-entry memory tier, and every answer must be its own request's
+// bytes.
+func TestAliasConcurrent(t *testing.T) {
+	const requests, clients, rounds = 6, 8, 40
+	payloads := make([][]byte, requests)
+	want := make([][]byte, requests)
+	for i := range payloads {
+		payloads[i] = []byte(fmt.Sprintf(`{"graph":%s,"topo":"ring:3","seed":%d}`, parityGraph, i))
+		ref, err := New(Config{CacheSize: 1, DefaultSolver: "hlf"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		a := serveAnswer(ref.Handler(), payloads[i])
+		ref.Close()
+		if a.code != http.StatusOK {
+			t.Fatalf("request %d: %d %s", i, a.code, a.body)
+		}
+		want[i] = a.body
+	}
+	svc, err := New(Config{CacheSize: 4, DefaultSolver: "hlf"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	h := svc.Handler()
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			var buf []byte
+			for n := 0; n < rounds; n++ {
+				i := (c + n) % requests
+				body := payloads[i]
+				if n%3 == 0 {
+					buf = spaced(buf, body, c*rounds+n, 6)
+					body = buf
+				}
+				if a := serveAnswer(h, body); a.code != http.StatusOK || !bytes.Equal(a.body, want[i]) {
+					t.Errorf("client %d, request %d: %d %s", c, i, a.code, a.body)
+					return
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	st := svc.Stats()
+	if st.Cache.Aliases > 4 || st.AliasHits > st.Cache.Hits {
+		t.Fatalf("%d aliases, %d alias hits of %d memory hits", st.Cache.Aliases, st.AliasHits, st.Cache.Hits)
+	}
+	if got := st.Solves + st.Cache.Hits + st.Coalesced; got != st.Items {
+		t.Fatalf("solves %d + memory hits %d + coalesced %d != items %d", st.Solves, st.Cache.Hits, st.Coalesced, st.Items)
+	}
+	t.Logf("%d items: %d solves, %d memory hits (%d by alias), %d coalesced", st.Items, st.Solves, st.Cache.Hits, st.AliasHits, st.Coalesced)
 }

@@ -79,8 +79,8 @@ type Cache struct {
 	misses    uint64
 	evictions uint64
 
-	aliases *list.List // of *alias; front = most recently used
-	byBody  map[[sha256.Size]byte]*alias
+	aliasLRU *list.List // of *alias; front = most recently used
+	byBody   map[[sha256.Size]byte]*alias
 }
 
 type cacheEntry struct {
@@ -94,7 +94,7 @@ type alias struct {
 	sum    [sha256.Size]byte
 	target *list.Element // the entry's element in Cache.ll
 	lane   string        // the request's QoS lane, for the request log
-	el     *list.Element // this alias's element in Cache.aliases
+	el     *list.Element // this alias's element in Cache.aliasLRU
 
 	sprev, snext *alias // the target entry's other aliases
 }
@@ -116,7 +116,7 @@ func NewCache(max int, maxBytes int64) *Cache {
 		maxBytes = defaultMaxBytes
 	}
 	return &Cache{max: max, maxBytes: maxBytes, ll: list.New(), items: make(map[string]*list.Element, max),
-		aliases: list.New(), byBody: make(map[[sha256.Size]byte]*alias)}
+		aliasLRU: list.New(), byBody: make(map[[sha256.Size]byte]*alias)}
 }
 
 // Get returns the cached bytes for key and whether they were present,
@@ -165,7 +165,7 @@ func (c *Cache) Put(key string, val []byte) {
 		delete(c.items, e.key)
 		for a := e.aliases; a != nil; a = a.snext {
 			delete(c.byBody, a.sum)
-			c.aliases.Remove(a.el)
+			c.aliasLRU.Remove(a.el)
 		}
 		c.bytes -= int64(len(e.val))
 		c.evictions++
@@ -174,9 +174,9 @@ func (c *Cache) Put(key string, val []byte) {
 
 // getAlias answers a request body by its SHA-256: the bytes of the entry
 // the body's alias points at, that entry's key and the request's lane,
-// counted as a hit. A body with no alias, or whose key has a solve in
-// inflight, is a miss that counts nothing — the caller's full lookup
-// counts it, once.
+// counted as a hit. A body with no alias, or whose key is in inflight (a
+// solve under way), is a miss that counts nothing — the caller's full
+// lookup counts it, once.
 func (c *Cache) getAlias(sum *[sha256.Size]byte, inflight map[string]*flight) (val []byte, key, lane string, ok bool) {
 	if c == nil {
 		return nil, "", "", false
@@ -193,7 +193,7 @@ func (c *Cache) getAlias(sum *[sha256.Size]byte, inflight map[string]*flight) (v
 	}
 	c.hits++
 	c.ll.MoveToFront(a.target)
-	c.aliases.MoveToFront(a.el)
+	c.aliasLRU.MoveToFront(a.el)
 	return e.val, e.key, a.lane, true
 }
 
@@ -213,15 +213,15 @@ func (c *Cache) putAlias(sum *[sha256.Size]byte, key, lane string) {
 	if a := c.byBody[*sum]; a != nil {
 		// The same bytes always decode to the same key, and an evicted
 		// entry takes its aliases with it, so a is already target's.
-		c.aliases.MoveToFront(a.el)
+		c.aliasLRU.MoveToFront(a.el)
 		return
 	}
 	var a *alias
 	if len(c.byBody) < c.max {
 		a = new(alias)
-		a.el = c.aliases.PushFront(a)
+		a.el = c.aliasLRU.PushFront(a)
 	} else {
-		a = c.aliases.Back().Value.(*alias)
+		a = c.aliasLRU.Back().Value.(*alias)
 		delete(c.byBody, a.sum)
 		if a.sprev != nil {
 			a.sprev.snext = a.snext
@@ -231,7 +231,7 @@ func (c *Cache) putAlias(sum *[sha256.Size]byte, key, lane string) {
 		if a.snext != nil {
 			a.snext.sprev = a.sprev
 		}
-		c.aliases.MoveToFront(a.el)
+		c.aliasLRU.MoveToFront(a.el)
 	}
 	e := target.Value.(*cacheEntry)
 	a.sum, a.target, a.lane = *sum, target, lane

@@ -841,11 +841,12 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 
 // serveAlias answers a body from its bytes' alias in the memory tier,
 // exactly as the full path's memory hit would: same body, cache tag and
-// address, counted as a memory hit. Under s.mu, as on the full path, a
-// key with a solve in flight comes before the memory tier: it makes the
-// alias a miss, as does a body with none, and serveAlias reports false
-// having written nothing. A sampled hit records the decode stage (read
-// and hash) and the mem_tier stage, noted as an alias.
+// address, counted as a memory hit. As on the full path, the singleflight
+// map is consulted before the memory tier, under s.mu: a key with a solve
+// in flight makes the alias a miss, as does a body with no alias, and
+// serveAlias then reports false having written nothing. A sampled hit
+// records the decode stage (read and hash) and the mem_tier stage, noted
+// as an alias.
 func (s *Server) serveAlias(w http.ResponseWriter, sum *[sha256.Size]byte, t0 time.Time) bool {
 	memStart := time.Now()
 	s.mu.Lock()
