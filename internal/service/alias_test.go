@@ -187,7 +187,7 @@ func (e errAfter) Read(p []byte) (int, error) {
 // path.
 func TestAliasNeverWritten(t *testing.T) {
 	valid := `{"graph":` + parityGraph + `,"topo":"ring:3","solver":"hlf"}`
-	post := func(h http.Handler, target string, body io.Reader) answer {
+	send := func(h http.Handler, target string, body io.Reader) answer {
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, target, body))
 		return answer{code: rec.Code, body: rec.Body.Bytes(), cache: rec.Header().Get("X-DTServe-Cache")}
@@ -216,7 +216,7 @@ func TestAliasNeverWritten(t *testing.T) {
 		h := svc.Handler()
 		var a answer
 		for i := 0; i < 4; i++ {
-			if a = post(h, tc.target, tc.body()); a.code != tc.code {
+			if a = send(h, tc.target, tc.body()); a.code != tc.code {
 				t.Fatalf("%s, send %d: %d %s, want %d", tc.name, i+1, a.code, a.body, tc.code)
 			}
 		}
@@ -236,12 +236,12 @@ func TestAliasNeverWritten(t *testing.T) {
 	defer svc.Close()
 	h := svc.Handler()
 	for i := 0; i < 3; i++ {
-		post(h, "/v1/schedule", strings.NewReader(valid))
+		send(h, "/v1/schedule", strings.NewReader(valid))
 	}
 	if n := svc.Stats().AliasHits; n != 1 {
 		t.Fatalf("alias_hits = %d after three sends, want 1", n)
 	}
-	a := post(h, "/v1/schedule?trace=1", strings.NewReader(valid))
+	a := send(h, "/v1/schedule?trace=1", strings.NewReader(valid))
 	var env tracedEnvelope
 	if err := json.Unmarshal(a.body, &env); err != nil || env.Trace == nil {
 		t.Fatalf("aliased body with ?trace=1 answered without a trace block: %v %s", err, a.body)
