@@ -13,6 +13,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/cliutil"
 	"repro/internal/obs"
 )
 
@@ -254,10 +255,10 @@ func TestAliasNeverWritten(t *testing.T) {
 	}
 }
 
-// TestAliasEvictedTargetCountsOneMiss: evicting an entry drops its
-// aliases, so its bytes sent again take the full path — which misses the
-// memory tier exactly once, not once on the alias probe and again on the
-// full lookup.
+// TestAliasEvictedTargetCountsOneMiss: an alias whose entry was evicted
+// answers nothing and is dropped, so its bytes sent again take the full
+// path — which misses the memory tier exactly once, not once on the alias
+// probe and again on the full lookup.
 func TestAliasEvictedTargetCountsOneMiss(t *testing.T) {
 	svc, err := New(Config{CacheSize: 1, DefaultSolver: "hlf"})
 	if err != nil {
@@ -275,13 +276,10 @@ func TestAliasEvictedTargetCountsOneMiss(t *testing.T) {
 	if st := svc.Stats(); st.AliasHits != 1 || st.Cache.Aliases != 1 {
 		t.Fatalf("alias_hits %d, aliases %d before the eviction; want 1, 1", st.AliasHits, st.Cache.Aliases)
 	}
-	if code, resp := serve(h, b); code != http.StatusOK { // a miss that evicts a's entry and alias
+	if code, resp := serve(h, b); code != http.StatusOK { // a miss that evicts a's entry
 		t.Fatalf("%d %s", code, resp)
 	}
 	before := svc.Stats()
-	if before.Cache.Aliases != 0 {
-		t.Fatalf("%d aliases outlived their entry", before.Cache.Aliases)
-	}
 	got := serveAnswer(h, a)
 	after := svc.Stats()
 	if got.code != http.StatusOK || got.cache != "miss" {
@@ -290,8 +288,64 @@ func TestAliasEvictedTargetCountsOneMiss(t *testing.T) {
 	if d := after.Cache.Misses - before.Cache.Misses; d != 1 {
 		t.Fatalf("cache.misses grew by %d, want exactly 1", d)
 	}
-	if after.AliasHits != 1 {
-		t.Fatalf("alias_hits = %d, want 1", after.AliasHits)
+	if after.AliasHits != 1 || after.Cache.Aliases != 0 {
+		t.Fatalf("alias_hits %d, aliases %d; want 1, 0: the probe drops the alias of an evicted entry",
+			after.AliasHits, after.Cache.Aliases)
+	}
+}
+
+// TestAliasSkipsWarmHits: with WarmStart on, a near-miss request is
+// answered from the warm key of the neighbour the similarity index picks,
+// which is not a function of its bytes alone, so a warm hit writes no
+// alias. The repeats of one near-miss seed from each other's results
+// until the index's tie-break settles on one base; from then on the full
+// path answers every repeat as a warm hit, and each must keep its
+// X-DTServe-Warm header, address and body.
+func TestAliasSkipsWarmHits(t *testing.T) {
+	svc, err := New(Config{CacheSize: 64, WarmStart: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	h := svc.Handler()
+	g, err := cliutil.BuildProgram("FFT")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.SetLoad(0, g.Load(0)+2)
+	nearMiss := wireRequest(t, "FFT", func(r *ScheduleRequest) { r.Graph = g })
+	if a := serveAnswer(h, wireRequest(t, "FFT", nil)); a.code != http.StatusOK {
+		t.Fatalf("base: %d %s", a.code, a.body)
+	}
+	type warmAnswer struct {
+		answer
+		warm string // X-DTServe-Warm
+	}
+	const sends = 16
+	first := -1 // the first warm hit
+	var hit warmAnswer
+	for i := 0; i < sends; i++ {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/schedule", bytes.NewReader(nearMiss)))
+		a := warmAnswer{answer{code: rec.Code, body: rec.Body.Bytes(), cache: rec.Header().Get("X-DTServe-Cache"),
+			addr: rec.Header().Get("X-DTServe-Address")}, rec.Header().Get("X-DTServe-Warm")}
+		if a.code != http.StatusOK || a.warm == "" {
+			t.Fatalf("send %d: %d %s, X-DTServe-Warm %q; want 200 and a warm start", i+1, a.code, a.cache, a.warm)
+		}
+		switch {
+		case first < 0 && a.cache == "hit":
+			first, hit = i, a
+		case first >= 0 && (a.cache != "hit" || a.warm != hit.warm || a.addr != hit.addr || !bytes.Equal(a.body, hit.body)):
+			t.Fatalf("send %d answered %s warm=%q %q, want send %d's hit warm=%q %q and its body",
+				i+1, a.cache, a.warm, a.addr, first+1, hit.warm, hit.addr)
+		}
+	}
+	if first < 0 || first > sends-3 {
+		t.Fatalf("first warm hit at send %d of %d, want at least two repeats after it", first+1, sends)
+	}
+	t.Logf("first warm hit at send %d", first+1)
+	if st := svc.Stats(); st.AliasHits != 0 || st.Cache.Aliases != 0 {
+		t.Fatalf("alias_hits %d, aliases %d; want none for warm hits", st.AliasHits, st.Cache.Aliases)
 	}
 }
 
@@ -326,9 +380,10 @@ func TestAliasBound(t *testing.T) {
 }
 
 // TestCacheAliasLifecycle drives the alias structure directly: the
-// bound drops the least recently used alias, an evicted entry takes every
-// alias pointing at it, alias probes count hits but never misses, and an
-// alias to an absent or in-flight key is never answered.
+// bound drops the least recently used alias, an alias whose entry was
+// evicted answers nothing and is dropped by the probe, alias probes count
+// hits but never misses, and an alias to an absent or in-flight key is
+// never answered.
 func TestCacheAliasLifecycle(t *testing.T) {
 	c := NewCache(3, 0)
 	sum := func(i byte) *[sha256.Size]byte { return &[sha256.Size]byte{i} }
@@ -360,16 +415,19 @@ func TestCacheAliasLifecycle(t *testing.T) {
 	}
 	c.Put("k1", []byte("1")) // most recent: k2 is now the LRU entry
 	c.Put("k3", []byte("3"))
-	c.Put("k4", []byte("4")) // evicts k2 with aliases 3 and 4
-	if st := c.Stats(); st.Aliases != 1 || get(3) != "" || get(4) != "" || get(2) != "k1" {
-		t.Fatalf("after evicting k2: %d aliases, want only alias 2", st.Aliases)
+	c.Put("k4", []byte("4")) // evicts k2, which aliases 3 and 4 name
+	if get(3) != "" || get(4) != "" || get(2) != "k1" {
+		t.Fatal("an alias answered for an evicted entry")
+	}
+	if st := c.Stats(); st.Aliases != 1 {
+		t.Fatalf("after probing the aliases of evicted k2: %d aliases, want only alias 2", st.Aliases)
 	}
 	c.Put("k5", []byte("5"))
 	c.Put("k6", []byte("6"))
 	c.Put("k7", []byte("7")) // k1 goes
 	st := c.Stats()
-	if st.Aliases != 0 || get(2) != "" {
-		t.Fatalf("%d aliases outlived their entries", st.Aliases)
+	if get(2) != "" || c.Stats().Aliases != 0 {
+		t.Fatalf("alias 2 outlived its entry: %d aliases", c.Stats().Aliases)
 	}
 	if st.Misses != 0 || st.Hits != 5 {
 		t.Fatalf("hits %d, misses %d; want 5 alias hits and no misses", st.Hits, st.Misses)

@@ -65,9 +65,10 @@ type TierStats struct {
 // body mapped to the entry that body's full decode was answered from, so
 // the same bytes sent again skip the decode. An alias is a pure function
 // of the bytes (every input to the key besides them is fixed when the
-// server starts), it points at an entry rather than holding a copy, it
-// goes when its entry is evicted, and there are never more aliases than
-// the cache's entry bound, least recently used dropped first.
+// server starts). It holds the entry's key, not a copy of its bytes: an
+// alias whose entry was evicted answers nothing and is dropped when next
+// probed, and there are never more aliases than the cache's entry bound,
+// least recently used dropped first.
 type Cache struct {
 	mu        sync.Mutex
 	max       int
@@ -80,23 +81,20 @@ type Cache struct {
 	evictions uint64
 
 	aliasLRU *list.List // of *alias; front = most recently used
-	byBody   map[[sha256.Size]byte]*alias
+	byBody   map[[sha256.Size]byte]*list.Element
 }
 
 type cacheEntry struct {
-	key     string
-	val     []byte
-	aliases *alias // head of the aliases pointing here, linked by sprev/snext
+	key string
+	val []byte
 }
 
-// alias maps the SHA-256 of a request body to the entry that answered it.
+// alias maps the SHA-256 of a request body to the key of the entry that
+// answered it.
 type alias struct {
-	sum    [sha256.Size]byte
-	target *list.Element // the entry's element in Cache.ll
-	lane   string        // the request's QoS lane, for the request log
-	el     *list.Element // this alias's element in Cache.aliasLRU
-
-	sprev, snext *alias // the target entry's other aliases
+	sum  [sha256.Size]byte
+	key  string
+	lane string // the request's QoS lane, for the request log
 }
 
 // defaultMaxBytes bounds the cache's stored-bytes footprint when the
@@ -116,7 +114,7 @@ func NewCache(max int, maxBytes int64) *Cache {
 		maxBytes = defaultMaxBytes
 	}
 	return &Cache{max: max, maxBytes: maxBytes, ll: list.New(), items: make(map[string]*list.Element, max),
-		aliasLRU: list.New(), byBody: make(map[[sha256.Size]byte]*alias)}
+		aliasLRU: list.New(), byBody: make(map[[sha256.Size]byte]*list.Element)}
 }
 
 // Get returns the cached bytes for key and whether they were present,
@@ -163,84 +161,67 @@ func (c *Cache) Put(key string, val []byte) {
 		c.ll.Remove(oldest)
 		e := oldest.Value.(*cacheEntry)
 		delete(c.items, e.key)
-		for a := e.aliases; a != nil; a = a.snext {
-			delete(c.byBody, a.sum)
-			c.aliasLRU.Remove(a.el)
-		}
 		c.bytes -= int64(len(e.val))
 		c.evictions++
 	}
 }
 
 // getAlias answers a request body by its SHA-256: the bytes of the entry
-// the body's alias points at, that entry's key and the request's lane,
-// counted as a hit. A body with no alias, or whose key is in inflight (a
-// solve under way), is a miss that counts nothing — the caller's full
-// lookup counts it, once.
+// the body's alias names, that entry's key and the request's lane,
+// counted as a hit. A body with no alias, whose entry was evicted (the
+// alias is dropped) or whose key is in inflight (a solve under way) is a
+// miss that counts nothing — the caller's full lookup counts it, once.
 func (c *Cache) getAlias(sum *[sha256.Size]byte, inflight map[string]*flight) (val []byte, key, lane string, ok bool) {
 	if c == nil {
 		return nil, "", "", false
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	a := c.byBody[*sum]
-	if a == nil {
+	el := c.byBody[*sum]
+	if el == nil {
 		return nil, "", "", false
 	}
-	e := a.target.Value.(*cacheEntry)
-	if _, busy := inflight[e.key]; busy {
+	a := el.Value.(*alias)
+	target, ok := c.items[a.key]
+	if !ok {
+		c.dropAlias(el)
+		return nil, "", "", false
+	}
+	if _, busy := inflight[a.key]; busy {
 		return nil, "", "", false
 	}
 	c.hits++
-	c.ll.MoveToFront(a.target)
-	c.aliasLRU.MoveToFront(a.el)
-	return e.val, e.key, a.lane, true
+	c.ll.MoveToFront(target)
+	c.aliasLRU.MoveToFront(el)
+	return target.Value.(*cacheEntry).val, a.key, a.lane, true
 }
 
-// putAlias points the body hashing to sum at key's entry; a key evicted
-// since it answered gets no alias. At the bound the least recently used
-// alias makes way, its node reused.
+// putAlias names key's entry as the answer to the body hashing to sum; a
+// key evicted since it answered gets no alias. At the bound the least
+// recently used alias makes way.
 func (c *Cache) putAlias(sum *[sha256.Size]byte, key, lane string) {
 	if c == nil {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	target, ok := c.items[key]
-	if !ok {
+	if _, ok := c.items[key]; !ok {
 		return
 	}
-	if a := c.byBody[*sum]; a != nil {
-		// The same bytes always decode to the same key, and an evicted
-		// entry takes its aliases with it, so a is already target's.
-		c.aliasLRU.MoveToFront(a.el)
+	if el := c.byBody[*sum]; el != nil {
+		// The same bytes always decode to the same key, so the alias
+		// already names it.
+		c.aliasLRU.MoveToFront(el)
 		return
 	}
-	var a *alias
-	if len(c.byBody) < c.max {
-		a = new(alias)
-		a.el = c.aliasLRU.PushFront(a)
-	} else {
-		a = c.aliasLRU.Back().Value.(*alias)
-		delete(c.byBody, a.sum)
-		if a.sprev != nil {
-			a.sprev.snext = a.snext
-		} else {
-			a.target.Value.(*cacheEntry).aliases = a.snext
-		}
-		if a.snext != nil {
-			a.snext.sprev = a.sprev
-		}
-		c.aliasLRU.MoveToFront(a.el)
+	if c.aliasLRU.Len() >= c.max {
+		c.dropAlias(c.aliasLRU.Back())
 	}
-	e := target.Value.(*cacheEntry)
-	a.sum, a.target, a.lane = *sum, target, lane
-	a.sprev, a.snext = nil, e.aliases
-	if e.aliases != nil {
-		e.aliases.sprev = a
-	}
-	e.aliases = a
-	c.byBody[*sum] = a
+	c.byBody[*sum] = c.aliasLRU.PushFront(&alias{sum: *sum, key: key, lane: lane})
+}
+
+func (c *Cache) dropAlias(el *list.Element) {
+	delete(c.byBody, c.aliasLRU.Remove(el).(*alias).sum)
 }
 
 // CacheStats is a point-in-time snapshot of the cache counters.
@@ -252,7 +233,9 @@ type CacheStats struct {
 	Max       int    `json:"max"`
 	Bytes     int64  `json:"bytes"`
 	MaxBytes  int64  `json:"max_bytes"`
-	// Aliases counts the request-body aliases held, at most Max.
+	// Aliases counts the request-body aliases held, at most Max; an
+	// alias whose entry was evicted is counted until it is next probed
+	// or the bound drops it.
 	Aliases int `json:"aliases"`
 }
 

@@ -830,10 +830,12 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 		// total.
 		body = appendTraceBody(body, tr.Snapshot(time.Since(t0)))
 	}
-	if aliasable && scanned && status == "hit" && !explicit {
+	if aliasable && scanned && status == "hit" && !meta.warm && !explicit {
 		// The full path answered these bytes from the memory tier under
-		// meta.key, with nothing but the body and headers the alias
-		// replays.
+		// their own canonical key, with nothing but the body and headers
+		// the alias replays. A warm hit is not aliased: its address and
+		// X-DTServe-Warm come from the near-miss the sim index picks,
+		// which changes as the index grows.
 		s.cache.putAlias(&sum, meta.key, laneName(req.Lane, engine.LaneInteractive))
 	}
 	writeResult(w, body, status, meta)
@@ -1010,7 +1012,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if sw != nil {
 		sw.lane = engine.LaneBatch.String()
 	}
-	queryTrace := r.URL.RawQuery != "" && r.URL.Query().Get("trace") == "1"
+	queryTrace := urlTrace(r)
 	// Every member solves under one batch-scoped context: cancelling it —
 	// because the client disconnected or the server began draining —
 	// reaches each remaining member's solver through its interrupt hook,
