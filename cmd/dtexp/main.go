@@ -233,7 +233,7 @@ func runOverload(probes int, assertFlat float64) error {
 	addr := "http://" + ln.Addr().String()
 	fmt.Printf("overload: in-process server on %s (16 workers, queue depth 64, 25ms delay target, 40ms flood solves)\n", addr)
 
-	report, err := service.RunOverload(service.OverloadConfig{
+	report, err := RunOverload(OverloadConfig{
 		URL:    addr,
 		Probes: probes,
 		// The flood must hold more requests in flight than workers plus

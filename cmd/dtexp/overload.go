@@ -1,4 +1,4 @@
-package service
+package main
 
 import (
 	"bytes"
@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/cliutil"
+	"repro/internal/service"
 	"repro/internal/taskgraph"
 )
 
@@ -178,7 +179,7 @@ func RunOverload(cfg OverloadConfig) (*OverloadReport, error) {
 	// payload builds a cold single-schedule body: the seed is unique per
 	// (phase, index), so every request is a genuine solve in its lane.
 	payload := func(graphs []*taskgraph.Graph, lane, solverName string, seed int64) []byte {
-		body, _ := json.Marshal(ScheduleRequest{
+		body, _ := json.Marshal(service.ScheduleRequest{
 			Graph:  graphs[int(seed)%len(graphs)],
 			Topo:   cfg.Topo,
 			Solver: solverName,

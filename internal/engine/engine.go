@@ -459,14 +459,14 @@ func (e *Engine) Close() {
 // Stats is a point-in-time snapshot of the engine counters.
 type Stats struct {
 	// Workers is the pool size.
-	Workers int `json:"workers"`
+	Workers int `json:"workers" metric:"gauge,Solver pool size (fixed for the server's life)."`
 	// Busy is the number of workers currently running a job.
-	Busy int64 `json:"busy"`
+	Busy int64 `json:"busy" metric:"gauge,Workers currently running a solve."`
 	// Completed counts jobs run to completion across all lanes.
-	Completed int64 `json:"completed"`
+	Completed int64 `json:"completed" metric:"counter,Jobs completed by the solver pool."`
 	// Lanes holds per-lane queue and admission counters, keyed by lane
 	// name ("interactive", "batch").
-	Lanes map[string]LaneStats `json:"lanes"`
+	Lanes map[string]LaneStats `json:"lanes" metric:"name=lane,label=lane"`
 }
 
 // Stats returns the current counters.

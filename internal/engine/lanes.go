@@ -87,26 +87,26 @@ func (e *OverloadError) Is(target error) bool { return target == ErrOverloaded }
 type LaneStats struct {
 	// Queued is the current queue length (claimed-but-expired tombstones
 	// included until a worker skips past them).
-	Queued int `json:"queued"`
+	Queued int `json:"queued" metric:"gauge,Jobs currently queued in the lane."`
 	// Submitted counts jobs admitted into the lane's queue.
-	Submitted uint64 `json:"submitted"`
+	Submitted uint64 `json:"submitted" metric:"counter,Jobs admitted into the lane's queue."`
 	// Completed counts jobs a worker ran to completion (success or
 	// solver error — the job executed).
-	Completed uint64 `json:"completed"`
+	Completed uint64 `json:"completed" metric:"counter,Jobs the lane ran to completion."`
 	// Shed counts submissions refused by admission control (depth budget
 	// or queue-delay target exceeded).
-	Shed uint64 `json:"shed"`
+	Shed uint64 `json:"shed" metric:"counter,Submissions refused by the lane's admission budgets."`
 	// Expired counts jobs whose context ended while queued: they were
 	// answered with ErrQueueTimeout and never ran.
-	Expired uint64 `json:"expired"`
+	Expired uint64 `json:"expired" metric:"counter,Jobs whose context ended while queued (never ran)."`
 	// QueueDelayEWMA is an exponentially weighted moving average of the
 	// enqueue-to-dequeue delay, in seconds.
-	QueueDelayEWMA float64 `json:"queue_delay_ewma_seconds"`
+	QueueDelayEWMA float64 `json:"queue_delay_ewma_seconds" metric:"gauge,Moving average of the lane's enqueue-to-dequeue delay."`
 	// MaxQueueDelayNS is the worst enqueue-to-dequeue delay observed.
-	MaxQueueDelayNS int64 `json:"max_queue_delay_ns"`
+	MaxQueueDelayNS int64 `json:"max_queue_delay_ns" metric:"gauge,Worst enqueue-to-dequeue delay the lane has observed."`
 	// QueueDelayTargetNS is the configured Config.QueueDelayTarget the
 	// lane sheds against (0 when delay-based shedding is off).
-	QueueDelayTargetNS int64 `json:"queue_delay_target_ns"`
+	QueueDelayTargetNS int64 `json:"queue_delay_target_ns" metric:"gauge,Configured queue-delay shedding target for the lane (-queue-delay-target; 0 means depth-only shedding)."`
 	// QueueDelay is the full enqueue-to-dequeue delay distribution —
 	// what /metrics exports per lane; /statsz keeps the scalar summary
 	// above, so the histogram stays off the JSON wire.

@@ -284,3 +284,72 @@ func TestTracePoolReuse(t *testing.T) {
 		t.Fatalf("pooled trace ID = %q", tr2.ID())
 	}
 }
+
+// TestWriteProm renders a snapshot that uses every part of the `metric`
+// tag grammar and compares the exposition line for line.
+func TestWriteProm(t *testing.T) {
+	type tier struct {
+		Hits uint64 `json:"hits" a:"counter,A hits, mirrored." b:"counter,B hits."`
+	}
+	type lane struct {
+		Queued  int   `json:"queued" metric:"gauge,Queued jobs."`
+		DelayNS int64 `json:"delay_ns" metric:"gauge,Worst delay."`
+	}
+	snap := struct {
+		Up    bool              `json:"up" metric:"gauge,1 while up."`
+		Skip  int               `json:"-"`
+		By    map[string]uint64 `json:"by" metric:"counter,name=runs,label=solver,Runs." also:"counter,name=outcome,label=solver,outcome=ok,Outcomes (ok; error)."`
+		Errs  map[string]uint64 `json:"errs,omitempty" metric:"counter,name=outcome,label=solver,outcome=error"`
+		Pairs map[string]uint64 `json:"pairs" metric:"counter,label=member|result,Pairs."`
+		A     tier              `json:"a"`
+		B     tier              `json:"b"`
+		Lanes map[string]lane   `json:"lanes" metric:"name=lane,label=lane"`
+		Empty map[string]uint64 `json:"empty" metric:"gauge,label=k,Declared while empty."`
+	}{
+		Up:    true,
+		Skip:  7,
+		By:    map[string]uint64{"sa": 3, "hlf": 1},
+		Errs:  map[string]uint64{"sa": 2},
+		Pairs: map[string]uint64{"sa|win": 4, "no-separator": 9},
+		A:     tier{Hits: 5},
+		B:     tier{Hits: 6},
+		Lanes: map[string]lane{"interactive": {Queued: 1, DelayNS: 2_500_000}, "batch": {Queued: 2}},
+	}
+	var b strings.Builder
+	WriteProm(&b, "x", snap)
+	want := `# HELP x_up 1 while up.
+# TYPE x_up gauge
+x_up 1
+# HELP x_runs_total Runs.
+# TYPE x_runs_total counter
+x_runs_total{solver="hlf"} 1
+x_runs_total{solver="sa"} 3
+# HELP x_outcome_total Outcomes (ok; error).
+# TYPE x_outcome_total counter
+x_outcome_total{solver="hlf",outcome="ok"} 1
+x_outcome_total{solver="sa",outcome="ok"} 3
+x_outcome_total{solver="sa",outcome="error"} 2
+# HELP x_pairs_total Pairs.
+# TYPE x_pairs_total counter
+x_pairs_total{member="sa",result="win"} 4
+# HELP x_a_hits_total A hits, mirrored.
+# TYPE x_a_hits_total counter
+x_a_hits_total 5
+# HELP x_b_hits_total B hits.
+# TYPE x_b_hits_total counter
+x_b_hits_total 6
+# HELP x_lane_queued Queued jobs.
+# TYPE x_lane_queued gauge
+x_lane_queued{lane="batch"} 2
+x_lane_queued{lane="interactive"} 1
+# HELP x_lane_delay_seconds Worst delay.
+# TYPE x_lane_delay_seconds gauge
+x_lane_delay_seconds{lane="batch"} 0
+x_lane_delay_seconds{lane="interactive"} 0.0025
+# HELP x_empty Declared while empty.
+# TYPE x_empty gauge
+`
+	if got := b.String(); got != want {
+		t.Fatalf("exposition:\n%s\nwant:\n%s", got, want)
+	}
+}

@@ -8,7 +8,6 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -64,20 +63,20 @@ type Config struct {
 
 // Stats is the /statsz payload of dtproxy.
 type Stats struct {
-	Requests     uint64 `json:"requests"`
-	BadRequests  uint64 `json:"bad_requests"`
-	Unrouted     uint64 `json:"unrouted"` // no healthy replica answered: 502/503
-	Reroutes     uint64 `json:"reroutes"` // transport failures retried on the next ring replica
-	Hedges       uint64 `json:"hedges"`
-	HedgeWins    uint64 `json:"hedge_wins"`
-	Ejections    uint64 `json:"ejections"`
-	Readmissions uint64 `json:"readmissions"`
+	Requests     uint64 `json:"requests" metric:"counter,Requests the routing front accepted."`
+	BadRequests  uint64 `json:"bad_requests" metric:"counter,Requests refused before routing (unreadable or oversized bodies)."`
+	Unrouted     uint64 `json:"unrouted" metric:"counter,Requests no healthy replica could answer (502/503)."`                          // no healthy replica answered: 502/503
+	Reroutes     uint64 `json:"reroutes" metric:"counter,Forward attempts retried on the next ring replica after a transport failure."` // transport failures retried on the next ring replica
+	Hedges       uint64 `json:"hedges" metric:"counter,Interactive requests hedged to a second replica after the hedge delay."`
+	HedgeWins    uint64 `json:"hedge_wins" metric:"counter,Hedged attempts that answered before the primary."`
+	Ejections    uint64 `json:"ejections" metric:"counter,Replicas ejected from routing after consecutive health failures."`
+	Readmissions uint64 `json:"readmissions" metric:"counter,Ejected replicas readmitted after consecutive healthy probes."`
 	// HedgeDelayNS is the hedge delay currently in force: the fixed
 	// configured value, the auto-derived p99 clamp, or 0 while auto
 	// hedging is still unarmed (or hedging is disabled).
-	HedgeDelayNS int64             `json:"hedge_delay_ns"`
-	Routed       map[string]uint64 `json:"routed"`
-	Healthy      map[string]bool   `json:"healthy"`
+	HedgeDelayNS int64             `json:"hedge_delay_ns" metric:"gauge,Hedge delay currently in force (0 while unarmed or disabled)."`
+	Routed       map[string]uint64 `json:"routed" metric:"counter,label=replica,Requests routed per replica (winning attempt)."`
+	Healthy      map[string]bool   `json:"healthy" metric:"gauge,name=replica_healthy,label=replica,1 while the replica is in routing rotation."`
 }
 
 // replica is one fleet member's routing state. The health fields are
@@ -393,46 +392,16 @@ func (p *Proxy) handleStatsz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, p.Stats())
 }
 
+// handleMetrics renders the Stats snapshot, whose `metric` tags declare
+// every counter, plus the latency histograms.
 func (p *Proxy) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	st := p.Stats()
 	var b strings.Builder
-	counter := func(name, help string, v uint64) {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
-	fmt.Fprintf(&b, "# HELP dtproxy_build_info Build identity; the value is always 1.\n# TYPE dtproxy_build_info gauge\n")
+	obs.WritePromHeader(&b, "dtproxy_build_info", "gauge", "Build identity; the value is always 1.")
 	fmt.Fprintf(&b, "dtproxy_build_info{version=%q,go_version=%q} 1\n", buildinfo.Version, buildinfo.GoVersion())
-	counter("dtproxy_requests_total", "Requests the routing front accepted.", st.Requests)
-	counter("dtproxy_bad_requests_total", "Requests refused before routing (unreadable or oversized bodies).", st.BadRequests)
-	counter("dtproxy_unrouted_total", "Requests no healthy replica could answer (502/503).", st.Unrouted)
-	counter("dtproxy_reroutes_total", "Forward attempts retried on the next ring replica after a transport failure.", st.Reroutes)
-	counter("dtproxy_hedges_total", "Interactive requests hedged to a second replica after the hedge delay.", st.Hedges)
-	counter("dtproxy_hedge_wins_total", "Hedged attempts that answered before the primary.", st.HedgeWins)
-	counter("dtproxy_ejections_total", "Replicas ejected from routing after consecutive health failures.", st.Ejections)
-	counter("dtproxy_readmissions_total", "Ejected replicas readmitted after consecutive healthy probes.", st.Readmissions)
-	fmt.Fprintf(&b, "# HELP dtproxy_hedge_delay_seconds Hedge delay currently in force (0 while unarmed or disabled).\n# TYPE dtproxy_hedge_delay_seconds gauge\n")
-	fmt.Fprintf(&b, "dtproxy_hedge_delay_seconds %g\n", float64(st.HedgeDelayNS)/1e9)
-
-	names := make([]string, 0, len(st.Routed))
-	for name := range st.Routed {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	fmt.Fprintf(&b, "# HELP dtproxy_routed_total Requests routed per replica (winning attempt).\n# TYPE dtproxy_routed_total counter\n")
-	for _, name := range names {
-		fmt.Fprintf(&b, "dtproxy_routed_total{replica=%q} %d\n", name, st.Routed[name])
-	}
-	fmt.Fprintf(&b, "# HELP dtproxy_replica_healthy 1 while the replica is in routing rotation.\n# TYPE dtproxy_replica_healthy gauge\n")
-	for _, name := range names {
-		v := 0
-		if st.Healthy[name] {
-			v = 1
-		}
-		fmt.Fprintf(&b, "dtproxy_replica_healthy{replica=%q} %d\n", name, v)
-	}
-
-	fmt.Fprintf(&b, "# HELP dtproxy_request_duration_seconds End-to-end latency of proxied interactive schedule calls.\n# TYPE dtproxy_request_duration_seconds histogram\n")
+	obs.WriteProm(&b, "dtproxy", p.Stats())
+	obs.WritePromHeader(&b, "dtproxy_request_duration_seconds", "histogram", "End-to-end latency of proxied interactive schedule calls.")
 	p.latency.Snapshot().WriteProm(&b, "dtproxy_request_duration_seconds", "")
-	fmt.Fprintf(&b, "# HELP dtproxy_stage_duration_seconds Proxy-side stage latency (proxy_route: fingerprint+ring decision; hedge: hedge fire to winner).\n# TYPE dtproxy_stage_duration_seconds histogram\n")
+	obs.WritePromHeader(&b, "dtproxy_stage_duration_seconds", "histogram", "Proxy-side stage latency (proxy_route: fingerprint+ring decision; hedge: hedge fire to winner).")
 	for _, stage := range obs.ProxyStages {
 		p.stageLat[stage].Snapshot().WriteProm(&b, "dtproxy_stage_duration_seconds", fmt.Sprintf("stage=%q", stage))
 	}

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -283,5 +285,120 @@ func TestProxyReroutesOnTransportError(t *testing.T) {
 	}
 	if st := p.Stats(); st.Reroutes == 0 {
 		t.Fatal("reroute was not counted")
+	}
+}
+
+// TestStatszMetricsParity: /statsz and /metrics render one snapshot.
+// Every /statsz leaf, per-replica map entries included, is exactly one
+// /metrics sample of equal value (hedge_delay_ns in seconds), and every
+// family but the histograms and the build info maps back to a leaf.
+func TestStatszMetricsParity(t *testing.T) {
+	fast := newFakeReplica(t, 0, `{"from":"fast"}`)
+	slow := newFakeReplica(t, 30*time.Millisecond, `{"from":"slow"}`)
+	_, front := newTestProxy(t, Config{Replicas: []string{fast.ts.URL, slow.ts.URL}, HedgeDelay: 5 * time.Millisecond})
+	for n := 2; n < 12; n++ {
+		resp, err := http.Post(front.URL+"/v1/schedule", "application/json", bytes.NewReader(chainPayload(t, n)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+	}
+	get := func(path string) string {
+		resp, err := http.Get(front.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var buf bytes.Buffer
+		buf.ReadFrom(resp.Body)
+		return buf.String()
+	}
+	// Take /metrics between two equal /statsz bodies: a hedge loser or a
+	// health probe may still be settling.
+	var statsz, metrics string
+	for i := 0; statsz == "" || get("/statsz") != statsz; i++ {
+		if i == 100 {
+			t.Fatal("/statsz never held still across a /metrics scrape")
+		}
+		time.Sleep(time.Duration(i) * time.Millisecond)
+		statsz, metrics = get("/statsz"), get("/metrics")
+	}
+
+	samples := map[string]float64{}
+	types := map[string]string{}
+	for _, line := range strings.Split(strings.TrimSpace(metrics), "\n") {
+		if f := strings.Fields(line); len(f) == 4 && f[1] == "TYPE" {
+			types[f[2]] = f[3]
+		}
+		if strings.HasPrefix(line, "#") {
+			continue
+		}
+		i := strings.LastIndexByte(line, ' ')
+		v, err := strconv.ParseFloat(line[i+1:], 64)
+		if _, dup := samples[line[:i]]; dup || err != nil {
+			t.Fatalf("sample %q is repeated or unparseable (%v)", line, err)
+		}
+		samples[line[:i]] = v
+	}
+	claimed := map[string]bool{}
+	claim := func(leaf string, want float64, keys ...string) {
+		var found []string
+		for _, k := range keys {
+			if _, ok := samples[k]; ok {
+				found = append(found, k)
+			}
+		}
+		if len(found) != 1 {
+			t.Errorf("/statsz %s: /metrics carries %v of %v, want exactly one", leaf, found, keys)
+			return
+		}
+		if samples[found[0]] != want {
+			t.Errorf("/statsz %s = %v, but /metrics %s = %v", leaf, want, found[0], samples[found[0]])
+		}
+		claimed[found[0]] = true
+	}
+	var root map[string]any
+	if err := json.Unmarshal([]byte(statsz), &root); err != nil {
+		t.Fatal(err)
+	}
+	num := func(v any) float64 {
+		if b, ok := v.(bool); ok {
+			return map[bool]float64{true: 1}[b]
+		}
+		return v.(float64)
+	}
+	for key, v := range root {
+		switch {
+		case key == "routed" || key == "healthy":
+			family := map[string]string{"routed": "dtproxy_routed_total", "healthy": "dtproxy_replica_healthy"}[key]
+			for replica, rv := range v.(map[string]any) {
+				claim(key+"."+replica, num(rv), family+"{replica="+strconv.Quote(replica)+"}")
+			}
+		case strings.HasSuffix(key, "_ns"):
+			claim(key, num(v)/1e9, "dtproxy_"+strings.TrimSuffix(key, "_ns")+"_seconds")
+		default:
+			claim(key, num(v), "dtproxy_"+key, "dtproxy_"+key+"_total")
+		}
+	}
+	fed := map[string]bool{}
+	for key := range samples {
+		family, _, _ := strings.Cut(key, "{")
+		for _, suffix := range []string{"_bucket", "_sum", "_count"} {
+			if base, ok := strings.CutSuffix(family, suffix); ok && types[base] == "histogram" {
+				family = base
+			}
+		}
+		if types[family] == "histogram" || family == "dtproxy_build_info" {
+			continue
+		}
+		if !claimed[key] {
+			t.Errorf("/metrics sample %s maps to no /statsz leaf", key)
+		}
+		fed[family] = true
+	}
+	for family, kind := range types {
+		if kind != "histogram" && family != "dtproxy_build_info" && !fed[family] {
+			t.Errorf("/metrics family %s has no sample from a /statsz leaf", family)
+		}
 	}
 }

@@ -38,23 +38,24 @@ var (
 // every tier below memory; a tier leaves the fields it has no use for at
 // zero. Errors counts every failure the tier degraded — a corrupt entry
 // refused, a network or daemon error, a dropped write-behind put — and
-// never served.
+// never served. Each field declares its /metrics family once per rung,
+// in a tag named for the rung's /statsz key.
 type TierStats struct {
 	// Enabled reports that the rung exists on this server.
-	Enabled bool   `json:"enabled"`
-	Hits    uint64 `json:"hits"`
-	Misses  uint64 `json:"misses"`
+	Enabled bool   `json:"enabled" disk:"gauge,1 when the persistent disk tier (-cache-dir) is configured." remote:"gauge,1 when a shared remote cache tier (dtcached) is configured."`
+	Hits    uint64 `json:"hits" disk:"counter,Persistent disk tier hits (mirrored at item accounting)." remote:"counter,Shared remote tier hits (mirrored at item accounting)."`
+	Misses  uint64 `json:"misses" disk:"counter,Persistent disk tier misses." remote:"counter,Shared remote tier misses (errors degrade to counted misses)."`
 	// Writes counts entries the disk tier persisted; Puts counts results
 	// the remote tier published.
-	Writes    uint64 `json:"writes"`
-	Puts      uint64 `json:"puts"`
-	Evictions uint64 `json:"evictions"`
-	Errors    uint64 `json:"errors"`
+	Writes    uint64 `json:"writes" disk:"counter,Entries persisted by the disk tier's write-behind writer." remote:"counter,Unused by the remote tier (it counts dtserve_remote_puts_total); always 0."`
+	Puts      uint64 `json:"puts" disk:"counter,Unused by the disk tier (it counts dtserve_disk_writes_total); always 0." remote:"counter,Results published to the shared remote tier by the write-behind writer."`
+	Evictions uint64 `json:"evictions" disk:"counter,Disk tier entries evicted to hold the byte budget." remote:"counter,Unused by the remote tier (dtcached evicts on its own); always 0."`
+	Errors    uint64 `json:"errors" disk:"counter,Corrupt/stale entries detected and deleted, plus failed or dropped writes." remote:"counter,Remote tier failures: network/daemon errors, checksum mismatches, dropped writes — every one degraded, none served."`
 	// Corrupt singles out values that failed a checksum on read.
-	Corrupt  uint64 `json:"corrupt"`
-	Entries  int    `json:"entries"`
-	Bytes    int64  `json:"bytes"`
-	MaxBytes int64  `json:"max_bytes"`
+	Corrupt  uint64 `json:"corrupt" disk:"counter,Unused by the disk tier (corrupt entries count in dtserve_disk_errors_total); always 0." remote:"counter,Remote values that failed the client-side checksum and were refused."`
+	Entries  int    `json:"entries" disk:"gauge,Entries currently on disk." remote:"gauge,Unused by the remote tier (dtcached holds the entries); always 0."`
+	Bytes    int64  `json:"bytes" disk:"gauge,On-disk bytes (entry headers included)." remote:"gauge,Unused by the remote tier (dtcached holds the bytes); always 0."`
+	MaxBytes int64  `json:"max_bytes" disk:"gauge,Byte budget of the disk tier (-disk-cache-bytes)." remote:"gauge,Unused by the remote tier (dtcached holds the budget); always 0."`
 }
 
 // Cache is a bounded, content-addressed LRU of marshaled results. Values
@@ -226,17 +227,17 @@ func (c *Cache) dropAlias(el *list.Element) {
 
 // CacheStats is a point-in-time snapshot of the cache counters.
 type CacheStats struct {
-	Hits      uint64 `json:"hits"`
-	Misses    uint64 `json:"misses"`
-	Evictions uint64 `json:"evictions"`
-	Entries   int    `json:"entries"`
-	Max       int    `json:"max"`
-	Bytes     int64  `json:"bytes"`
-	MaxBytes  int64  `json:"max_bytes"`
+	Hits      uint64 `json:"hits" metric:"counter,Result cache hits (mirrored at item accounting, so hits+misses may momentarily trail the tier's own probe count)."`
+	Misses    uint64 `json:"misses" metric:"counter,Result cache misses."`
+	Evictions uint64 `json:"evictions" metric:"counter,Result cache evictions."`
+	Entries   int    `json:"entries" metric:"gauge,Entries currently cached."`
+	Max       int    `json:"max" metric:"gauge,Entry bound of the result cache (-cache)."`
+	Bytes     int64  `json:"bytes" metric:"gauge,Bytes of response bodies currently cached."`
+	MaxBytes  int64  `json:"max_bytes" metric:"gauge,Byte bound of the result cache (-cache-bytes)."`
 	// Aliases counts the request-body aliases held, at most Max; an
 	// alias whose entry was evicted is counted until it is next probed
 	// or the bound drops it.
-	Aliases int `json:"aliases"`
+	Aliases int `json:"aliases" metric:"gauge,Request-body aliases held by the memory tier (at most dtserve_cache_max)."`
 }
 
 // Stats returns the current counters (zero-valued for a disabled cache).

@@ -186,23 +186,6 @@ func (f *Fleet) Close() {
 	}
 }
 
-// CheckLaw verifies the conservation law
-//
-//	solves + cache.hits + Σ rung hits + coalesced == schedule_items
-//
-// (the rungs are disk and remote; an absent rung's hits are zero)
-// against one replica's stats snapshot, returning a descriptive error on
-// violation. Fleet tests run it on every replica.
-func CheckLaw(st Stats) error {
-	sum := st.Solves + st.Cache.Hits + st.Disk.Hits + st.Remote.Hits + st.Coalesced
-	if sum != st.Items {
-		return fmt.Errorf(
-			"conservation law violated: solves %d + mem %d + disk %d + remote %d + coalesced %d = %d != items %d",
-			st.Solves, st.Cache.Hits, st.Disk.Hits, st.Remote.Hits, st.Coalesced, sum, st.Items)
-	}
-	return nil
-}
-
 // FleetStats aggregates the per-replica snapshots a fleet assertion
 // usually wants in one place.
 type FleetStats struct {

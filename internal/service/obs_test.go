@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
+	"net/http/httptest"
 	"regexp"
 	"slices"
 	"sort"
@@ -686,4 +687,175 @@ func mustGraph(t *testing.T, program string) *taskgraph.Graph {
 		t.Fatal(err)
 	}
 	return g
+}
+
+// TestStatszMetricsParity serves a little of every path, then checks that
+// /statsz and /metrics render one snapshot: every numeric or bool /statsz
+// leaf, map entries included, is exactly one /metrics sample of equal
+// value (an _ns leaf in seconds), and every family other than the
+// histograms and the build info maps back to a leaf.
+func TestStatszMetricsParity(t *testing.T) {
+	srv, ts := newTestServer(t, Config{CacheSize: 64, CacheDir: t.TempDir(), TraceSample: 1,
+		QueueDelayTarget: 25 * time.Millisecond})
+	for _, payload := range [][]byte{
+		wireRequest(t, "FFT", nil), wireRequest(t, "FFT", nil), wireRequest(t, "FFT", nil), // miss, hit, alias hit
+		wireRequest(t, "NE", func(r *ScheduleRequest) { r.Solver = "portfolio" }),
+	} {
+		if resp, body := post(t, ts.URL+"/v1/schedule", payload); resp.StatusCode != http.StatusOK {
+			t.Fatalf("status %d: %s", resp.StatusCode, body)
+		}
+	}
+	// The handlers are called directly: a scrape through the server would
+	// count itself as a request between the two snapshots.
+	scrape := func(h http.HandlerFunc) string {
+		rec := httptest.NewRecorder()
+		h(rec, httptest.NewRequest(http.MethodGet, "/", nil))
+		return rec.Body.String()
+	}
+	statsz, metrics := stableScrape(t, func() string { return scrape(srv.handleStatsz) },
+		func() string { return scrape(srv.handleMetrics) })
+	checkStatszMetrics(t, "dtserve", statsz, metrics, func(path []string) [][2]string {
+		switch {
+		case path[0] == "by_solver":
+			return [][2]string{{"solves_by_solver", `solver=` + strconv.Quote(path[1])},
+				{"solver_outcome", `solver=` + strconv.Quote(path[1]) + `,outcome="ok"`}}
+		case path[0] == "solve_errors":
+			return [][2]string{{"solver_outcome", `solver=` + strconv.Quote(path[1]) + `,outcome="error"`}}
+		case path[0] == "portfolio_members":
+			member, outcome, _ := strings.Cut(path[1], "|")
+			return [][2]string{{"portfolio_member", `member=` + strconv.Quote(member) + `,outcome=` + strconv.Quote(outcome)}}
+		case len(path) == 4 && path[0] == "pool" && path[1] == "lanes":
+			return [][2]string{{"lane_" + path[3], `lane=` + strconv.Quote(path[2])}}
+		}
+		return [][2]string{{strings.Join(path, "_"), ""}}
+	})
+}
+
+// stableScrape takes a /statsz and a /metrics body between two equal
+// /statsz bodies, so both render the same counters even if a straggling
+// portfolio member or worker is still settling.
+func stableScrape(t *testing.T, statsz, metrics func() string) (string, string) {
+	t.Helper()
+	for i := 0; i < 100; i++ {
+		before := statsz()
+		m := metrics()
+		if statsz() == before {
+			return before, m
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	t.Fatal("/statsz never held still across a /metrics scrape")
+	return "", ""
+}
+
+// checkStatszMetrics holds a /statsz body and a /metrics body to each
+// other. series names, for a leaf's JSON path (map keys included), the
+// family name without prefix or _total and the labels of the samples it
+// must appear as.
+func checkStatszMetrics(t *testing.T, prefix, statsz, metrics string, series func(path []string) [][2]string) {
+	t.Helper()
+	samples := map[string]float64{}
+	types := map[string]string{}
+	for _, line := range strings.Split(strings.TrimSpace(metrics), "\n") {
+		if f := strings.Fields(line); len(f) == 4 && f[1] == "TYPE" {
+			types[f[2]] = f[3]
+		}
+		if strings.HasPrefix(line, "#") {
+			continue
+		}
+		i := strings.LastIndexByte(line, ' ')
+		v, err := strconv.ParseFloat(line[i+1:], 64)
+		if _, dup := samples[line[:i]]; dup || err != nil {
+			t.Fatalf("sample %q is repeated or unparseable (%v)", line, err)
+		}
+		samples[line[:i]] = v
+	}
+
+	var root any
+	dec := json.NewDecoder(strings.NewReader(statsz))
+	dec.UseNumber()
+	if err := dec.Decode(&root); err != nil {
+		t.Fatal(err)
+	}
+	claimed := map[string]bool{}
+	leaves := 0
+	var visit func(path []string, v any)
+	visit = func(path []string, v any) {
+		var want float64
+		switch v := v.(type) {
+		case map[string]any:
+			for k, e := range v {
+				visit(append(slices.Clip(path), k), e)
+			}
+			return
+		case bool:
+			if v {
+				want = 1
+			}
+		case json.Number:
+			f, err := v.Float64()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want = f
+		default:
+			t.Fatalf("/statsz leaf %v is %T", path, v)
+		}
+		leaves++
+		if strings.HasSuffix(path[len(path)-1], "_ns") {
+			want /= 1e9
+		}
+		for _, s := range series(path) {
+			name := prefix + "_" + s[0]
+			if base, ok := strings.CutSuffix(name, "_ns"); ok {
+				name = base + "_seconds"
+			}
+			labels := ""
+			if s[1] != "" {
+				labels = "{" + s[1] + "}"
+			}
+			var found []string
+			for _, key := range []string{name + labels, name + "_total" + labels} {
+				if _, ok := samples[key]; ok {
+					found = append(found, key)
+				}
+			}
+			if len(found) != 1 {
+				t.Errorf("/statsz %v: /metrics carries %d of %s[_total]%s, want 1", path, len(found), name, labels)
+				continue
+			}
+			if got := samples[found[0]]; got != want {
+				t.Errorf("/statsz %v = %v, but /metrics %s = %v", path, want, found[0], got)
+			}
+			claimed[found[0]] = true
+		}
+	}
+	visit(nil, root)
+
+	familyOf := func(key string) string {
+		name, _, _ := strings.Cut(key, "{")
+		for _, suffix := range []string{"_bucket", "_sum", "_count"} {
+			if base, ok := strings.CutSuffix(name, suffix); ok && types[base] == "histogram" {
+				return base
+			}
+		}
+		return name
+	}
+	fed := map[string]bool{}
+	for key := range samples {
+		family := familyOf(key)
+		if types[family] == "histogram" || strings.HasSuffix(family, "_build_info") {
+			continue
+		}
+		if !claimed[key] {
+			t.Errorf("/metrics sample %s maps to no /statsz leaf", key)
+		}
+		fed[family] = true
+	}
+	for family, kind := range types {
+		if kind != "histogram" && !strings.HasSuffix(family, "_build_info") && !fed[family] {
+			t.Errorf("/metrics family %s has no sample from a /statsz leaf", family)
+		}
+	}
+	t.Logf("%d /statsz leaves, %d /metrics families", leaves, len(types))
 }

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"maps"
 	"net/http"
 	"path/filepath"
 	"strconv"
@@ -161,42 +162,13 @@ type Server struct {
 	topoMu     sync.RWMutex
 	topoBySpec map[string]*topology.Topology
 
-	mu        sync.Mutex
-	requests  uint64 // API calls that reached a handler
-	failures  uint64 // requests answered with a non-2xx status
-	items     uint64 // schedule items answered (1 per single, N per batch)
-	solves    uint64 // solver executions (cache misses)
-	memHits   uint64 // items answered from the memory tier
-	coalesced uint64 // requests that piggybacked on an in-flight solve
-	pruned    uint64 // portfolio members cancelled by the incumbent bound
-	// restartsAbandoned counts SA restarts stopped early by the
-	// cooperative incumbent rule across all completed solves.
-	restartsAbandoned uint64
-	// warmHits counts solver executions seeded from a cached near-miss
-	// assignment (the similarity index or an explicit delta base). Warm
-	// solves are solves — they stay inside the conservation law's solves
-	// term; this is the sub-count of how many were warm.
-	warmHits uint64
-	// warmEpochsSaved sums the annealing stages warm starts skipped.
-	warmEpochsSaved uint64
-	// annealMoves and annealAccepted sum the SA moves of every solve.
-	annealMoves, annealAccepted uint64
-	// boundUpdates counts portfolio incumbent-bound tightenings: completed
-	// members publishing makespans that strictly improved the bound the
-	// still-running members prune against.
-	boundUpdates uint64
-	shed         uint64            // requests refused by admission control (429)
-	cancelled    uint64            // solves cancelled by their caller (client disconnect, drain)
-	bySolver     map[string]uint64 // completed solves by registry name
-	// solveErrors counts solver executions that ended in an error (any
-	// non-shed failure: solver error, deadline, cancellation), by name —
-	// with bySolver these are the per-solver ok/error outcome counters.
-	solveErrors map[string]uint64
-	// memberOutcomes counts portfolio member runs keyed "member|outcome"
-	// (outcome as in machsim.MemberStat: win, finish, pruned, timeout,
-	// cancelled, error).
-	memberOutcomes map[string]uint64
-	inflight       map[string]*flight // singleflight: one solve per cache key
+	mu sync.Mutex
+	// counts holds the counters the server keeps itself, under mu, in
+	// the form Stats reports them (the Stats fields document them); the
+	// rest of a snapshot is filled in by Stats.
+	counts   Stats
+	memHits  uint64             // items answered from the memory tier
+	inflight map[string]*flight // singleflight: one solve per cache key
 }
 
 // flight is one in-flight solve that concurrent identical requests wait
@@ -239,67 +211,69 @@ type procMeta struct {
 // hit, a hit on one rung of the ladder, or a ride on an identical
 // in-flight solve. (For workloads of only single schedule calls,
 // schedule_items equals the successful requests; an absent rung's hits
-// are identically zero.)
+// are identically zero.) The fields' `metric` tags declare the /metrics
+// families (obs.WriteProm).
 type Stats struct {
-	Requests  uint64 `json:"requests"`
-	Failures  uint64 `json:"failures"`
-	Items     uint64 `json:"schedule_items"`
-	Solves    uint64 `json:"solves"`
-	Coalesced uint64 `json:"coalesced"`
+	Requests  uint64 `json:"requests" metric:"counter,API calls that reached a handler."`
+	Failures  uint64 `json:"failures" metric:"counter,Requests answered with a non-2xx status."`
+	Items     uint64 `json:"schedule_items" metric:"counter,Schedule items answered: one per single schedule call, one per batch member."`
+	Solves    uint64 `json:"solves" metric:"counter,Solver executions (cache misses that ran a solver)."`
+	Coalesced uint64 `json:"coalesced" metric:"counter,Requests answered by piggybacking on an identical in-flight solve."`
 	// PortfolioPruned counts portfolio members cancelled mid-run because
 	// their own makespan lower bound exceeded the incumbent best.
-	PortfolioPruned uint64 `json:"portfolio_pruned"`
+	PortfolioPruned uint64 `json:"portfolio_pruned" metric:"counter,Portfolio members cancelled mid-run by the incumbent bound."`
 	// RestartsAbandoned counts cooperative SA restarts stopped early
 	// because they lagged the shared incumbent (core.Options.Cooperative).
 	// Deterministic per seed, unlike the wall-clock portfolio pruning.
-	RestartsAbandoned uint64 `json:"restarts_abandoned"`
+	RestartsAbandoned uint64 `json:"restarts_abandoned" metric:"counter,Cooperative SA restarts abandoned early for lagging the shared incumbent (seed-deterministic)."`
 	// WarmHits counts solver executions warm-started from a cached
 	// near-miss assignment. Warm solves remain solves under the
 	// conservation law; this is the warm sub-count.
-	WarmHits uint64 `json:"warm_hits"`
+	WarmHits uint64 `json:"warm_hits" metric:"counter,Solver executions warm-started from a cached near-miss assignment (similarity index or delta base)."`
 	// WarmEpochsSaved sums the annealing stages skipped by warm starts.
-	WarmEpochsSaved uint64 `json:"warm_epochs_saved"`
+	WarmEpochsSaved uint64 `json:"warm_epochs_saved" metric:"counter,Annealing stages skipped by warm-started solves."`
 	// AnnealMoves and AnnealAccepted sum the SA moves proposed and
 	// accepted by the solves that produced results; their ratio is the
 	// served anneals' acceptance ratio.
-	AnnealMoves    uint64 `json:"anneal_moves"`
-	AnnealAccepted uint64 `json:"anneal_accepted"`
+	AnnealMoves    uint64 `json:"anneal_moves" metric:"counter,SA moves proposed by solves (summed over packets and restarts)."`
+	AnnealAccepted uint64 `json:"anneal_accepted" metric:"counter,SA moves accepted by solves; divided by dtserve_anneal_moves_total it is the acceptance ratio."`
 	// PortfolioBoundUpdates counts shared-incumbent tightenings during
 	// portfolio races: completed members publishing makespans that
 	// improved the bound still-running members prune against.
-	PortfolioBoundUpdates uint64 `json:"portfolio_bound_updates"`
+	PortfolioBoundUpdates uint64 `json:"portfolio_bound_updates" metric:"counter,Portfolio incumbent-bound tightenings published by completed members."`
 	// SimIndexEntries is the similarity index's current size.
-	SimIndexEntries int `json:"sim_index_entries"`
+	SimIndexEntries int `json:"sim_index_entries" metric:"gauge,Entries currently held by the similarity index."`
 	// Shed counts requests refused by admission control with a 429: a
 	// QoS lane's queue-depth or queue-delay budget was exhausted. Shed
 	// requests never become schedule items, so they sit outside the
 	// conservation law.
-	Shed uint64 `json:"shed"`
+	Shed uint64 `json:"shed" metric:"counter,Requests refused by admission control with a 429 (lane depth or queue-delay budget exhausted)."`
 	// Cancelled counts solves cancelled by their caller going away — a
 	// client disconnecting mid-stream, or a drain cutting a batch short.
 	// Cancelled solves produce no result and are never cached.
-	Cancelled uint64 `json:"cancelled"`
+	Cancelled uint64 `json:"cancelled" metric:"counter,Solves cancelled by their caller going away (client disconnect, drain)."`
 	// WireSlowDecodes counts /v1/schedule bodies outside the one-pass
 	// scanner's subset (escaped strings, unknown or case-variant keys,
 	// read errors, malformed JSON, ...), decoded by encoding/json instead.
-	WireSlowDecodes uint64 `json:"wire_slow_decodes"`
+	WireSlowDecodes uint64 `json:"wire_slow_decodes" metric:"counter,/v1/schedule bodies outside the one-pass scanner's subset, decoded by encoding/json instead."`
 	// AliasHits counts /v1/schedule bodies answered from the memory tier
 	// by the alias of their exact bytes, skipping the decode. They are
 	// memory hits: cache.hits already counts them, once.
-	AliasHits uint64 `json:"alias_hits"`
+	AliasHits uint64 `json:"alias_hits" metric:"counter,/v1/schedule bodies answered from the memory tier by the alias of their exact bytes, without a decode; a subset of the memory hits."`
 	// Draining reports that BeginDrain was called: the server is
 	// finishing in-flight streams and refusing new solve work.
-	Draining bool              `json:"draining"`
-	BySolver map[string]uint64 `json:"by_solver"`
-	// SolveErrors counts solver executions that failed (non-shed), by
-	// registry name; with BySolver these are the per-solver outcome
-	// counters /metrics exports.
-	SolveErrors map[string]uint64 `json:"solve_errors,omitempty"`
-	// MemberOutcomes counts portfolio member runs keyed "member|outcome".
-	MemberOutcomes map[string]uint64 `json:"portfolio_members,omitempty"`
+	Draining bool              `json:"draining" metric:"gauge,1 while the server is draining (refusing new work, finishing streams)."`
+	BySolver map[string]uint64 `json:"by_solver" metric:"counter,name=solves_by_solver,label=solver,Solver executions by registry name." also:"counter,name=solver_outcome,label=solver,outcome=ok,Solver executions by registry name and outcome (ok or error; sheds are excluded)."`
+	// SolveErrors counts solver executions that failed (non-shed: a
+	// solver error, deadline or cancellation), by registry name; with
+	// BySolver these are the per-solver outcome counters /metrics exports.
+	SolveErrors map[string]uint64 `json:"solve_errors,omitempty" metric:"counter,name=solver_outcome,label=solver,outcome=error"`
+	// MemberOutcomes counts portfolio member runs keyed "member|outcome"
+	// (outcome as in machsim.MemberStat).
+	MemberOutcomes map[string]uint64 `json:"portfolio_members,omitempty" metric:"counter,name=portfolio_member,label=member|outcome,Portfolio member runs by member solver and outcome (win, finish, pruned, timeout, cancelled, error)."`
 	// Traces counts completed traces retained (then possibly rotated) by
 	// the /debug/requests ring.
-	Traces uint64     `json:"traces"`
+	Traces uint64     `json:"traces" metric:"counter,Completed request traces recorded to the /debug/requests ring."`
 	Cache  CacheStats `json:"cache"`
 	// Disk and Remote report the two ladder rungs; an absent rung reports
 	// zeros. Their Hits are law-bound and mirrored like the memory tier's.
@@ -352,20 +326,19 @@ func New(cfg Config) (*Server, error) {
 			QueueDelayTarget:  cfg.QueueDelayTarget,
 			InteractiveWeight: cfg.InteractiveWeight,
 		}),
-		cache:          NewCache(cfg.CacheSize, cfg.CacheBytes),
-		drainCh:        make(chan struct{}),
-		solveLatency:   obs.NewHistogram(obs.LatencyBuckets),
-		stageLatency:   make(map[string]*obs.Histogram, len(obs.Stages)),
-		readLatency:    make(map[string]*obs.Histogram, len(ladder)),
-		diskWrite:      obs.NewHistogram(obs.QueueBuckets),
-		streamTTFB:     obs.NewHistogram(obs.LatencyBuckets),
-		ring:           obs.NewRing(cfg.TraceRecent, cfg.TraceSlowest),
-		sim:            NewSimIndex(cfg.SimIndexSize),
-		bySolver:       make(map[string]uint64),
-		solveErrors:    make(map[string]uint64),
-		memberOutcomes: make(map[string]uint64),
-		inflight:       make(map[string]*flight),
-		topoBySpec:     make(map[string]*topology.Topology),
+		cache:        NewCache(cfg.CacheSize, cfg.CacheBytes),
+		drainCh:      make(chan struct{}),
+		solveLatency: obs.NewHistogram(obs.LatencyBuckets),
+		stageLatency: make(map[string]*obs.Histogram, len(obs.Stages)),
+		readLatency:  make(map[string]*obs.Histogram, len(ladder)),
+		diskWrite:    obs.NewHistogram(obs.QueueBuckets),
+		streamTTFB:   obs.NewHistogram(obs.LatencyBuckets),
+		ring:         obs.NewRing(cfg.TraceRecent, cfg.TraceSlowest),
+		sim:          NewSimIndex(cfg.SimIndexSize),
+		inflight:     make(map[string]*flight),
+		topoBySpec:   make(map[string]*topology.Topology),
+		counts: Stats{BySolver: map[string]uint64{}, SolveErrors: map[string]uint64{},
+			MemberOutcomes: map[string]uint64{}},
 	}
 	if cfg.CacheDir != "" {
 		// The similarity index persists beside the disk tier so a restarted
@@ -461,51 +434,41 @@ func (s *Server) Stats() Stats {
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	by := make(map[string]uint64, len(s.bySolver))
-	for k, v := range s.bySolver {
-		by[k] = v
-	}
-	se := make(map[string]uint64, len(s.solveErrors))
-	for k, v := range s.solveErrors {
-		se[k] = v
-	}
-	mo := make(map[string]uint64, len(s.memberOutcomes))
-	for k, v := range s.memberOutcomes {
-		mo[k] = v
-	}
-	cs.Hits = s.memHits
-	st := Stats{
-		Requests:              s.requests,
-		Failures:              s.failures,
-		Items:                 s.items,
-		Solves:                s.solves,
-		Coalesced:             s.coalesced,
-		PortfolioPruned:       s.pruned,
-		RestartsAbandoned:     s.restartsAbandoned,
-		WarmHits:              s.warmHits,
-		WarmEpochsSaved:       s.warmEpochsSaved,
-		AnnealMoves:           s.annealMoves,
-		AnnealAccepted:        s.annealAccepted,
-		PortfolioBoundUpdates: s.boundUpdates,
-		SimIndexEntries:       s.sim.Len(),
-		Shed:                  s.shed,
-		Cancelled:             s.cancelled,
-		WireSlowDecodes:       s.wireSlowDecodes.Load(),
-		AliasHits:             s.aliasHits.Load(),
-		Draining:              s.draining.Load(),
-		BySolver:              by,
-		SolveErrors:           se,
-		MemberOutcomes:        mo,
-		Traces:                ring.Total,
-		Cache:                 cs,
-		Pool:                  est,
-	}
+	st := s.counts
+	st.BySolver = maps.Clone(st.BySolver)
+	st.SolveErrors = maps.Clone(st.SolveErrors)
+	st.MemberOutcomes = maps.Clone(st.MemberOutcomes)
+	st.SimIndexEntries = s.sim.Len()
+	st.WireSlowDecodes = s.wireSlowDecodes.Load()
+	st.AliasHits = s.aliasHits.Load()
+	st.Draining = s.draining.Load()
+	st.Traces = ring.Total
+	st.Cache = cs
+	st.Cache.Hits = s.memHits
+	st.Pool = est
 	for i, r := range s.rungs {
 		tiers[i].Enabled = true // an absent rung keeps the zero TierStats
 		tiers[i].Hits = r.hits
 		*st.tier(r.name) = tiers[i]
 	}
 	return st
+}
+
+// CheckLaw verifies the conservation law
+//
+//	solves + cache.hits + Σ rung hits + coalesced == schedule_items
+//
+// (the rungs are disk and remote; an absent rung's hits are zero)
+// against one replica's stats snapshot, returning a descriptive error on
+// violation. Fleet and chaos tests run it on every replica.
+func CheckLaw(st Stats) error {
+	sum := st.Solves + st.Cache.Hits + st.Disk.Hits + st.Remote.Hits + st.Coalesced
+	if sum != st.Items {
+		return fmt.Errorf(
+			"conservation law violated: solves %d + mem %d + disk %d + remote %d + coalesced %d = %d != items %d",
+			st.Solves, st.Cache.Hits, st.Disk.Hits, st.Remote.Hits, st.Coalesced, sum, st.Items)
+	}
+	return nil
 }
 
 // Handler returns the service's HTTP handler with request logging wired
@@ -623,14 +586,14 @@ func stageSummary(td *obs.TraceData) string {
 func (s *Server) logged(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK, traceID: obs.NewID()}
-		sw.Header().Set("X-DTServe-Trace-Id", sw.traceID)
+		sw.Header().Set(headerTraceID, sw.traceID)
 		start := time.Now()
 		next.ServeHTTP(sw, r)
 		dur := time.Since(start)
 		s.mu.Lock()
-		s.requests++
+		s.counts.Requests++
 		if sw.status >= 400 {
-			s.failures++
+			s.counts.Failures++
 		}
 		s.mu.Unlock()
 		td := s.finishTrace(sw.trace, dur)
@@ -645,7 +608,7 @@ func (s *Server) logged(next http.Handler) http.Handler {
 			if sw.lane != "" {
 				attrs = append(attrs, slog.String("lane", sw.lane))
 			}
-			if tag := sw.Header().Get("X-DTServe-Cache"); tag != "" {
+			if tag := sw.Header().Get(headerCache); tag != "" {
 				attrs = append(attrs, slog.String("cache", tag))
 			}
 			if td != nil {
@@ -918,6 +881,16 @@ type errReader struct{ err error }
 
 func (e errReader) Read([]byte) (int, error) { return 0, e.err }
 
+// The response headers, spelled canonically (the form Go writes on the
+// wire): Header.Set and Get rebuild any other spelling into a new string
+// on every call.
+const (
+	headerCache   = "X-Dtserve-Cache"
+	headerAddress = "X-Dtserve-Address"
+	headerWarm    = "X-Dtserve-Warm"
+	headerTraceID = "X-Dtserve-Trace-Id"
+)
+
 // writeResult writes a successful schedule/delta response: the body plus
 // the cache tag, the content address (the base handle clients pass to
 // /v1/schedule/delta), and — for warm-started solves — the sketch
@@ -925,12 +898,12 @@ func (e errReader) Read([]byte) (int, error) { return 0, e.err }
 func writeResult(w http.ResponseWriter, body []byte, status string, meta *procMeta) {
 	h := w.Header()
 	h.Set("Content-Type", "application/json")
-	h.Set("X-DTServe-Cache", status)
+	h.Set(headerCache, status)
 	if meta.key != "" {
-		h.Set("X-DTServe-Address", meta.key)
+		h.Set(headerAddress, meta.key)
 	}
 	if meta.warm {
-		h.Set("X-DTServe-Warm", strconv.FormatFloat(meta.warmDist, 'g', -1, 64))
+		h.Set(headerWarm, strconv.FormatFloat(meta.warmDist, 'g', -1, 64))
 	}
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(body)
@@ -958,14 +931,14 @@ func laneName(wire string, def engine.Lane) string {
 // tagged with its name.
 func (s *Server) account(tag string) {
 	s.mu.Lock()
-	s.items++
+	s.counts.Items++
 	switch tag {
 	case "hit":
 		s.memHits++
 	case "coalesced":
-		s.coalesced++
+		s.counts.Coalesced++
 	case "miss":
-		s.solves++
+		s.counts.Solves++
 	default:
 		for _, r := range s.rungs {
 			if r.name == tag {
@@ -1299,7 +1272,7 @@ func (s *Server) process(ctx context.Context, req *rawRequest, defLane engine.La
 		if s.sim != nil && slv.Name() == "sa" && !req.NoCache {
 			idx = &simEntry{Topo: kopt.Topo, Spec: req.Topo, Sketch: scratch.c.Sketch(),
 				Graph: scratch.c.AppendCanonicalJSON(nil), Opt: kopt,
-				NumTasks: scratch.c.NumTasks()}
+				NumTasks: scratch.c.NumTasks(), Cold: key}
 		}
 		obs.FromContext(ctx).Observe(obs.StageMaterialize, start, time.Since(start))
 		return s.solve(ctx, slv, sreq, req.TimeoutMS, kopt.Topo, addr, lane, idx)
@@ -1500,19 +1473,19 @@ func (s *Server) solve(ctx context.Context, slv solver.Solver, sreq solver.Reque
 			// the client when to come back. Not a solver outcome — the
 			// solver never ran and the shed has its own counter.
 			s.mu.Lock()
-			s.shed++
+			s.counts.Shed++
 			s.mu.Unlock()
 			return nil, &httpError{status: http.StatusTooManyRequests,
 				msg: "service: " + err.Error(), retryAfter: ov.RetryAfter}
 		}
 		s.mu.Lock()
-		s.solveErrors[slv.Name()]++
+		s.counts.SolveErrors[slv.Name()]++
 		// A cancelled caller (client disconnect, batch drain) is a
 		// cancellation wherever it surfaced — still queued or mid-solve.
 		// Deadline expiries are deliberately not counted here: the request
 		// ran out its budget, nobody abandoned it.
 		if errors.Is(err, context.Canceled) {
-			s.cancelled++
+			s.counts.Cancelled++
 		}
 		s.mu.Unlock()
 		if errors.Is(err, engine.ErrQueueTimeout) || errors.Is(err, engine.ErrClosed) {
@@ -1567,18 +1540,18 @@ func (s *Server) solve(ctx context.Context, slv solver.Solver, sreq solver.Reque
 	// section, so the conservation law holds on any snapshot.
 	s.solveLatency.Observe(time.Since(start))
 	s.mu.Lock()
-	s.pruned += uint64(res.Pruned)
-	s.restartsAbandoned += uint64(res.RestartsAbandoned)
-	s.annealMoves += uint64(res.AnnealMoves)
-	s.annealAccepted += uint64(res.AnnealAccepted)
-	s.boundUpdates += uint64(res.BoundUpdates)
+	s.counts.PortfolioPruned += uint64(res.Pruned)
+	s.counts.RestartsAbandoned += uint64(res.RestartsAbandoned)
+	s.counts.AnnealMoves += uint64(res.AnnealMoves)
+	s.counts.AnnealAccepted += uint64(res.AnnealAccepted)
+	s.counts.PortfolioBoundUpdates += uint64(res.BoundUpdates)
 	if sreq.SA.Warm != nil {
-		s.warmHits++
-		s.warmEpochsSaved += uint64(res.WarmEpochsSaved)
+		s.counts.WarmHits++
+		s.counts.WarmEpochsSaved += uint64(res.WarmEpochsSaved)
 	}
-	s.bySolver[slv.Name()]++
+	s.counts.BySolver[slv.Name()]++
 	for _, m := range res.Members {
-		s.memberOutcomes[m.Member+"|"+m.Outcome]++
+		s.counts.MemberOutcomes[m.Member+"|"+m.Outcome]++
 	}
 	s.mu.Unlock()
 	return body, nil

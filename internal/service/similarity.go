@@ -47,6 +47,10 @@ type simEntry struct {
 	Graph    json.RawMessage  `json:"graph"`
 	Opt      keyOptions       `json:"opt"`
 	NumTasks int              `json:"num_tasks"`
+	// Cold is the plain (cold) key of the request the entry answered:
+	// Key itself for a cold solve, the request's own key for a warm one.
+	// Files written before it existed load with it empty.
+	Cold string `json:"cold,omitempty"`
 }
 
 const (
@@ -171,7 +175,11 @@ func (ix *SimIndex) Get(key string) (simEntry, bool) {
 }
 
 // Lookup returns the nearest indexed entry to sk on the same topology,
-// excluding selfKey, with exact sketch distance at most maxDist.
+// excluding every answer to the request selfKey itself (its cold solve
+// and its warm ones), with exact sketch distance at most maxDist. A warm
+// answer lies at distance 0 from its request, so without the exclusion
+// each repeat of a near miss would seed from the last one's answer under
+// a new warm key instead of replaying it.
 // Candidates are every entry sharing at least one LSH band with sk; each
 // is verified by exact distance, so a returned match is never a hash
 // artifact. Ties break toward the lexicographically smaller address so
@@ -192,7 +200,7 @@ func (ix *SimIndex) Lookup(sk taskgraph.Sketch, selfKey, topo string, maxDist fl
 			}
 			seen[slot] = struct{}{}
 			e := &ix.entries[slot]
-			if !ix.live[slot] || e.Topo != topo || e.Key == selfKey {
+			if !ix.live[slot] || e.Topo != topo || e.Key == selfKey || e.Cold == selfKey {
 				continue
 			}
 			d := sk.Distance(e.Sketch)

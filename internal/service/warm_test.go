@@ -345,6 +345,37 @@ func TestWarmStartPlainRequest(t *testing.T) {
 	})
 }
 
+// TestNearMissRepeatReplaysWarmAnswer: with WarmStart on, the same
+// near-miss bytes sent twice are warm-solved once. The second send must
+// not seed from the first one's answer (indexed at distance 0 from its
+// own request) but pick the same base, land on the same warm key and
+// replay the first answer as a hit.
+func TestNearMissRepeatReplaysWarmAnswer(t *testing.T) {
+	_, ts := newTestServer(t, Config{CacheSize: 64, WarmStart: true})
+	g, err := cliutil.BuildProgram("FFT")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.SetLoad(0, g.Load(0)+2)
+	nearMiss := wireRequest(t, "FFT", func(r *ScheduleRequest) { r.Graph = g })
+	post(t, ts.URL+"/v1/schedule", wireRequest(t, "FFT", nil))
+	first, firstBody := post(t, ts.URL+"/v1/schedule", nearMiss)
+	second, secondBody := post(t, ts.URL+"/v1/schedule", nearMiss)
+	if first.Header.Get("X-DTServe-Warm") == "" || first.Header.Get("X-DTServe-Cache") != "miss" {
+		t.Fatalf("send 1: cache %q, warm %q; want a warm-started miss",
+			first.Header.Get("X-DTServe-Cache"), first.Header.Get("X-DTServe-Warm"))
+	}
+	if got, want := second.Header.Get("X-DTServe-Address"), first.Header.Get("X-DTServe-Address"); second.Header.Get("X-DTServe-Cache") != "hit" || got != want {
+		t.Fatalf("send 2: cache %q at %s; want a hit at send 1's address %s", second.Header.Get("X-DTServe-Cache"), got, want)
+	}
+	if !bytes.Equal(firstBody, secondBody) {
+		t.Fatal("send 2 replayed a different body")
+	}
+	if st := getStats(t, ts.URL); st.Solves != 2 || st.WarmHits != 1 {
+		t.Fatalf("solves = %d, warm_hits = %d; want the base and one warm solve", st.Solves, st.WarmHits)
+	}
+}
+
 // TestSimIndexPersistence: the index round-trips through its sidecar
 // file — a reloaded index answers Get and Lookup like the original.
 func TestSimIndexPersistence(t *testing.T) {
