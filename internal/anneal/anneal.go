@@ -1,10 +1,10 @@
 // Package anneal implements the simulated-annealing minimizer used by the
 // packet scheduler of D'Hollander & Devis (ICPP 1991).
 //
-// The engine is deliberately generic: a Problem exposes its current cost
-// and a way to propose (and undo) random elementary moves; a Cooling
-// schedule produces the temperature sequence; Minimize runs the Glauber
-// acceptance dynamics of the paper's equation (1),
+// The engine is deliberately generic: a Problem exposes its current cost,
+// a way to price random elementary moves and a way to commit the accepted
+// ones; a Cooling schedule produces the temperature sequence; Minimize
+// runs the Glauber acceptance dynamics of the paper's equation (1),
 //
 //	B(ΔF, T) = 1 / (1 + exp(ΔF/T)),
 //
@@ -22,20 +22,22 @@ import (
 // state; the engine never copies it (except through the optional
 // Snapshotter interface).
 //
-// The Propose/Undo contract is designed so the accept/reject loop performs
-// no heap allocations: a Problem records whatever it needs to revert the
-// last move in its own pre-allocated state instead of returning a closure.
+// The Propose/Apply contract is designed so the accept/reject loop performs
+// no heap allocations and a rejected move writes nothing: Propose prices a
+// move without changing the state and records it in the Problem's own
+// pre-allocated fields, and Apply commits that recorded move.
 type Problem interface {
 	// Cost returns the current total cost of the state.
 	Cost() float64
-	// Propose applies one random elementary move to the state and returns
-	// the resulting cost change. ok reports whether a move was possible at
-	// all; when ok is false the engine stops.
+	// Propose draws one random elementary move and returns the cost
+	// change it would make, leaving the state as it was. ok reports
+	// whether a move was possible at all; when ok is false the engine
+	// stops.
 	Propose(rng *Rand) (delta float64, ok bool)
-	// Undo reverts the move applied by the most recent Propose call.
-	// Callers invoke Undo at most once per proposed move, before the next
-	// Propose (the engine undoes rejected moves).
-	Undo()
+	// Apply commits the move evaluated by the most recent Propose call.
+	// Callers invoke Apply at most once per proposed move, before the
+	// next Propose (the engine applies accepted moves only).
+	Apply()
 }
 
 // Snapshotter is an optional extension of Problem. When implemented, the

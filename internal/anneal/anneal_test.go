@@ -62,12 +62,12 @@ func TestQuickAcceptProbRange(t *testing.T) {
 
 // tourState is a toy problem: minimize the sum of absolute adjacent
 // differences of a permutation (sorted order is optimal). It follows the
-// zero-allocation contract: the last swap is remembered in two ints and
+// zero-allocation contract: the priced swap is remembered in two ints and
 // the best permutation lives in a reusable double buffer.
 type tourState struct {
 	perm   []int
 	best   []int
-	ui, uj int // indices of the last swap, for Undo
+	ui, uj int // indices of the last priced swap, for Apply
 }
 
 func (s *tourState) Cost() float64 {
@@ -78,6 +78,8 @@ func (s *tourState) Cost() float64 {
 	return c
 }
 
+// Propose prices a swap by making it, measuring and swapping back: the
+// cost is global and the state is integer, so the revert is exact.
 func (s *tourState) Propose(rng *Rand) (float64, bool) {
 	n := len(s.perm)
 	if n < 2 {
@@ -88,12 +90,14 @@ func (s *tourState) Propose(rng *Rand) (float64, bool) {
 		j = (j + 1) % n
 	}
 	before := s.Cost()
-	s.perm[i], s.perm[j] = s.perm[j], s.perm[i]
 	s.ui, s.uj = i, j
-	return s.Cost() - before, true
+	s.Apply()
+	delta := s.Cost() - before
+	s.Apply()
+	return delta, true
 }
 
-func (s *tourState) Undo() { s.perm[s.ui], s.perm[s.uj] = s.perm[s.uj], s.perm[s.ui] }
+func (s *tourState) Apply() { s.perm[s.ui], s.perm[s.uj] = s.perm[s.uj], s.perm[s.ui] }
 
 func (s *tourState) SaveBest() { copy(s.best, s.perm) }
 
@@ -263,10 +267,10 @@ func TestMinimizeDeterministicBySeed(t *testing.T) {
 	}
 }
 
-// The engine's accept/reject loop must not allocate: Propose/Undo return
-// no closures and best-tracking reuses the Snapshotter double buffer. A
-// whole Minimize run over a pre-allocated problem is therefore
-// allocation-free.
+// The engine's accept/reject loop must not allocate: Propose/Apply keep
+// the priced move in the problem's own fields, and best-tracking reuses
+// the Snapshotter double buffer. A whole Minimize run over a
+// pre-allocated problem is therefore allocation-free.
 func TestMinimizeZeroAllocs(t *testing.T) {
 	rng := NewRand(41)
 	s := newTour(16, rng)

@@ -109,6 +109,7 @@ func (st *Stepper) Step() bool {
 		res.Moves++
 		accepted := accept(rng.Float64(), delta, temp, inv)
 		if accepted {
+			p.Apply()
 			res.Accepted++
 			cost += delta
 			if cost < res.BestCost {
@@ -117,8 +118,6 @@ func (st *Stepper) Step() bool {
 					snapper.SaveBest()
 				}
 			}
-		} else {
-			p.Undo()
 		}
 		if onMove != nil {
 			onMove(MoveInfo{

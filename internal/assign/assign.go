@@ -107,8 +107,8 @@ type mappingState struct {
 	opt    MappingOptions
 	procOf []int
 	taskAt []int
-	// Undo state of the last Propose.
-	undoI, undoCur, undoTarget, undoOther int
+	// The move priced by the last Propose, for Apply.
+	moveI, moveCur, moveTarget, moveOther int
 	// Best-state double buffer for anneal.Snapshotter.
 	bestProcOf []int
 	bestTaskAt []int
@@ -140,8 +140,10 @@ func (m *mappingState) Cost() float64 {
 	return m.opt.WTotal*total + m.opt.WMax*maxLoad
 }
 
-// Propose implements anneal.Problem: move a task to a free processor or
-// exchange two tasks.
+// Propose implements anneal.Problem: price moving a task to a free
+// processor or exchanging two tasks. The cost is global, so Propose makes
+// the move, measures it and reverts it; the state is integer, so the
+// revert is exact.
 func (m *mappingState) Propose(rng *anneal.Rand) (float64, bool) {
 	n, p := len(m.procOf), len(m.taskAt)
 	if n == 0 || p < 2 {
@@ -154,25 +156,27 @@ func (m *mappingState) Propose(rng *anneal.Rand) (float64, bool) {
 	if target == cur {
 		target = (target + 1 + rng.Intn(p-1)) % p
 	}
-	other := m.taskAt[target]
-	m.procOf[i] = target
-	m.taskAt[target] = i
-	m.taskAt[cur] = other
-	if other >= 0 {
-		m.procOf[other] = cur
-	}
-	m.undoI, m.undoCur, m.undoTarget, m.undoOther = i, cur, target, other
-	return m.Cost() - before, true
+	m.moveI, m.moveCur, m.moveTarget, m.moveOther = i, cur, target, m.taskAt[target]
+	m.Apply()
+	delta := m.Cost() - before
+	m.relocate(i, target, cur, m.moveOther)
+	return delta, true
 }
 
-// Undo implements anneal.Problem: revert the last Propose.
-func (m *mappingState) Undo() {
-	i, cur, target, other := m.undoI, m.undoCur, m.undoTarget, m.undoOther
-	m.procOf[i] = cur
-	m.taskAt[cur] = i
-	m.taskAt[target] = other
+// Apply implements anneal.Problem: commit the move priced by the last
+// Propose.
+func (m *mappingState) Apply() {
+	m.relocate(m.moveI, m.moveCur, m.moveTarget, m.moveOther)
+}
+
+// relocate moves task i from processor from to processor to; other, the
+// task that was on to (or -1), takes from.
+func (m *mappingState) relocate(i, from, to, other int) {
+	m.procOf[i] = to
+	m.taskAt[to] = i
+	m.taskAt[from] = other
 	if other >= 0 {
-		m.procOf[other] = target
+		m.procOf[other] = from
 	}
 }
 
@@ -270,10 +274,11 @@ type balanceState struct {
 	avg     float64
 	loadDen float64
 	commDen float64
-	// Undo state of the last Propose.
-	undoTask         taskgraph.TaskID
-	undoCur, undoDst int
-	undoLoad         float64
+	// The move priced by the last Propose, for Apply: the task, its
+	// current and target processors, and the two loads the move leaves.
+	moveTask                 taskgraph.TaskID
+	moveCur, moveDst         int
+	moveLoadCur, moveLoadDst float64
 	// Best-state double buffer for anneal.Snapshotter.
 	bestProcOf []int
 	bestLoad   []float64
@@ -305,8 +310,11 @@ func (b *balanceState) taskCommCost(i taskgraph.TaskID, proc int) float64 {
 	return sum
 }
 
-// Propose implements anneal.Problem: move a random task to a random other
-// processor.
+// Propose implements anneal.Problem: price moving a random task to a
+// random other processor. It writes the two loads back as a made and
+// reverted move leaves them, (l − li) + li and (l + li) − li: that
+// round-off is part of the state later moves are priced from, and keeping
+// it keeps the static ablation's answers.
 func (b *balanceState) Propose(rng *anneal.Rand) (float64, bool) {
 	n, p := len(b.procOf), len(b.load)
 	if n == 0 || p < 2 {
@@ -323,23 +331,26 @@ func (b *balanceState) Propose(rng *anneal.Rand) (float64, bool) {
 	devBefore := math.Abs(b.load[cur]-b.avg) + math.Abs(b.load[target]-b.avg)
 	commBefore := b.taskCommCost(i, cur)
 
-	b.load[cur] -= li
-	b.load[target] += li
-	b.procOf[i] = target
+	loadCur := b.load[cur] - li
+	loadDst := b.load[target] + li
 
-	devAfter := math.Abs(b.load[cur]-b.avg) + math.Abs(b.load[target]-b.avg)
-	commAfter := b.taskCommCost(i, target)
+	devAfter := math.Abs(loadCur-b.avg) + math.Abs(loadDst-b.avg)
+	commAfter := b.taskCommCost(i, target) // reads neighbours only: no self-loops
 
 	delta := b.opt.Wb*(devAfter-devBefore)/b.loadDen + b.opt.Wc*(commAfter-commBefore)/b.commDen
-	b.undoTask, b.undoCur, b.undoDst, b.undoLoad = i, cur, target, li
+	b.load[cur] = loadCur + li
+	b.load[target] = loadDst - li
+	b.moveTask, b.moveCur, b.moveDst = i, cur, target
+	b.moveLoadCur, b.moveLoadDst = loadCur, loadDst
 	return delta, true
 }
 
-// Undo implements anneal.Problem: revert the last Propose.
-func (b *balanceState) Undo() {
-	b.load[b.undoCur] += b.undoLoad
-	b.load[b.undoDst] -= b.undoLoad
-	b.procOf[b.undoTask] = b.undoCur
+// Apply implements anneal.Problem: commit the move priced by the last
+// Propose.
+func (b *balanceState) Apply() {
+	b.load[b.moveCur] = b.moveLoadCur
+	b.load[b.moveDst] = b.moveLoadDst
+	b.procOf[b.moveTask] = b.moveDst
 }
 
 // SaveBest implements anneal.Snapshotter.

@@ -3,6 +3,7 @@ package assign
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/anneal"
@@ -156,20 +157,43 @@ func TestBalancingDeltaConsistency(t *testing.T) {
 	rng := anneal.NewRand(5)
 	for move := 0; move < 300; move++ {
 		before := st.Cost()
+		procOf, load := slices.Clone(st.procOf), slices.Clone(st.load)
 		delta, ok := st.Propose(rng)
 		if !ok {
 			t.Fatal("no move")
 		}
-		if math.Abs(st.Cost()-before-delta) > 1e-9 {
-			t.Fatalf("move %d: delta %g, recomputed %g", move, delta, st.Cost()-before)
+		// An unapplied proposal leaves the mapping, and leaves the loads
+		// bit-identical to a made and undone move: (l − li) + li on the
+		// source and (l + li) − li on the target.
+		src, dst, li := st.moveCur, st.moveDst, g.Load(st.moveTask)
+		want := slices.Clone(load)
+		want[src] = (load[src] - li) + li
+		want[dst] = (load[dst] + li) - li
+		if !slices.Equal(st.procOf, procOf) || !bitsEqual(st.load, want) {
+			t.Fatalf("move %d: Propose left procOf %v load %v, want %v %v", move, st.procOf, st.load, procOf, want)
 		}
-		if move%2 == 1 {
-			st.Undo()
-			if math.Abs(st.Cost()-before) > 1e-9 {
-				t.Fatalf("move %d: undo broke cost", move)
-			}
+		// Every other move is applied to the state; the rest are applied
+		// to a copy, so every delta is checked.
+		applied := st
+		if move%2 == 1 { // rejected: the state keeps its loads
+			cp := *st
+			cp.procOf, cp.load = slices.Clone(st.procOf), slices.Clone(st.load)
+			applied = &cp
+		}
+		applied.Apply()
+		want[src], want[dst] = load[src]-li, load[dst]+li
+		if !bitsEqual(applied.load, want) || applied.procOf[st.moveTask] != dst {
+			t.Fatalf("move %d: Apply left load %v, want %v", move, applied.load, want)
+		}
+		if math.Abs(applied.Cost()-before-delta) > 1e-9 {
+			t.Fatalf("move %d: delta %g, recomputed %g", move, delta, applied.Cost()-before)
 		}
 	}
+}
+
+// bitsEqual reports whether a and b hold bit-identical float64s.
+func bitsEqual(a, b []float64) bool {
+	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
 }
 
 func TestStaticPolicyRespectsMapping(t *testing.T) {

@@ -58,9 +58,10 @@ type packet struct {
 	rawFb float64
 	rawFc float64
 
-	// Undo state of the last Propose: candidate, target slot, the
-	// candidate's previous slot, and the displaced incumbent (-1 if none).
-	undoI, undoJ, undoCur, undoOther int
+	// The move priced by the last Propose, for Apply: candidate, target
+	// slot, the candidate's current slot, and the incumbent it displaces
+	// (-1 if none).
+	moveI, moveJ, moveCur, moveOther int
 
 	// Precomputed divisors of Propose's draws, Intn(n), Intn(n−1),
 	// Intn(p) and Intn(p−1) for n tasks and p processors; a bound whose
@@ -344,9 +345,10 @@ func (pk *packet) Fc() float64 { return pk.rawFc }
 // Propose implements anneal.Problem with the paper's elementary moves
 // (§5.2a): pick a task tᵢ and a processor pⱼ ≠ m(tᵢ); if pⱼ is free,
 // (re)assign tᵢ to pⱼ, otherwise exchange tᵢ with the task occupying pⱼ.
-// The move is recorded in the undo fields; no heap allocation happens.
-// Every draw is rng.Intn(k) for k in {n, n−1, p, p−1}, taken through the
-// packet's precomputed divisors.
+// The move is priced from the contribution table and recorded for Apply;
+// the mapping and the running components are not touched, and no heap
+// allocation happens. Every draw is rng.Intn(k) for k in {n, n−1, p, p−1},
+// taken through the packet's precomputed divisors.
 func (pk *packet) Propose(rng *anneal.Rand) (float64, bool) {
 	n, p := len(pk.tasks), len(pk.procs)
 	if n == 0 || p == 0 || (n == 1 && p == 1) {
@@ -366,24 +368,14 @@ func (pk *packet) Propose(rng *anneal.Rand) (float64, bool) {
 	}
 	other := pk.taskAt[j]
 
+	// ti moves onto slot j; if j was occupied, its task takes ti's old
+	// slot (which may be "unassigned", contributing nothing).
 	before := pk.componentCost(i, cur) + pk.componentCost(other, j)
-	// Apply the move: ti onto slot j; if j was occupied, its task takes
-	// ti's old slot (which may be "unassigned").
-	if cur >= 0 {
-		pk.remove(i)
-	}
+	after := pk.contribution(i, j)
 	if other >= 0 {
-		pk.remove(other)
+		after += pk.componentCost(other, cur)
 	}
-	pk.place(i, j)
-	if other >= 0 && cur >= 0 {
-		pk.place(other, cur)
-	}
-	after := pk.componentCost(i, pk.procOf[i])
-	if other >= 0 {
-		after += pk.componentCost(other, pk.procOf[other])
-	}
-	pk.undoI, pk.undoJ, pk.undoCur, pk.undoOther = i, j, cur, other
+	pk.moveI, pk.moveJ, pk.moveCur, pk.moveOther = i, j, cur, other
 	return after - before, true
 }
 
@@ -395,19 +387,19 @@ func wrap(k, m int) int {
 	return k
 }
 
-// Undo implements anneal.Problem: revert the move recorded by the last
-// Propose.
-func (pk *packet) Undo() {
-	i, j, cur, other := pk.undoI, pk.undoJ, pk.undoCur, pk.undoOther
-	pk.remove(i)
-	if other >= 0 && cur >= 0 {
-		pk.remove(other)
-	}
+// Apply implements anneal.Problem: commit the move priced by the last
+// Propose, updating the mapping and the running components.
+func (pk *packet) Apply() {
+	i, j, cur, other := pk.moveI, pk.moveJ, pk.moveCur, pk.moveOther
 	if cur >= 0 {
-		pk.place(i, cur)
+		pk.remove(i)
 	}
 	if other >= 0 {
-		pk.place(other, j)
+		pk.remove(other)
+	}
+	pk.place(i, j)
+	if other >= 0 && cur >= 0 {
+		pk.place(other, cur)
 	}
 }
 

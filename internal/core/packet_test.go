@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/anneal"
@@ -136,46 +137,51 @@ func TestPacketInitRandomFillsAllSlots(t *testing.T) {
 	}
 }
 
-// Property: Propose's reported delta always equals the recomputed cost
-// difference, and undo restores the exact previous state.
+// unchangedBy reports whether pk's mapping and running components are
+// bit-identical to the given copies.
+func unchangedBy(pk *packet, taskAt, procOf []int, fb, fc float64) bool {
+	return slices.Equal(pk.taskAt, taskAt) && slices.Equal(pk.procOf, procOf) &&
+		math.Float64bits(pk.Fb()) == math.Float64bits(fb) &&
+		math.Float64bits(pk.Fc()) == math.Float64bits(fc)
+}
+
+// Property: a proposal that is not applied leaves the mapping and the
+// running components bit-identical, and applying it moves Cost by exactly
+// the reported delta (to round-off). Every other move is applied to the
+// packet; the rest are applied to a clone, so every delta is checked.
 func TestPropertyProposeDeltaConsistent(t *testing.T) {
 	rng := anneal.NewRand(32)
 	pk, _ := packetFixture(t, 0.4, 0.6)
 	pk.initRandom(rng)
+	var clone packet
 	for move := 0; move < 500; move++ {
 		before := pk.Cost()
-		beforeTaskAt := append([]int(nil), pk.taskAt...)
-		beforeProcOf := append([]int(nil), pk.procOf...)
+		taskAt, procOf := slices.Clone(pk.taskAt), slices.Clone(pk.procOf)
+		fb, fc := pk.Fb(), pk.Fc()
 		delta, ok := pk.Propose(rng)
 		if !ok {
 			t.Fatal("no move possible")
 		}
-		after := pk.Cost()
-		if math.Abs((after-before)-delta) > 1e-9 {
-			t.Fatalf("move %d: delta %g, recomputed %g", move, delta, after-before)
+		if !unchangedBy(pk, taskAt, procOf, fb, fc) {
+			t.Fatalf("move %d: Propose changed the state", move)
 		}
-		if move%2 == 0 {
-			pk.Undo()
-			if math.Abs(pk.Cost()-before) > 1e-9 {
-				t.Fatalf("move %d: undo left cost %g, want %g", move, pk.Cost(), before)
-			}
-			for i, v := range beforeTaskAt {
-				if pk.taskAt[i] != v {
-					t.Fatalf("move %d: undo corrupted taskAt", move)
-				}
-			}
-			for i, v := range beforeProcOf {
-				if pk.procOf[i] != v {
-					t.Fatalf("move %d: undo corrupted procOf", move)
-				}
-			}
+		applied := pk
+		if move%2 == 0 { // rejected: the packet keeps its state
+			clone.cloneFrom(pk)
+			clone.moveI, clone.moveJ, clone.moveCur, clone.moveOther = pk.moveI, pk.moveJ, pk.moveCur, pk.moveOther
+			applied = &clone
+		}
+		applied.Apply()
+		if after := applied.Cost(); math.Abs((after-before)-delta) > 1e-9 {
+			t.Fatalf("move %d: delta %g, recomputed %g", move, delta, after-before)
 		}
 	}
 }
 
-// Property: the mapping invariants hold under any move sequence: procOf
-// and taskAt stay mutually consistent and the number of placed tasks never
-// changes after the initial fill.
+// Property: the mapping invariants hold under any sequence of applied and
+// unapplied proposals: procOf and taskAt stay mutually consistent, the
+// number of placed tasks never changes after the initial fill, and an
+// unapplied proposal changes nothing.
 func TestPropertyMappingInvariants(t *testing.T) {
 	rng := anneal.NewRand(33)
 	pk, _ := packetFixture(t, 0.5, 0.5)
@@ -194,12 +200,18 @@ func TestPropertyMappingInvariants(t *testing.T) {
 	}
 	want := countPlaced()
 	for move := 0; move < 400; move++ {
+		taskAt, procOf := slices.Clone(pk.taskAt), slices.Clone(pk.procOf)
+		fb, fc := pk.Fb(), pk.Fc()
 		_, ok := pk.Propose(rng)
 		if !ok {
 			t.Fatal("no move")
 		}
 		if move%3 == 0 {
-			pk.Undo()
+			if !unchangedBy(pk, taskAt, procOf, fb, fc) {
+				t.Fatalf("move %d: unapplied proposal changed the state", move)
+			}
+		} else {
+			pk.Apply()
 		}
 		if got := countPlaced(); got != want {
 			t.Fatalf("move %d: placed count changed %d -> %d", move, want, got)
@@ -215,6 +227,7 @@ func TestPacketSaveRestoreBest(t *testing.T) {
 	costBefore := pk.Cost()
 	for i := 0; i < 50; i++ {
 		pk.Propose(rng)
+		pk.Apply()
 	}
 	pk.RestoreBest()
 	if math.Abs(pk.Cost()-costBefore) > 1e-12 {
@@ -268,16 +281,17 @@ func TestPacketSingleProcMovesSwapTasks(t *testing.T) {
 	pk.initGreedy() // a (level 5) on the slot
 	rng := anneal.NewRand(35)
 	for i := 0; i < 20; i++ {
+		incumbent := pk.taskAt[0]
 		_, ok := pk.Propose(rng)
 		if !ok {
 			t.Fatal("no move")
 		}
-		if pk.taskAt[0] == -1 {
-			t.Fatal("slot emptied by a move")
+		if pk.taskAt[0] != incumbent {
+			t.Fatal("Propose changed the incumbent")
 		}
-		pk.Undo()
-		if pk.taskAt[0] != 0 {
-			t.Fatal("undo lost incumbent")
+		pk.Apply()
+		if pk.taskAt[0] != 1-incumbent {
+			t.Fatalf("slot holds %d after the move, want the other task", pk.taskAt[0])
 		}
 	}
 }

@@ -705,8 +705,8 @@ func TestStatszMetricsParity(t *testing.T) {
 			t.Fatalf("status %d: %s", resp.StatusCode, body)
 		}
 	}
-	// The handlers are called directly: a scrape through the server would
-	// count itself as a request between the two snapshots.
+	// The handlers are called directly, bypassing the request log
+	// around them.
 	scrape := func(h http.HandlerFunc) string {
 		rec := httptest.NewRecorder()
 		h(rec, httptest.NewRequest(http.MethodGet, "/", nil))
@@ -729,6 +729,39 @@ func TestStatszMetricsParity(t *testing.T) {
 		}
 		return [][2]string{{strings.Join(path, "_"), ""}}
 	})
+}
+
+// A scrape is not an API call: back-to-back /statsz scrapes through
+// Handler(), with a /metrics scrape between them, agree on requests, and
+// a schedule call still moves it by one.
+func TestScrapesDoNotCountAsRequests(t *testing.T) {
+	srv, _ := newTestServer(t, Config{CacheSize: 8})
+	h := srv.Handler()
+	serve := func(method, path string, body []byte) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(method, path, bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s %s: status %d: %s", method, path, rec.Code, rec.Body)
+		}
+		return rec
+	}
+	requests := func() uint64 {
+		var st Stats
+		if err := json.Unmarshal(serve(http.MethodGet, "/statsz", nil).Body.Bytes(), &st); err != nil {
+			t.Fatal(err)
+		}
+		return st.Requests
+	}
+	serve(http.MethodPost, "/v1/schedule", wireRequest(t, "FFT", nil))
+	first := requests()
+	serve(http.MethodGet, "/metrics", nil)
+	if second := requests(); second != first || first != 1 {
+		t.Fatalf("requests = %d then %d across scrapes, want 1 both times", first, second)
+	}
+	serve(http.MethodPost, "/v1/schedule", wireRequest(t, "FFT", nil))
+	if got := requests(); got != 2 {
+		t.Fatalf("requests = %d after a second schedule call, want 2", got)
+	}
 }
 
 // stableScrape takes a /statsz and a /metrics body between two equal

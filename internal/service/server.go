@@ -214,7 +214,7 @@ type procMeta struct {
 // are identically zero.) The fields' `metric` tags declare the /metrics
 // families (obs.WriteProm).
 type Stats struct {
-	Requests  uint64 `json:"requests" metric:"counter,API calls that reached a handler."`
+	Requests  uint64 `json:"requests" metric:"counter,API calls that reached a handler; /statsz and /metrics scrapes are not counted (failures counts them)."`
 	Failures  uint64 `json:"failures" metric:"counter,Requests answered with a non-2xx status."`
 	Items     uint64 `json:"schedule_items" metric:"counter,Schedule items answered: one per single schedule call, one per batch member."`
 	Solves    uint64 `json:"solves" metric:"counter,Solver executions (cache misses that ran a solver)."`
@@ -591,7 +591,11 @@ func (s *Server) logged(next http.Handler) http.Handler {
 		next.ServeHTTP(sw, r)
 		dur := time.Since(start)
 		s.mu.Lock()
-		s.counts.Requests++
+		// A scrape does not count as an API call, so it never moves the
+		// counter it reads; a failed one still counts as a failure.
+		if p := r.URL.Path; p != "/statsz" && p != "/metrics" {
+			s.counts.Requests++
+		}
 		if sw.status >= 400 {
 			s.counts.Failures++
 		}
