@@ -121,9 +121,8 @@ func randomPacket(t *testing.T, seed int64, n, p int) *packet {
 
 // costScale is the magnitude of pk's two eq. 6 terms, at least 1: the
 // tolerance unit for comparing a cost difference with a delta. It is 1
-// for a packet with sane ranges, and about 1e16 for one whose ΔFb is left
-// at round-off (a packet that selects every candidate, with levels whose
-// sums round differently in the two orders balanceRange adds them).
+// for a packet with sane ranges and grows when near-tied levels make ΔFb
+// tiny, which scales the level terms of the contributions up.
 func costScale(pk *packet) float64 {
 	return max(1, math.Abs(pk.wb*pk.Fb()/pk.dFb)+math.Abs(pk.wc*pk.Fc()/pk.dFc))
 }

@@ -256,10 +256,12 @@ func (pk *packet) nSelect() int {
 // balanceRange computes ΔFb = (Max − Min)/N_idle, where Max and Min are
 // the cumulative level values of the N_idle highest- and lowest-level
 // candidates (§4.2c). Degenerate packets get a range of 1 so the division
-// is always safe.
+// is always safe. A packet that selects every candidate has Max = Min
+// exactly, but the two sums add the same levels in opposite orders and
+// can differ by round-off, so that case returns 1 before summing.
 func (pk *packet) balanceRange() float64 {
 	k := pk.nSelect()
-	if k == 0 {
+	if k == 0 || k == len(pk.tasks) {
 		return 1
 	}
 	sorted := append(pk.sortScratch[:0], pk.level...)

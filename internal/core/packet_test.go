@@ -310,3 +310,55 @@ func TestPacketDegenerateRangesGuarded(t *testing.T) {
 		t.Errorf("degenerate ranges = %g, %g; want 1, 1", pk.dFb, pk.dFc)
 	}
 }
+
+// A packet that selects every candidate (here 10 tasks on 10 idle
+// processors) places the same levels whatever the mapping, so its
+// load-balancing range is degenerate and must be exactly 1, not the
+// round-off left by summing non-integer levels in two orders. Every move
+// is then priced by its communication change alone.
+func TestPacketFullSelectionBalanceRange(t *testing.T) {
+	g := taskgraph.New("full")
+	rng := anneal.NewRand(99)
+	ready := make([]taskgraph.TaskID, 10)
+	ranOn := map[taskgraph.TaskID]int{}
+	for c := range ready {
+		ready[c] = g.AddTask("c", 0.1+1.7*float64(c)+0.01*float64(c*c))
+		h := g.AddTask("h", 1)
+		ranOn[h] = rng.Intn(10)
+		g.MustAddEdge(h, ready[c], 1000*rng.Float64())
+	}
+	topo, err := topology.Ring(10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	levels, err := g.Levels()
+	if err != nil {
+		t.Fatal(err)
+	}
+	locate := func(id taskgraph.TaskID) int {
+		if proc, ok := ranOn[id]; ok {
+			return proc
+		}
+		return -1
+	}
+	idle := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
+	pk := newPacket(ready, idle, locate, levels, topo, topology.DefaultCommParams(), g, 0.5, 0.5)
+	if pk.dFb != 1 {
+		t.Fatalf("ΔFb = %g, want 1", pk.dFb)
+	}
+	pk.initRandom(rng)
+	for move := 0; move < 500; move++ {
+		delta, ok := pk.Propose(rng)
+		if !ok {
+			t.Fatal("no move")
+		}
+		i, j, cur, other := pk.moveI, pk.moveJ, pk.moveCur, pk.moveOther
+		comm := (pk.comm(i, j) + pk.comm(other, cur)) - (pk.comm(i, cur) + pk.comm(other, j))
+		if want := pk.wc * comm / pk.dFc; math.Abs(delta-want) > 1e-9 {
+			t.Fatalf("move %d: delta %v, communication-only difference %v", move, delta, want)
+		}
+		if move%2 == 0 {
+			pk.Apply()
+		}
+	}
+}
