@@ -127,7 +127,7 @@ var ErrNoCooling = errors.New("anneal: no cooling schedule")
 // delta < 0; at temp = +Inf the probability is ½.
 //
 // AcceptProb is the specification of the acceptance rule. The annealing
-// loop decides moves with accept, which returns exactly
+// loop decides moves with Accept, which returns exactly
 // u < AcceptProb(delta, temp) but calls math.Exp only when a cheap
 // bracket of the exponential cannot settle the comparison.
 func AcceptProb(delta, temp float64) float64 {
@@ -151,7 +151,7 @@ func AcceptProb(delta, temp float64) float64 {
 	return 1 / (1 + math.Exp(x))
 }
 
-// acceptMargin is the relative guard band of accept's bracket. It must
+// acceptMargin is the relative guard band of Accept's bracket. It must
 // exceed the rounding error of the bracket bounds and of AcceptProb's own
 // evaluation (a few ulps each, about 1e-14 relative) by a wide factor, so
 // that a decision taken from the bounds always agrees with the rounded
@@ -163,11 +163,12 @@ const acceptMargin = 1e-9
 // term: Σ_{k≥5} z^k/k! ≤ e^z·z⁵/120 ≤ (e/120)·z⁵ < 0.023·z⁵ for z ≤ 1.
 const expRemainder = 0.023
 
-// accept decides one Glauber move: it returns exactly
+// Accept decides one Glauber move: it returns exactly
 // u < AcceptProb(delta, temp) for every float64 input, calling math.Exp
 // only when bracket cannot settle the comparison. inv must be 1/temp,
-// which the annealing loop computes once per stage.
-func accept(u, delta, temp, inv float64) bool {
+// which an annealing loop computes once per stage. The Stepper and the
+// packet scheduler's single-slot kernel both decide with it.
+func Accept(u, delta, temp, inv float64) bool {
 	if decided, ok := bracket(u, delta, temp, inv); decided {
 		return ok
 	}
@@ -185,7 +186,7 @@ func accept(u, delta, temp, inv float64) bool {
 // x ≥ 0 (P = 1/(1+e^y)) and u·(1+e^y) < e^y for x < 0 (P = e^y/(1+e^y)).
 // A decision is taken from a bound only when it holds with relative
 // margin acceptMargin. decided is false when u lands inside the band, for
-// a NaN anywhere, and for temp ≤ 0 or +Inf; accept then evaluates
+// a NaN anywhere, and for temp ≤ 0 or +Inf; Accept then evaluates
 // AcceptProb. See PERFORMANCE.md §15 for the derivation, why x may differ
 // from delta/temp by 2 ulps, and the measured fallback rate.
 func bracket(u, delta, temp, inv float64) (decided, ok bool) {

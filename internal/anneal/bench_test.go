@@ -26,7 +26,7 @@ func BenchmarkAccept(b *testing.B) {
 	n := 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if accept(us[i%len(us)], float64(i%7)-3, 0.5, 2) {
+		if Accept(us[i%len(us)], float64(i%7)-3, 0.5, 2) {
 			n++
 		}
 	}

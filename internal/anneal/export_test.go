@@ -1,8 +1,5 @@
 package anneal
 
-// Accept and Bracket expose the exp-free acceptance test to the external
-// test package, which replays real scheduler traces through it.
-var (
-	Accept  = accept
-	Bracket = bracket
-)
+// Bracket exposes the exp-free acceptance bracket to the external test
+// package, which replays real scheduler traces through it.
+var Bracket = bracket

@@ -13,7 +13,7 @@ import (
 
 // TestAcceptReplaySchedulerTrace replays the (Delta, Temp) stream of a
 // real packet-annealing solve — Newton-Euler on the 8-processor
-// hypercube, recorded with RecordTrace — through accept, with u drawn
+// hypercube, recorded with RecordTrace — through Accept, with u drawn
 // from a fixed seed. Every decision must equal u < AcceptProb, and the
 // multiply-only bracket must settle at least 99.9% of the moves without
 // evaluating AcceptProb.
@@ -43,7 +43,7 @@ func TestAcceptReplaySchedulerTrace(t *testing.T) {
 		for _, tp := range pk.Trace {
 			u := rng.Float64()
 			if got, want := anneal.Accept(u, tp.Delta, tp.Temp, 1/tp.Temp), u < anneal.AcceptProb(tp.Delta, tp.Temp); got != want {
-				t.Fatalf("move %d: accept(%v, %v, %v) = %v, want %v", tp.Iter, u, tp.Delta, tp.Temp, got, want)
+				t.Fatalf("move %d: Accept(%v, %v, %v) = %v, want %v", tp.Iter, u, tp.Delta, tp.Temp, got, want)
 			}
 			if decided, _ := anneal.Bracket(u, tp.Delta, tp.Temp, 1/tp.Temp); !decided {
 				fallbacks++

@@ -107,7 +107,7 @@ func (st *Stepper) Step() bool {
 			break
 		}
 		res.Moves++
-		accepted := accept(rng.Float64(), delta, temp, inv)
+		accepted := Accept(rng.Float64(), delta, temp, inv)
 		if accepted {
 			p.Apply()
 			res.Accepted++

@@ -421,8 +421,13 @@ func (s *Scheduler) Assign(ep *machsim.Epoch) []machsim.Assignment {
 // every barrier the loop polls Interrupt and Bound; cooperative runs then
 // share the incumbent (abandonLagging), and tempering exchanges replica
 // states. No decision depends on timing, so equal seeds give equal
-// schedules.
+// schedules. A single run of a one-processor packet takes the fused
+// annealSingleSlot instead, with the same answers.
 func (s *Scheduler) anneal(pk *packet, aopt anneal.Options, report *PacketReport) {
+	if s.singleSlot(pk, aopt) {
+		s.annealSingleSlot(pk, aopt, report)
+		return
+	}
 	n := max(s.opt.Restarts, 1)
 	if len(s.runs) < n {
 		s.runs = append(s.runs, make([]restartRun, n-len(s.runs))...)
