@@ -512,21 +512,7 @@ func (s *Scheduler) anneal(pk *packet, aopt anneal.Options, report *PacketReport
 		if !live {
 			break
 		}
-		// Interrupt (the request context, threaded in by the solver) cuts
-		// the anneal short; the best mapping so far is still adopted and
-		// the simulator surfaces the cancellation itself. This is the one
-		// wall-clock-dependent exit, and it only fires on runs whose
-		// results are being discarded.
-		if s.opt.Interrupt != nil && s.opt.Interrupt() != nil {
-			break
-		}
-		// The portfolio's incumbent bound, polled at anneal granularity:
-		// the epoch's simulation clock only advances, so once it exceeds
-		// the incumbent best this run cannot win — stop annealing now
-		// instead of finishing the packet and letting the simulator's next
-		// event-batch poll abort the run. Same wall-clock caveat (and the
-		// same discarded-runs-only guarantee) as Interrupt.
-		if s.opt.Bound != nil && s.opt.Bound(s.epochTime) != nil {
+		if s.stopAtBarrier() {
 			break
 		}
 		if abandonAfter > 0 {
@@ -564,6 +550,23 @@ func (s *Scheduler) anneal(pk *packet, aopt anneal.Options, report *PacketReport
 	if s.opt.RecordTrace {
 		report.Trace = append(report.Trace[:0], win.trace...)
 	}
+}
+
+// stopAtBarrier polls Interrupt, then Bound, at a stage barrier and
+// reports whether either asks the anneal to stop; the best mapping so far
+// is still adopted.
+//
+// Interrupt is the request context, threaded in by the solver; the
+// simulator surfaces the cancellation itself. Bound is the portfolio's
+// incumbent, polled at anneal granularity: the epoch's simulation clock
+// only advances, so once it exceeds the incumbent best this run cannot
+// win, and it stops now instead of finishing the packet and letting the
+// simulator's next event-batch poll abort the run. These are the
+// wall-clock-dependent exits, and they only fire on runs whose results
+// are being discarded.
+func (s *Scheduler) stopAtBarrier() bool {
+	return s.opt.Interrupt != nil && s.opt.Interrupt() != nil ||
+		s.opt.Bound != nil && s.opt.Bound(s.epochTime) != nil
 }
 
 // abandonLagging applies the cooperative incumbent rule at a barrier. The

@@ -7,10 +7,11 @@ import (
 )
 
 // singleSlot reports whether annealSingleSlot anneals pk: a single run
-// (no restarts) of a packet with one idle processor and at least two
-// candidates, with no per-move observer (neither RecordTrace nor a
-// caller's Anneal.OnMove). Four in five annealing moves of the catalog
-// programs fall in such packets (PERFORMANCE.md §25).
+// (no restarts) of a packet with one idle processor, at least two
+// candidates and a candidate on the slot (every init places one), with
+// no per-move observer (neither RecordTrace nor a caller's
+// Anneal.OnMove). Four in five annealing moves of the catalog programs
+// fall in such packets (PERFORMANCE.md §25).
 func (s *Scheduler) singleSlot(pk *packet, aopt anneal.Options) bool {
 	return s.opt.Restarts <= 1 && len(pk.procs) == 1 && len(pk.tasks) >= 2 &&
 		pk.taskAt[0] >= 0 && aopt.OnMove == nil && !s.opt.RecordTrace
@@ -76,13 +77,7 @@ func (s *Scheduler) annealSingleSlot(pk *packet, aopt anneal.Options, report *Pa
 			}
 			more = more && stage+1 < numStages
 		}
-		if s.opt.Interrupt != nil && s.opt.Interrupt() != nil {
-			break
-		}
-		if s.opt.Bound != nil && s.opt.Bound(s.epochTime) != nil {
-			break
-		}
-		if !more {
+		if s.stopAtBarrier() || !more {
 			break
 		}
 	}
