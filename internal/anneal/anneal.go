@@ -15,6 +15,7 @@ package anneal
 
 import (
 	"errors"
+	"fmt"
 	"math"
 )
 
@@ -53,18 +54,6 @@ type Snapshotter interface {
 	RestoreBest()
 }
 
-// MoveInfo describes one proposed move; it is passed to the OnMove
-// observer, which the packet scheduler uses to record the Figure 1 cost
-// trajectories.
-type MoveInfo struct {
-	Move     int     // global move index, 0-based
-	Stage    int     // temperature stage index, 0-based
-	Temp     float64 // temperature at which the move was proposed
-	Delta    float64 // proposed cost change
-	Accepted bool
-	Cost     float64 // cost after the accept/reject decision
-}
-
 // Options configures Minimize. The zero value is not usable; use
 // DefaultOptions as a starting point.
 type Options struct {
@@ -85,8 +74,6 @@ type Options struct {
 	// RNG is the random source; if nil, a source seeded with Seed is used.
 	RNG  *Rand
 	Seed int64
-	// OnMove, when non-nil, observes every proposed move.
-	OnMove func(MoveInfo)
 }
 
 // DefaultOptions returns the engine configuration used throughout the
@@ -166,8 +153,8 @@ const expRemainder = 0.023
 // Accept decides one Glauber move: it returns exactly
 // u < AcceptProb(delta, temp) for every float64 input, calling math.Exp
 // only when bracket cannot settle the comparison. inv must be 1/temp,
-// which an annealing loop computes once per stage. The Stepper and the
-// packet scheduler's single-slot kernel both decide with it.
+// which an annealing loop computes once per stage (Run.Begin returns it).
+// Minimize and the packet scheduler's loop both decide with it.
 func Accept(u, delta, temp, inv float64) bool {
 	if decided, ok := bracket(u, delta, temp, inv); decided {
 		return ok
@@ -236,14 +223,52 @@ func upperExp(t4, z, z2 float64) float64 {
 }
 
 // Minimize runs simulated annealing on p and returns run statistics. The
-// Problem is left in its final (or best, for Snapshotters) state. It
-// drives a Stepper to completion, so the two share one accept/reject loop.
+// Problem is left in its final (or best, for Snapshotters) state. Its
+// stage, plateau, move-cap and keep-best rules are Run's, the ones the
+// packet scheduler's own loop drives, so Minimize on a packet is that
+// loop's reference.
 func Minimize(p Problem, opt Options) (Result, error) {
-	var st Stepper
-	if err := st.Reset(p, opt); err != nil {
-		return Result{}, err
+	if opt.Cooling == nil {
+		return Result{}, ErrNoCooling
 	}
-	for st.Step() {
+	if opt.MovesPerStage <= 0 {
+		return Result{}, fmt.Errorf("anneal: MovesPerStage = %d, want > 0", opt.MovesPerStage)
 	}
-	return st.Result(), nil
+	rng := opt.RNG
+	if rng == nil {
+		rng = NewRand(opt.Seed)
+	}
+	snap, _ := p.(Snapshotter)
+	var r Run
+	r.Start(opt, p.Cost(), snap)
+	for {
+		temp, inv, budget, ok := r.Begin()
+		if !ok {
+			break
+		}
+		cost, best := r.Cost, r.BestCost
+		moves, accepted, exhausted := 0, 0, false
+		for ; moves < budget; moves++ {
+			delta, ok := p.Propose(rng)
+			if !ok {
+				exhausted = true
+				break
+			}
+			if Accept(rng.Float64(), delta, temp, inv) {
+				p.Apply()
+				accepted++
+				cost += delta
+				if cost < best {
+					best = cost
+					if snap != nil {
+						snap.SaveBest()
+					}
+				}
+			}
+		}
+		if !r.End(cost, best, moves, accepted, exhausted) {
+			break
+		}
+	}
+	return r.Finish(), nil
 }

@@ -198,32 +198,6 @@ func TestMinimizeMoveCap(t *testing.T) {
 	}
 }
 
-func TestMinimizeOnMoveObserver(t *testing.T) {
-	rng := NewRand(16)
-	s := newTour(8, rng)
-	var seen int
-	var lastCost float64
-	res, err := Minimize(s, Options{
-		Cooling:       Geometric{T0: 1, Alpha: 0.9, NumStages: 10},
-		MovesPerStage: 20,
-		RNG:           rng,
-		OnMove: func(mi MoveInfo) {
-			if mi.Move != seen {
-				t.Fatalf("move index %d, want %d", mi.Move, seen)
-			}
-			seen++
-			lastCost = mi.Cost
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seen != res.Moves {
-		t.Errorf("observer saw %d moves, result says %d", seen, res.Moves)
-	}
-	_ = lastCost
-}
-
 func TestMinimizeErrors(t *testing.T) {
 	s := newTour(5, NewRand(17))
 	if _, err := Minimize(s, Options{MovesPerStage: 10}); err != ErrNoCooling {

@@ -10,8 +10,8 @@ import (
 )
 
 // Restarts keep their workspaces in the scheduler arena: packet clones,
-// RNGs, Steppers and tempering rungs are reused across packets and
-// solves. Through one reused core.Scheduler and machsim.Arena, a
+// RNGs, stage bookkeeping and tempering rungs are reused across packets
+// and solves. Through one reused core.Scheduler and machsim.Arena, a
 // Restarts=4 solve in every restart mode allocates at most two more times
 // than a single run.
 func TestRestartModesArenaAllocs(t *testing.T) {

@@ -183,12 +183,12 @@ func FuzzPacketMovesMatchApplyUndo(f *testing.F) {
 	})
 }
 
-// A rejected move changes nothing: over a whole Newton-Euler solve on a
-// 3-cube, every rejected move leaves the packet's Fb, Fc and Cost
-// bit-equal to their values before the move. (A move made and then
-// reverted adds and subtracts its terms, which leaves round-off in the
-// running sums and so in the Figure 1 trajectories.) The first move of
-// each packet has no observed predecessor and is not checked.
+// A rejected move changes nothing: over a whole traced Newton-Euler
+// solve on a 3-cube, every rejected move leaves the packet's Fb, Fc and
+// Ftot bit-equal to their values after the move before it. (A move made
+// and then reverted adds and subtracts its terms, which leaves round-off
+// in the running sums and so in the Figure 1 trajectories.) The first
+// move of each packet has no recorded predecessor and is not checked.
 func TestRejectedMovesLeaveCostBitIdentical(t *testing.T) {
 	g := programs.NewtonEuler()
 	topo, err := topology.Hypercube(3)
@@ -198,28 +198,29 @@ func TestRejectedMovesLeaveCostBitIdentical(t *testing.T) {
 	comm := topology.DefaultCommParams()
 	opt := DefaultOptions()
 	opt.Seed = 7
-	var sched *Scheduler
-	var fb, fc, cost float64
-	checked := 0
-	opt.Anneal.OnMove = func(mi anneal.MoveInfo) {
-		pk := &sched.pk
-		if mi.Move > 0 && !mi.Accepted {
-			checked++
-			if math.Float64bits(pk.Fb()) != math.Float64bits(fb) ||
-				math.Float64bits(pk.Fc()) != math.Float64bits(fc) ||
-				math.Float64bits(pk.Cost()) != math.Float64bits(cost) {
-				t.Fatalf("rejected move %d (stage %d) changed (Fb, Fc, Cost) from (%v, %v, %v) to (%v, %v, %v)",
-					mi.Move, mi.Stage, fb, fc, cost, pk.Fb(), pk.Fc(), pk.Cost())
-			}
-		}
-		fb, fc, cost = pk.Fb(), pk.Fc(), pk.Cost()
-	}
-	sched, err = NewScheduler(g, topo, comm, opt)
+	opt.RecordTrace = true
+	sched, err := NewScheduler(g, topo, comm, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := machsim.Run(machsim.Model{Graph: g, Topo: topo, Comm: comm}, sched, machsim.Options{}); err != nil {
 		t.Fatal(err)
+	}
+	checked := 0
+	for _, p := range sched.Packets() {
+		for k := 1; k < len(p.Trace); k++ {
+			prev, tp := p.Trace[k-1], p.Trace[k]
+			if tp.Accepted {
+				continue
+			}
+			checked++
+			if math.Float64bits(tp.Fb) != math.Float64bits(prev.Fb) ||
+				math.Float64bits(tp.Fc) != math.Float64bits(prev.Fc) ||
+				math.Float64bits(tp.Ftot) != math.Float64bits(prev.Ftot) {
+				t.Fatalf("packet at %g: rejected move %d changed (Fb, Fc, Ftot) from (%v, %v, %v) to (%v, %v, %v)",
+					p.Time, tp.Iter, prev.Fb, prev.Fc, prev.Ftot, tp.Fb, tp.Fc, tp.Ftot)
+			}
+		}
 	}
 	if checked < 1000 {
 		t.Fatalf("checked %d rejected moves, want a whole solve's worth", checked)

@@ -68,9 +68,9 @@ type packet struct {
 	// n would be 0 is left zero and never drawn from.
 	drawN, drawN1, drawP, drawP1 anneal.Bound
 
-	// Best-state double buffer backing anneal.Snapshotter.
+	// Best-state buffer backing anneal.Snapshotter: the best mapping's
+	// taskAt (procOf follows from it) and running components.
 	bestTaskAt []int
-	bestProcOf []int
 	bestFb     float64
 	bestFc     float64
 
@@ -118,7 +118,6 @@ func (pk *packet) presize(n, p int) {
 	pk.taskAt = grow(pk.taskAt, p)[:0]
 	pk.procOf = grow(pk.procOf, n)[:0]
 	pk.bestTaskAt = grow(pk.bestTaskAt, p)[:0]
-	pk.bestProcOf = grow(pk.bestProcOf, n)[:0]
 	pk.sortScratch = grow(pk.sortScratch, n)[:0]
 	pk.idxScratch = grow(pk.idxScratch, n)[:0]
 	pk.out = grow(pk.out, p)[:0]
@@ -142,7 +141,6 @@ func (pk *packet) reset(ready []taskgraph.TaskID, idle []int, locate Locator, le
 	pk.taskAt = grow(pk.taskAt, p)
 	pk.procOf = grow(pk.procOf, n)
 	pk.bestTaskAt = grow(pk.bestTaskAt, p)
-	pk.bestProcOf = grow(pk.bestProcOf, n)
 	pk.rawFb, pk.rawFc = 0, 0
 
 	for j := range pk.taskAt {
@@ -207,7 +205,6 @@ func (pk *packet) cloneFrom(src *packet) {
 	pk.taskAt = append(pk.taskAt[:0], src.taskAt...)
 	pk.procOf = append(pk.procOf[:0], src.procOf...)
 	pk.bestTaskAt = grow(pk.bestTaskAt, len(src.taskAt))
-	pk.bestProcOf = grow(pk.bestProcOf, len(src.procOf))
 	pk.rawFb, pk.rawFc = src.rawFb, src.rawFc
 }
 
@@ -334,8 +331,17 @@ func (pk *packet) remove(i int) {
 }
 
 // Cost implements anneal.Problem: eq. 6, F = wb·Fb/ΔFb + wc·Fc/ΔFc.
-func (pk *packet) Cost() float64 {
-	return pk.wb*pk.rawFb/pk.dFb + pk.wc*pk.rawFc/pk.dFc
+func (pk *packet) Cost() float64 { return pk.costOf(pk.rawFb, pk.rawFc) }
+
+// costOf returns eq. 6 for the raw components fb and fc.
+func (pk *packet) costOf(fb, fc float64) float64 {
+	return pk.wb*fb/pk.dFb + pk.wc*fc/pk.dFc
+}
+
+// tracePoint is the Figure 1 record of a proposed move after its
+// accept/reject decision left the running components at fb and fc.
+func (pk *packet) tracePoint(iter int, temp, delta, fb, fc float64, accepted bool) TracePoint {
+	return TracePoint{Iter: iter, Temp: temp, Delta: delta, Fb: fb, Fc: fc, Ftot: pk.costOf(fb, fc), Accepted: accepted}
 }
 
 // Fb returns the current raw load-balancing cost (eq. 3).
@@ -414,18 +420,25 @@ func (pk *packet) componentCost(i, j int) float64 {
 	return pk.contribution(i, j)
 }
 
-// SaveBest implements anneal.Snapshotter by copying the mapping into the
-// packet's reusable best buffer.
+// SaveBest implements anneal.Snapshotter by copying the mapping's taskAt
+// and running components into the packet's reusable best buffer.
 func (pk *packet) SaveBest() {
 	copy(pk.bestTaskAt, pk.taskAt)
-	copy(pk.bestProcOf, pk.procOf)
 	pk.bestFb, pk.bestFc = pk.rawFb, pk.rawFc
 }
 
-// RestoreBest implements anneal.Snapshotter.
+// RestoreBest implements anneal.Snapshotter: taskAt comes back from the
+// best buffer and procOf is rebuilt from it. A run restores at most once.
 func (pk *packet) RestoreBest() {
 	copy(pk.taskAt, pk.bestTaskAt)
-	copy(pk.procOf, pk.bestProcOf)
+	for i := range pk.procOf {
+		pk.procOf[i] = -1
+	}
+	for j, i := range pk.taskAt {
+		if i >= 0 {
+			pk.procOf[i] = j
+		}
+	}
 	pk.rawFb, pk.rawFc = pk.bestFb, pk.bestFc
 }
 

@@ -225,6 +225,7 @@ func TestPacketSaveRestoreBest(t *testing.T) {
 	pk.initGreedy()
 	pk.SaveBest()
 	costBefore := pk.Cost()
+	procOf := slices.Clone(pk.procOf)
 	for i := 0; i < 50; i++ {
 		pk.Propose(rng)
 		pk.Apply()
@@ -233,8 +234,8 @@ func TestPacketSaveRestoreBest(t *testing.T) {
 	if math.Abs(pk.Cost()-costBefore) > 1e-12 {
 		t.Errorf("restore: cost %g, want %g", pk.Cost(), costBefore)
 	}
-	if pk.taskAt[0] != 0 || pk.taskAt[1] != 1 {
-		t.Errorf("restore: mapping %v", pk.taskAt)
+	if pk.taskAt[0] != 0 || pk.taskAt[1] != 1 || !slices.Equal(pk.procOf, procOf) {
+		t.Errorf("restore: mapping %v, procOf %v; want procOf %v", pk.taskAt, pk.procOf, procOf)
 	}
 }
 

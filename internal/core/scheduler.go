@@ -32,8 +32,9 @@ type Options struct {
 	// initial mappings and keeps the lowest-cost one. 0 or 1 means a
 	// single run. Restarts anneal cloned packets with deterministic
 	// per-restart seeds, one temperature stage each per barrier on the
-	// calling goroutine, so a solve with r restarts costs about r single
-	// solves — and equal seeds still give equal schedules.
+	// calling goroutine, in the loop a single run takes, so a solve with r
+	// restarts costs about r single solves — and equal seeds still give
+	// equal schedules.
 	Restarts int
 	// Cooperative makes restarts share one incumbent best cost: at every
 	// stage barrier the restart with the lowest best cost is the
@@ -133,14 +134,15 @@ func (o Options) Validate() error {
 // normalized total Ftot (eq. 6). These are the three trajectories of the
 // paper's Figure 1. Delta is the proposed move's cost change, accepted or
 // not, so a trace also replays the (Delta, Temp) stream the acceptance
-// rule saw.
+// rule saw, and Accepted is that rule's decision.
 type TracePoint struct {
-	Iter  int
-	Temp  float64
-	Delta float64
-	Fb    float64
-	Fc    float64
-	Ftot  float64
+	Iter     int
+	Temp     float64
+	Delta    float64
+	Fb       float64
+	Fc       float64
+	Ftot     float64
+	Accepted bool
 }
 
 // PacketReport summarizes the annealing of one packet.
@@ -207,17 +209,19 @@ type Scheduler struct {
 
 // restartRun is the workspace of one annealing run of a packet.
 type restartRun struct {
-	// cur is the packet the run anneals: the scheduler's own for a single
-	// run, else the run's clone pk.
-	cur  *packet
-	pk   packet
-	rng  *anneal.Rand
-	step anneal.Stepper
-	// rung is the run's tempering schedule. The Stepper holds &rung, so
-	// the ladder is not boxed into an interface per packet.
+	// cur is the packet the run anneals and rng the stream it draws from:
+	// the scheduler's own for a single run, else the run's clone pk and
+	// its own seeded RNG.
+	cur    *packet
+	pk     packet
+	rng    *anneal.Rand
+	seeded *anneal.Rand
+	// st is the run's stage bookkeeping: stage, plateau, move budget and
+	// result.
+	st anneal.Run
+	// rung is the run's tempering schedule. st holds &rung, so the ladder
+	// is not boxed into an interface per packet.
 	rung  scaledCooling
-	res   anneal.Result
-	err   error
 	trace []TracePoint
 
 	// Barrier bookkeeping: whether the run has ended, and for how many
@@ -397,9 +401,6 @@ func (s *Scheduler) Assign(ep *machsim.Epoch) []machsim.Assignment {
 		Candidates:  len(pk.tasks),
 		Idle:        len(pk.procs),
 		InitialCost: pk.Cost(),
-		// Fallback: if every annealing run fails (configuration-only error
-		// path) the current mapping is kept and its cost reported.
-		FinalCost: pk.Cost(),
 	})
 	report := &s.packets[len(s.packets)-1]
 
@@ -415,19 +416,14 @@ func (s *Scheduler) Assign(ep *machsim.Epoch) []machsim.Assignment {
 // anneals its own clone on an RNG seeded from the scheduler stream, and
 // the lowest-cost mapping wins, ties to the lowest index.
 //
-// Every live run's Stepper executes one temperature stage per barrier, in
-// restart order, on this goroutine. A run draws only from its own RNG, so
-// stepping the runs in turn gives each the stream it would see alone. At
-// every barrier the loop polls Interrupt and Bound; cooperative runs then
-// share the incumbent (abandonLagging), and tempering exchanges replica
-// states. No decision depends on timing, so equal seeds give equal
-// schedules. A single run of a one-processor packet takes the fused
-// annealSingleSlot instead, with the same answers.
+// Every live run anneals one temperature stage per barrier (annealStage),
+// in restart order, on this goroutine. A run draws only from its own RNG,
+// so stepping the runs in turn gives each the stream it would see alone.
+// At every barrier the loop polls Interrupt and Bound; cooperative runs
+// then share the incumbent (abandonLagging), and tempering exchanges
+// replica states. No decision depends on timing, so equal seeds give
+// equal schedules.
 func (s *Scheduler) anneal(pk *packet, aopt anneal.Options, report *PacketReport) {
-	if s.singleSlot(pk, aopt) {
-		s.annealSingleSlot(pk, aopt, report)
-		return
-	}
 	n := max(s.opt.Restarts, 1)
 	if len(s.runs) < n {
 		s.runs = append(s.runs, make([]restartRun, n-len(s.runs))...)
@@ -436,19 +432,17 @@ func (s *Scheduler) anneal(pk *packet, aopt anneal.Options, report *PacketReport
 	temper := n > 1 && s.opt.Tempering
 	for r := range runs {
 		run := &runs[r]
-		run.cur = pk
-		rng := s.rng
+		run.cur, run.rng = pk, s.rng
 		if n > 1 {
 			// Per-restart seeds come from the scheduler stream in restart
 			// order; setup draws only from the restart's own RNG.
 			seed := s.rng.Int63()
-			if run.rng == nil {
-				run.rng = anneal.NewRand(seed)
+			if run.seeded == nil {
+				run.seeded = anneal.NewRand(seed)
 			} else {
-				run.rng.Seed(seed)
+				run.seeded.Seed(seed)
 			}
-			rng = run.rng
-			run.cur = &run.pk
+			run.cur, run.rng = &run.pk, run.seeded
 			run.pk.cloneFrom(pk)
 			if r > 0 {
 				// Fresh initial mapping for the retry; restart 0 keeps the
@@ -456,31 +450,17 @@ func (s *Scheduler) anneal(pk *packet, aopt anneal.Options, report *PacketReport
 				// from the same warm assignment (their RNG streams diverge
 				// from move one).
 				run.pk.clearMapping()
-				s.initPacket(&run.pk, rng)
+				s.initPacket(&run.pk, run.rng)
 			}
 		}
 		ropt := aopt
-		ropt.RNG = rng
 		if temper {
 			run.rung = scaledCooling{base: aopt.Cooling, scale: math.Pow(temperRatio, float64(r))}
 			ropt.Cooling = &run.rung
 		}
 		run.trace = run.trace[:0]
-		if s.opt.RecordTrace {
-			ropt.OnMove = func(mi anneal.MoveInfo) {
-				run.trace = append(run.trace, TracePoint{
-					Iter:  mi.Move,
-					Temp:  mi.Temp,
-					Delta: mi.Delta,
-					Fb:    run.cur.Fb(),
-					Fc:    run.cur.Fc(),
-					Ftot:  run.cur.Cost(),
-				})
-			}
-		}
-		run.err = run.step.Reset(run.cur, ropt)
-		run.stopped = run.err != nil
-		run.lag = 0
+		run.st.Start(ropt, run.cur.Cost(), run.cur)
+		run.stopped, run.lag = false, 0
 	}
 	abandonAfter := 0
 	switch {
@@ -505,14 +485,11 @@ func (s *Scheduler) anneal(pk *packet, aopt anneal.Options, report *PacketReport
 		live := false
 		for r := range runs {
 			if run := &runs[r]; !run.stopped {
-				run.stopped = !run.step.Step()
+				run.stopped = !s.annealStage(run)
 				live = true
 			}
 		}
-		if !live {
-			break
-		}
-		if s.stopAtBarrier() {
+		if !live || s.stopAtBarrier() {
 			break
 		}
 		if abandonAfter > 0 {
@@ -523,33 +500,104 @@ func (s *Scheduler) anneal(pk *packet, aopt anneal.Options, report *PacketReport
 		}
 	}
 
-	best := -1
+	best := 0
 	for r := range runs {
-		run := &runs[r]
-		if run.err != nil {
-			continue
-		}
-		run.res = run.step.Result()
-		report.Moves += run.res.Moves
-		report.Accepted += run.res.Accepted
-		report.Stages += run.res.Stages
-		if best < 0 || run.res.FinalCost < runs[best].res.FinalCost {
+		res := runs[r].st.Finish()
+		report.Moves += res.Moves
+		report.Accepted += res.Accepted
+		report.Stages += res.Stages
+		if res.FinalCost < runs[best].st.FinalCost {
 			best = r
 		}
-	}
-	if best < 0 {
-		return // every run failed: keep the current mapping
 	}
 	win := &runs[best]
 	if win.cur != pk {
 		pk.adoptMapping(win.cur)
 	}
-	report.FinalCost = win.res.FinalCost
-	report.PlateauStop = win.res.PlateauStop
+	report.FinalCost = win.st.FinalCost
+	report.PlateauStop = win.st.PlateauStop
 	report.Restart = best
 	if s.opt.RecordTrace {
 		report.Trace = append(report.Trace[:0], win.trace...)
 	}
+}
+
+// annealStage anneals one temperature stage of run and reports whether
+// another stage follows; run.st states the stage, plateau, move-cap and
+// keep-best rules. Each move is the packet's Propose, decided by
+// anneal.Accept and committed by Apply, with the counters in locals.
+//
+// A packet with one idle processor and a candidate on it takes a scalar
+// branch of the same move. Its whole mapping is the candidate cur on the
+// slot; every move exchanges it for another candidate i, with the delta
+// (c[i] + 0) − (0 + c[cur]) Propose evaluates for that move. The branch
+// draws what Propose draws, in the same order, and updates the running
+// components in Apply's order, so both branches give the same answers to
+// the bit (FuzzStageMatchesMinimize). Four in five annealing moves of the
+// catalog programs fall in such packets (PERFORMANCE.md §25).
+//
+// With RecordTrace every proposed move appends its TracePoint to
+// run.trace.
+func (s *Scheduler) annealStage(run *restartRun) bool {
+	temp, inv, budget, ok := run.st.Begin()
+	if !ok {
+		return false
+	}
+	pk, rng, trace := run.cur, run.rng, s.opt.RecordTrace
+	cost, best, iter := run.st.Cost, run.st.BestCost, run.st.Moves
+	moves, accepted, exhausted := 0, 0, false
+	if n := len(pk.tasks); len(pk.procs) == 1 && n >= 2 && pk.taskAt[0] >= 0 {
+		c, lv, cc := pk.contrib[:n], pk.level[:n], pk.commCost[:n] // p = 1: column 0
+		init := pk.taskAt[0]
+		cur, fb, fc := init, pk.rawFb, pk.rawFc
+		for ; moves < budget; moves++ {
+			i := rng.Draw(&pk.drawN)
+			if i == cur {
+				i = wrap(i+1+rng.Draw(&pk.drawN1), n)
+			}
+			rng.Int63() // the slot draw: Draw(&pk.drawP) is Intn(1), one value
+			delta := (c[i] + 0) - (0 + c[cur])
+			acc := anneal.Accept(rng.Float64(), delta, temp, inv)
+			if acc {
+				accepted++
+				// Apply's remove(cur) then place(i, 0), in its order.
+				fb, fc = fb+lv[cur]-lv[i], fc-cc[cur]+cc[i]
+				cur = i
+				cost += delta
+				if cost < best {
+					best = cost
+					pk.bestTaskAt[0], pk.bestFb, pk.bestFc = cur, fb, fc // SaveBest
+				}
+			}
+			if trace {
+				run.trace = append(run.trace, pk.tracePoint(iter+moves, temp, delta, fb, fc, acc))
+			}
+		}
+		pk.procOf[init], pk.procOf[cur], pk.taskAt[0] = -1, 0, cur
+		pk.rawFb, pk.rawFc = fb, fc
+	} else {
+		for ; moves < budget; moves++ {
+			delta, ok := pk.Propose(rng)
+			if !ok {
+				exhausted = true
+				break
+			}
+			acc := anneal.Accept(rng.Float64(), delta, temp, inv)
+			if acc {
+				pk.Apply()
+				accepted++
+				cost += delta
+				if cost < best {
+					best = cost
+					pk.SaveBest()
+				}
+			}
+			if trace {
+				run.trace = append(run.trace, pk.tracePoint(iter+moves, temp, delta, pk.rawFb, pk.rawFc, acc))
+			}
+		}
+	}
+	return run.st.End(cost, best, moves, accepted, exhausted)
 }
 
 // stopAtBarrier polls Interrupt, then Bound, at a stage barrier and
@@ -575,28 +623,24 @@ func (s *Scheduler) stopAtBarrier() bool {
 // Any other live run whose best has trailed the incumbent's for after
 // consecutive barriers is abandoned.
 func (s *Scheduler) abandonLagging(runs []restartRun, after int, report *PacketReport) {
-	inc := -1
+	inc := 0
 	for r := range runs {
-		if runs[r].err == nil && (inc < 0 || runs[r].step.BestCost() < runs[inc].step.BestCost()) {
+		if runs[r].st.BestCost < runs[inc].st.BestCost {
 			inc = r
 		}
 	}
-	if inc < 0 {
-		return // every run failed validation
-	}
-	incBest := runs[inc].step.BestCost()
+	incBest := runs[inc].st.BestCost
 	for r := range runs {
 		run := &runs[r]
 		if run.stopped || r == inc {
 			continue
 		}
-		if run.step.BestCost() > incBest {
+		if run.st.BestCost > incBest {
 			run.lag++
 		} else {
 			run.lag = 0
 		}
 		if run.lag >= after {
-			run.step.Abandon()
 			run.stopped = true
 			s.abandoned++
 			report.Abandoned++
@@ -697,14 +741,12 @@ func (s *Scheduler) exchangeReplicas(runs []restartRun, stage int, report *Packe
 		}
 		// Accept with prob min(1, exp((1/Ta - 1/Tb) * (Ea - Eb))): a
 		// better state always moves to the colder rung.
-		d := (1/ta - 1/tb) * (a.step.Cost() - b.step.Cost())
+		d := (1/ta - 1/tb) * (a.st.Cost - b.st.Cost)
 		if d < 0 && s.exchRng.Float64() >= math.Exp(d) {
 			continue
 		}
 		a.cur.swapCurrent(b.cur)
-		ca, cb := a.step.Cost(), b.step.Cost()
-		a.step.SetCost(cb)
-		b.step.SetCost(ca)
+		a.st.Cost, b.st.Cost = b.st.Cost, a.st.Cost
 		s.exchanges++
 		report.Exchanges++
 	}

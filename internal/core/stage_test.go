@@ -1,0 +1,265 @@
+package core
+
+import (
+	"errors"
+	"fmt"
+	"math"
+	"reflect"
+	"slices"
+	"testing"
+
+	"repro/internal/anneal"
+	"repro/internal/machsim"
+	"repro/internal/programs"
+	"repro/internal/taskgraph"
+	"repro/internal/topology"
+)
+
+// syntheticPacket builds an n-candidate packet on p processors whose
+// contribution table, levels and communication costs are drawn from rng
+// instead of formed from a graph. Half the contributions come from a small
+// pool with ties, +0 and −0, so equal and signed-zero deltas occur. The
+// initial mapping is random and fills min(n, p) slots.
+func syntheticPacket(rng *anneal.Rand, n, p int) *packet {
+	pool := []float64{0, math.Copysign(0, -1), -0.5, 0.25, 1, -1}
+	pk := &packet{np: p, wb: 0.5, wc: 0.5}
+	pk.tasks, pk.procs = make([]taskgraph.TaskID, n), make([]int, p)
+	pk.level, pk.commCost, pk.contrib = make([]float64, n), make([]float64, n*p), make([]float64, n*p)
+	pk.taskAt, pk.procOf, pk.bestTaskAt = make([]int, p), make([]int, n), make([]int, p)
+	for j := range pk.procs {
+		pk.procs[j], pk.taskAt[j] = j, -1
+	}
+	for i := range pk.tasks {
+		pk.tasks[i], pk.procOf[i] = taskgraph.TaskID(i), -1
+		pk.level[i] = float64(rng.Intn(4)) * rng.Float64()
+	}
+	for k := range pk.contrib {
+		pk.contrib[k] = 2*rng.Float64() - 1
+		if rng.Intn(2) == 0 {
+			pk.contrib[k] = pool[rng.Intn(len(pool))]
+		}
+		pk.commCost[k] = float64(rng.Intn(3)) * 100 * rng.Float64()
+	}
+	pk.dFb, pk.dFc = 1+rng.Float64(), 1+50*rng.Float64()
+	pk.drawN, pk.drawN1 = bounds(n)
+	pk.drawP, pk.drawP1 = bounds(p)
+	pk.initRandom(rng)
+	return pk
+}
+
+// FuzzStageMatchesMinimize holds the scheduler's annealing loop equal to
+// anneal.Minimize, which anneals a clone of the same packet through the
+// anneal.Problem interface, over random packets (n in 1..128 at p = 1,
+// n and p in 1..12 otherwise), random seeds, a plain or warm-offset
+// cooling schedule, an optional plateau rule and small move budgets and
+// caps: the same final mapping, running components and FinalCost to the
+// bit, equal Moves, Accepted, Stages and PlateauStop, and both RNG
+// streams at the same position.
+func FuzzStageMatchesMinimize(f *testing.F) {
+	f.Add(int64(1), uint8(0), uint8(0), uint16(19), uint16(0), uint8(0))
+	f.Add(int64(7), uint8(88), uint8(0), uint16(179), uint16(0), uint8(0x0b))
+	f.Add(int64(42), uint8(13), uint8(0), uint16(40), uint16(37), uint8(0x31))
+	f.Add(int64(1991), uint8(126), uint8(0), uint16(399), uint16(2500), uint8(0xfe))
+	f.Add(int64(-5), uint8(3), uint8(0), uint16(3), uint16(100), uint8(0x0a))
+	f.Add(int64(11), uint8(9), uint8(2), uint16(59), uint16(0), uint8(0x14))
+	f.Add(int64(23), uint8(4), uint8(7), uint16(19), uint16(300), uint8(0x0d))
+	f.Add(int64(99), uint8(11), uint8(11), uint16(287), uint16(4000), uint8(0x08))
+	f.Fuzz(func(t *testing.T, seed int64, nRaw, pRaw uint8, perStage, maxMoves uint16, flags uint8) {
+		p := int(pRaw)%12 + 1
+		n := int(nRaw)%12 + 1
+		if p == 1 {
+			n = int(nRaw)%128 + 1
+		}
+		pk := syntheticPacket(anneal.NewRand(seed), n, p)
+		ref := &packet{}
+		ref.cloneFrom(pk)
+
+		var cooling anneal.Cooling = anneal.Geometric{T0: 1, Alpha: 0.9, NumStages: 60}
+		if flags&1 == 1 {
+			cooling = offsetCooling{base: cooling, skip: int(flags>>1) % 55}
+		}
+		aopt := anneal.Options{
+			Cooling:       cooling,
+			MovesPerStage: int(perStage)%400 + 1,
+			PlateauStages: int(flags>>2) % 6,
+			PlateauEps:    1e-12,
+			MaxMoves:      int(maxMoves) % 5000,
+		}
+		s := &Scheduler{rng: anneal.NewRand(seed + 1)}
+		var rep PacketReport
+		s.anneal(pk, aopt, &rep)
+
+		refRng := anneal.NewRand(seed + 1)
+		ropt := aopt
+		ropt.RNG = refRng
+		res, err := anneal.Minimize(ref, ropt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Moves != res.Moves || rep.Accepted != res.Accepted || rep.Stages != res.Stages ||
+			rep.PlateauStop != res.PlateauStop || math.Float64bits(rep.FinalCost) != math.Float64bits(res.FinalCost) {
+			t.Fatalf("n=%d p=%d: loop %+v, Minimize %+v", n, p, rep, res)
+		}
+		if !slices.Equal(pk.taskAt, ref.taskAt) || !slices.Equal(pk.procOf, ref.procOf) ||
+			math.Float64bits(pk.Fb()) != math.Float64bits(ref.Fb()) || math.Float64bits(pk.Fc()) != math.Float64bits(ref.Fc()) {
+			t.Fatalf("n=%d p=%d: loop mapping %v (Fb %v, Fc %v), Minimize %v (Fb %v, Fc %v)",
+				n, p, pk.taskAt, pk.Fb(), pk.Fc(), ref.taskAt, ref.Fb(), ref.Fc())
+		}
+		if a, b := s.rng.Int63(), refRng.Int63(); a != b {
+			t.Fatalf("n=%d p=%d: RNG streams diverged", n, p)
+		}
+	})
+}
+
+// The stage accounting at its two edges, on both branches of the loop. A
+// MaxMoves budget used up exactly at a stage's end stops the run one
+// empty stage later, which the report counts; one used up inside a stage
+// stops it in that stage. A packet with no alternative mapping (one
+// candidate, one processor) ends in its first stage with no move.
+func TestStageAccountingEdges(t *testing.T) {
+	cases := []struct {
+		name          string
+		n, p          int
+		perStage, cap int
+		stages, moves int
+	}{
+		{"p=1 cap on a stage boundary", 40, 1, 50, 150, 4, 150},
+		{"p=1 cap inside a stage", 40, 1, 50, 170, 4, 170},
+		{"p=3 cap on a stage boundary", 8, 3, 30, 300, 11, 300},
+		{"p=3 cap inside a stage", 8, 3, 30, 301, 11, 301},
+		{"no alternative mapping", 1, 1, 20, 20000, 1, 0},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			pk := syntheticPacket(anneal.NewRand(3), c.n, c.p)
+			initial := pk.Cost()
+			s := &Scheduler{rng: anneal.NewRand(4)}
+			aopt := anneal.Options{
+				Cooling:       anneal.Geometric{T0: 1, Alpha: 0.9, NumStages: 60},
+				MovesPerStage: c.perStage,
+				MaxMoves:      c.cap,
+			}
+			var rep PacketReport
+			s.anneal(pk, aopt, &rep)
+			if rep.Stages != c.stages || rep.Moves != c.moves || rep.PlateauStop {
+				t.Fatalf("%d stages, %d moves, plateau stop %v; want %d stages, %d moves",
+					rep.Stages, rep.Moves, rep.PlateauStop, c.stages, c.moves)
+			}
+			if c.moves == 0 && math.Float64bits(rep.FinalCost) != math.Float64bits(initial) {
+				t.Fatalf("FinalCost %v, want the initial cost %v", rep.FinalCost, initial)
+			}
+		})
+	}
+}
+
+var errStop = errors.New("stop")
+
+// sameReport reports whether two packet reports agree on every field but
+// the trace.
+func sameReport(a, b PacketReport) bool {
+	a.Trace, b.Trace = nil, nil
+	return reflect.DeepEqual(a, b)
+}
+
+// An Interrupt or Bound that fires at the k-th stage barrier stops the
+// anneal after exactly k stages of every live run: a 90-candidate packet
+// on one processor, a 30-candidate packet on three, and that packet
+// annealed by 4 restarts. One that never fires (k = 0) is polled once
+// per stage of the whole cooling schedule, which every run completes
+// with the plateau rule off.
+func TestBarrierPollsStopAfterKStages(t *testing.T) {
+	for _, shape := range []struct{ n, p, restarts int }{{90, 1, 0}, {30, 3, 0}, {30, 3, 4}} {
+		for _, k := range []int{1, 2, 7, 0} {
+			for _, bound := range []bool{false, true} {
+				name := fmt.Sprintf("n=%d p=%d restarts=%d k=%d bound=%v", shape.n, shape.p, shape.restarts, k, bound)
+				pk := randomPacket(t, 5, shape.n, shape.p)
+				s := &Scheduler{rng: anneal.NewRand(5), epochTime: 3.5}
+				s.opt.Restarts = shape.restarts
+				polls := 0
+				stop := func() error {
+					if polls++; polls == k {
+						return errStop
+					}
+					return nil
+				}
+				if bound {
+					s.opt.Bound = func(now float64) error {
+						if now != 3.5 {
+							t.Fatalf("%s: Bound polled with %v, want the epoch time 3.5", name, now)
+						}
+						return stop()
+					}
+				} else {
+					s.opt.Interrupt = stop
+				}
+				aopt := s.fillAnnealDefaults(shape.n, shape.p)
+				aopt.PlateauStages = 0
+				var rep PacketReport
+				s.anneal(pk, aopt, &rep)
+				want := k
+				if k == 0 {
+					want = aopt.Cooling.Stages()
+				}
+				if runs := max(shape.restarts, 1); rep.Stages != want*runs || polls != want {
+					t.Fatalf("%s: %d stages after %d polls, want %d after %d", name, rep.Stages, polls, want*runs, want)
+				}
+			}
+		}
+	}
+}
+
+// Recording the trace leaves the answers alone: a Newton-Euler solve on
+// the 3-cube (Figure 1's setting) gives the same schedule and packet
+// reports with and without RecordTrace, as a single run and as 4-restart
+// tempering. A single run's trace holds one point per move of the
+// packet, marked accepted exactly as often as the report counts.
+func TestTraceKeepsAnswers(t *testing.T) {
+	g := programs.NewtonEuler()
+	topo, err := topology.Hypercube(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	comm := topology.DefaultCommParams()
+	solve := func(opt Options) (float64, []PacketReport) {
+		sched, err := NewScheduler(g, topo, comm, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := machsim.Run(machsim.Model{Graph: g, Topo: topo, Comm: comm}, sched, machsim.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Makespan, slices.Clone(sched.Packets())
+	}
+	for _, restarts := range []int{0, 4} {
+		opt := DefaultOptions()
+		opt.Seed = 42
+		opt.Restarts = restarts
+		opt.Tempering = restarts > 1
+		makespan, reps := solve(opt)
+		opt.RecordTrace = true
+		tMakespan, tReps := solve(opt)
+		if tMakespan != makespan || len(tReps) != len(reps) {
+			t.Fatalf("restarts=%d: makespan %v traced, %v not; %d and %d packets",
+				restarts, tMakespan, makespan, len(tReps), len(reps))
+		}
+		for k, r := range reps {
+			tr := tReps[k]
+			if !sameReport(tr, r) {
+				t.Fatalf("restarts=%d packet %d: %+v traced, %+v not", restarts, k, tr, r)
+			}
+			if restarts > 0 {
+				continue
+			}
+			accepted := 0
+			for _, tp := range tr.Trace {
+				if tp.Accepted {
+					accepted++
+				}
+			}
+			if len(tr.Trace) != tr.Moves || accepted != tr.Accepted {
+				t.Fatalf("packet %d: traced %d of %d moves, %d of %d accepted", k, len(tr.Trace), tr.Moves, accepted, tr.Accepted)
+			}
+		}
+	}
+}
