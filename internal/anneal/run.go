@@ -40,8 +40,6 @@ type Run struct {
 	// stage before them ended at, stageCost.
 	stage, plateau int
 	stageCost      float64
-	// capped is whether MaxMoves cut the current stage's budget.
-	capped bool
 }
 
 // Start begins a run at the initial cost under opt, which must carry a
@@ -67,9 +65,8 @@ func (r *Run) Begin() (temp, inv float64, budget int, ok bool) {
 	r.Stages = r.stage + 1
 	temp = r.opt.Cooling.Temperature(r.stage)
 	budget = r.opt.MovesPerStage
-	r.capped = r.opt.MaxMoves > 0 && r.opt.MaxMoves-r.Moves < budget
-	if r.capped {
-		budget = r.opt.MaxMoves - r.Moves
+	if left := r.opt.MaxMoves - r.Moves; r.opt.MaxMoves > 0 && left < budget {
+		budget = left
 	}
 	return temp, 1 / temp, budget, true
 }
@@ -77,12 +74,12 @@ func (r *Run) Begin() (temp, inv float64, budget int, ok bool) {
 // End closes the stage Begin opened. The loop proposed moves moves and
 // accepted accepted of them, leaving the state at cost with best the
 // lowest cost seen; exhausted reports that the problem ran out of moves
-// before the budget did. End reports whether another stage follows: the
-// run ends when the problem is exhausted, when MaxMoves cut the stage
-// (a budget used up exactly at a stage's end stops the run one empty
-// stage later), when PlateauStages consecutive stages end within
-// PlateauEps of the previous stage's cost, or when the cooling schedule
-// runs out.
+// before the budget did, and otherwise moves is the whole budget. End
+// reports whether another stage follows: the run ends when the problem
+// is exhausted, when MaxMoves cut the stage (a budget used up exactly at
+// a stage's end stops the run one empty stage later), when PlateauStages
+// consecutive stages end within PlateauEps of the previous stage's cost,
+// or when the cooling schedule runs out.
 func (r *Run) End(cost, best float64, moves, accepted int, exhausted bool) bool {
 	r.Cost, r.BestCost = cost, best
 	r.Moves += moves
@@ -90,7 +87,7 @@ func (r *Run) End(cost, best float64, moves, accepted int, exhausted bool) bool 
 	if exhausted {
 		return false
 	}
-	if r.capped {
+	if moves < r.opt.MovesPerStage { // only MaxMoves cuts a budget
 		r.CapStop = true
 		return false
 	}
