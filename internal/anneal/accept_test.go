@@ -19,7 +19,8 @@ func checkAccept(t *testing.T, u, delta, temp float64) {
 // working range: temperatures from the hot start of a calibrated schedule
 // down to the frozen tail of a 60-stage geometric one, and cost changes
 // that are either packet-scale (normalized eq. 6 deltas) or chosen so
-// that x = delta/temp sweeps the whole span where the bracket works.
+// that x = delta/temp sweeps the table's finite bounds, ±7.7, and well
+// beyond them.
 func randomTriple(rng *rand.Rand) (u, delta, temp float64) {
 	u = rng.Float64()
 	temp = math.Pow(10, -5+6*rng.Float64())
@@ -51,7 +52,7 @@ func TestAcceptMatchesAcceptProbRandom(t *testing.T) {
 		if Accept(u, delta, temp, 1/temp) != (u < AcceptProb(delta, temp)) {
 			t.Fatalf("triple %d: Accept(%v, %v, %v) disagrees with AcceptProb = %v", k, u, delta, temp, AcceptProb(delta, temp))
 		}
-		if decided, _ := bracket(u, delta, temp, 1/temp); !decided {
+		if decided, _ := tableDecide(u, delta, 1/temp); !decided {
 			fallbacks++
 		}
 	}
@@ -60,8 +61,9 @@ func TestAcceptMatchesAcceptProbRandom(t *testing.T) {
 
 // TestAcceptAtThreshold puts u exactly on, and one ulp below, the rounded
 // acceptance probability: the comparison is strict, so u = P rejects and
-// u = nextafter(P, 0) accepts. These inputs sit inside the guard band by
-// construction, so they exercise the exact fallback.
+// u = nextafter(P, 0) accepts. x lies between the bounds of the bucket
+// holding u = P by construction, so these inputs exercise the exact
+// fallback.
 func TestAcceptAtThreshold(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	xs := []float64{0, 1e-300, -1e-300, 1e-9, -1e-9, 0.5, -0.5, 1, -1, 7.999, 8, 8.001, -8, 20, -20, 699, -699, 700, -700}
@@ -83,23 +85,95 @@ func TestAcceptAtThreshold(t *testing.T) {
 	}
 }
 
-// TestAcceptBoundaryCases walks the edges of the bracket and of
-// AcceptProb's own case analysis: |x| around 0, at the z = 1 switch
-// (|x| = 8) where the upper bound stops applying and around AcceptProb's
-// ±700 clamps; u at 0 and the ends of [0, 1); and the degenerate
-// temperatures and cost changes that must take the exact path.
+// logitAt returns logit(k/K) = ln((K−k)/k), the x at which bucket k's
+// lower edge u = k/K has P(x) = u.
+func logitAt(k int) float64 {
+	return math.Log(float64(acceptBuckets-k) / float64(k))
+}
+
+// TestAcceptTableBounds checks the table's construction against an
+// independent evaluation of the logit, ln(1−v) − ln(v): both bound columns
+// fall strictly with k, every bucket's band [lo, hi] is non-empty, and
+// each bound lies outside the logit it guards by at least half the margin
+// (lo[k] < logit((k+1)/K), logit(k/K) < hi[k]), with infinite bounds
+// exactly at the two ends.
+func TestAcceptTableBounds(t *testing.T) {
+	logit := func(k int) float64 {
+		v := float64(k) / acceptBuckets
+		return math.Log1p(-v) - math.Log(v)
+	}
+	if !math.IsInf(acceptTable[0].hi, 1) || !math.IsInf(acceptTable[acceptBuckets-1].lo, -1) {
+		t.Fatalf("hi[0] = %v, lo[K-1] = %v; want +Inf, -Inf", acceptTable[0].hi, acceptTable[acceptBuckets-1].lo)
+	}
+	for k, b := range acceptTable {
+		if !(b.lo < b.hi) {
+			t.Fatalf("bucket %d: lo = %v not below hi = %v", k, b.lo, b.hi)
+		}
+		if k+1 < acceptBuckets {
+			if next := acceptTable[k+1]; !(next.lo < b.lo) || !(next.hi < b.hi) {
+				t.Fatalf("bucket %d: bounds (%v, %v) do not fall to bucket %d's (%v, %v)", k, b.lo, b.hi, k+1, next.lo, next.hi)
+			}
+			if l := logit(k + 1); !(b.lo < l-0.5*bucketMargin*(1+math.Abs(l))) {
+				t.Fatalf("bucket %d: lo = %v not below logit((k+1)/K) = %v by half the margin", k, b.lo, l)
+			}
+		}
+		if k > 0 {
+			if l := logit(k); !(l+0.5*bucketMargin*(1+math.Abs(l)) < b.hi) {
+				t.Fatalf("bucket %d: hi = %v not above logit(k/K) = %v by half the margin", k, b.hi, l)
+			}
+		}
+	}
+}
+
+// TestAcceptBoundaryCases walks the edges of the table and of
+// AcceptProb's own case analysis. First every bucket edge: u = k/K and
+// one ulp either side of it, with x on the logit of that edge, 1, 2 and
+// 4 ulps off it and one margin off it on either side, at several
+// temperatures, and x one ulp inside each bound. These are the inputs
+// where a bound that is too tight would decide against the rounded
+// AcceptProb. Then |x| around 0, around the table's largest finite bounds
+// ±logit(1/K) and around AcceptProb's ±700 clamps; u at 0 and the ends of
+// [0, 1); and the degenerate temperatures and cost changes that must take
+// the exact path.
 func TestAcceptBoundaryCases(t *testing.T) {
+	for k := 1; k < acceptBuckets; k++ {
+		l := logitAt(k)
+		m := bucketMargin * (1 + math.Abs(l))
+		xs := []float64{l, l - m, l + m}
+		for _, n := range []int{1, 2, 4} {
+			up, down := l, l
+			for i := 0; i < n; i++ {
+				up, down = math.Nextafter(up, math.Inf(1)), math.Nextafter(down, math.Inf(-1))
+			}
+			xs = append(xs, up, down)
+		}
+		edge := float64(k) / acceptBuckets
+		for _, u := range []float64{edge, math.Nextafter(edge, 0), math.Nextafter(edge, 1)} {
+			for _, x := range xs {
+				for _, temp := range []float64{1, 0.37, 1e-3, 37} {
+					checkAccept(t, u, x*temp, temp)
+				}
+			}
+		}
+		// The tightest inputs the table decides: the largest u of bucket
+		// k−1 with x one ulp below its lo, and the smallest u of bucket k
+		// with x one ulp above its hi.
+		checkAccept(t, math.Nextafter(edge, 0), math.Nextafter(acceptTable[k-1].lo, math.Inf(-1)), 1)
+		checkAccept(t, edge, math.Nextafter(acceptTable[k].hi, math.Inf(1)), 1)
+	}
+
 	inf, nan := math.Inf(1), math.NaN()
+	top := logitAt(1)
 	xs := []float64{
 		0, math.Copysign(0, -1), 5e-324, -5e-324, 1e-300, -1e-300, 1e-16, -1e-16,
-		math.Nextafter(8, 0), 8, math.Nextafter(8, 9), -math.Nextafter(8, 0), -8, -math.Nextafter(8, 9),
+		math.Nextafter(top, 0), top, math.Nextafter(top, 9), -math.Nextafter(top, 0), -top, -math.Nextafter(top, 9),
 		math.Nextafter(700, 0), 700, math.Nextafter(700, 701), 700.0000001,
 		-math.Nextafter(700, 0), -700, -math.Nextafter(700, 701), -700.0000001,
 		709, -709, 710, -710, 1e6, -1e6, 1e300, -1e300,
 	}
-	us := []float64{0, math.Copysign(0, -1), 5e-324, 1e-300, 1e-9, 0.25, 0.5, math.Nextafter(0.5, 0), math.Nextafter(0.5, 1),
-		0.75, math.Nextafter(1, 0), 1, 2, -1e-300, -1, inf, -inf, nan}
-	temps := []float64{1, 1e-3, 37, 5e-324, math.MaxFloat64}
+	us := []float64{0, math.Copysign(0, -1), 5e-324, 1e-300, 1e-9, 1.0 / acceptBuckets, 0.25, 0.5, math.Nextafter(0.5, 0), math.Nextafter(0.5, 1),
+		0.75, 1 - 1.0/acceptBuckets, math.Nextafter(1-1.0/acceptBuckets, 0), math.Nextafter(1, 0), 1, 2, -1e-300, -1, inf, -inf, nan}
+	temps := []float64{1, 1e-3, 37, 5e-324, 0x1p-1023, math.MaxFloat64, 0x1p1022, 0x1p1023}
 	for _, x := range xs {
 		for _, temp := range temps {
 			for _, u := range us {
@@ -107,12 +181,14 @@ func TestAcceptBoundaryCases(t *testing.T) {
 			}
 		}
 	}
-	for _, temp := range []float64{0, math.Copysign(0, -1), -1, inf, -inf, nan} {
-		for _, delta := range []float64{-1, 0, math.Copysign(0, -1), 1, inf, -inf, nan} {
+	// Degenerate temperatures, and temperatures whose reciprocal is not a
+	// positive normal float64, must never be decided from the table.
+	for _, temp := range []float64{0, math.Copysign(0, -1), -1, inf, -inf, nan, 5e-324, 0x1p-1030, 0x1p1023, math.MaxFloat64} {
+		for _, delta := range []float64{-1, 0, math.Copysign(0, -1), 1, 1e-320, inf, -inf, nan} {
 			for _, u := range us {
 				checkAccept(t, u, delta, temp)
-				if decided, _ := bracket(u, delta, temp, 1/temp); decided {
-					t.Fatalf("bracket decided at temp=%v; degenerate temperatures must take the exact path", temp)
+				if decided, _ := tableDecide(u, delta, 1/temp); decided {
+					t.Fatalf("table decided at temp=%v; degenerate temperatures must take the exact path", temp)
 				}
 			}
 		}
@@ -142,7 +218,17 @@ func FuzzAccept(f *testing.F) {
 	f.Add(0.25, -1.0, math.Inf(1))
 	f.Add(0.25, math.NaN(), 1.0)
 	f.Add(math.NaN(), 0.1, 1.0)
-	f.Add(5e-324, 4e-323, 5e-324) // 1/temp overflows to +Inf
+	f.Add(5e-324, 4e-323, 5e-324)  // 1/temp overflows to +Inf
+	f.Add(1e-300, 1e300, 0x1p1023) // 1/temp is subnormal
+	// Bucket edges: u = k/K and one ulp below it, x = logit(k/K) and
+	// one ulp or one margin off it.
+	f.Add(1.0/acceptBuckets, logitAt(1), 1.0)
+	f.Add(math.Nextafter(1.0/acceptBuckets, 0), math.Nextafter(logitAt(1), 0), 1.0)
+	f.Add(0.5, 0.0, 0.37)
+	f.Add(math.Nextafter(0.5, 0), 1e-9, 1.0)
+	f.Add(1000.0/acceptBuckets, logitAt(1000)*0.01, 0.01)
+	f.Add(1-1.0/acceptBuckets, logitAt(acceptBuckets-1)-1e-9, 1.0)
+	f.Add(math.Nextafter(1-1.0/acceptBuckets, 0), logitAt(acceptBuckets-1)+1e-9, 1.0)
 	f.Fuzz(func(t *testing.T, u, delta, temp float64) {
 		checkAccept(t, u, delta, temp)
 	})

@@ -10,7 +10,10 @@
 //
 // which accepts improving moves with probability > ½ (not always!) and
 // worsening moves with probability < ½; at T → 0 it degenerates into
-// strict descent and at T → ∞ into a coin flip.
+// strict descent and at T → ∞ into a coin flip. AcceptProb states the
+// rule; Accept decides a move by it from a table of logit-bucket bounds
+// and evaluates the exponential only for the rare move the table leaves
+// open.
 package anneal
 
 import (
@@ -115,8 +118,8 @@ var ErrNoCooling = errors.New("anneal: no cooling schedule")
 //
 // AcceptProb is the specification of the acceptance rule. The annealing
 // loop decides moves with Accept, which returns exactly
-// u < AcceptProb(delta, temp) but calls math.Exp only when a cheap
-// bracket of the exponential cannot settle the comparison.
+// u < AcceptProb(delta, temp) but evaluates AcceptProb only when its
+// logit-bucket table cannot settle the comparison.
 func AcceptProb(delta, temp float64) float64 {
 	if temp <= 0 {
 		if delta < 0 {
@@ -138,88 +141,83 @@ func AcceptProb(delta, temp float64) float64 {
 	return 1 / (1 + math.Exp(x))
 }
 
-// acceptMargin is the relative guard band of Accept's bracket. It must
-// exceed the rounding error of the bracket bounds and of AcceptProb's own
-// evaluation (a few ulps each, about 1e-14 relative) by a wide factor, so
-// that a decision taken from the bounds always agrees with the rounded
-// AcceptProb. It must also stay small, because a u inside the band costs
-// a math.Exp.
-const acceptMargin = 1e-9
+// Accept's table has K = acceptBuckets logit buckets, a power of two so
+// that a bucket index is a scaling and a mask, and moves each bound l
+// outward by the margin m = bucketMargin·(1+|l|).
+const (
+	acceptBuckets = 2048
+	bucketMargin  = 1e-9
+)
 
-// expRemainder bounds the Taylor remainder of e^z after the degree-4
-// term: Σ_{k≥5} z^k/k! ≤ e^z·z⁵/120 ≤ (e/120)·z⁵ < 0.023·z⁵ for z ≤ 1.
-const expRemainder = 0.023
+// acceptTable holds, for bucket k = ⌊u·K⌋ covering u ∈ [k/K, (k+1)/K),
+// the x = ΔF/T below which every u of the bucket accepts,
+// lo = logit((k+1)/K) − m, and above which every u of it rejects,
+// hi = logit(k/K) + m, with logit(v) = ln((1−v)/v). The ends are
+// infinite: lo[K−1] = −Inf and hi[0] = +Inf. lo and hi sit side by side,
+// so a decision reads one cache line.
+var acceptTable [acceptBuckets]struct{ lo, hi float64 }
+
+func init() {
+	for k := range acceptTable {
+		lo, hi := math.Log(float64(acceptBuckets-k-1)/float64(k+1)), math.Log(float64(acceptBuckets-k)/float64(k))
+		acceptTable[k].lo = lo - bucketMargin*(1+math.Abs(lo))
+		acceptTable[k].hi = hi + bucketMargin*(1+math.Abs(hi))
+	}
+}
 
 // Accept decides one Glauber move: it returns exactly
-// u < AcceptProb(delta, temp) for every float64 input, calling math.Exp
-// only when bracket cannot settle the comparison. inv must be 1/temp,
+// u < AcceptProb(delta, temp) for every float64 input. inv must be 1/temp,
 // which an annealing loop computes once per stage (Run.Begin returns it).
 // Minimize and the packet scheduler's loop both decide with it.
+//
+// P(x) = 1/(1+e^x) falls with x, so u < P(x) exactly when x < logit(u).
+// For u in bucket k, logit(u) lies in (logit((k+1)/K), logit(k/K)], so
+// x = delta·inv below the bucket's lo accepts and above its hi rejects,
+// with no exp, division or call. Any other x, a u outside [0, 1) or NaN,
+// and an inv that is not a positive normal float64 (temp ≤ 0, +Inf, NaN,
+// subnormal, or so large that 1/temp is subnormal) fall back to
+// AcceptProb: about 1/K of the moves with |x| < 7.7, whose P(x) lies in
+// u's bucket.
+//
+// The margin m makes a table decision agree with the rounded AcceptProb,
+// not only with the true P. It covers:
+//
+//   - x = delta·inv is rounded twice and AcceptProb's delta/temp once,
+//     so they differ by at most 3·2⁻⁵³·|x|, about 2 ulps (2.6e-15 at
+//     |x| ≤ 7.7, the largest finite bound), plus 2⁻¹⁰⁷⁴ on underflow;
+//   - math.Log and the quotient in a bound are each off by about an ulp,
+//     3e-15 together;
+//   - AcceptProb's rounding, within 2ε relative (ε = 2⁻⁵², from Exp, the
+//     add and the divide). An x at least d = m/2 below logit(v),
+//     v = (k+1)/K, has P ≥ v·(1 + (1−v)·d·(1−d)), so the rounded P still
+//     exceeds every u < v when (1−v)·d > 2ε. The bucket next to u = 1 has
+//     1−v = 1/K, so m must exceed 4ε·K ≈ 1.8e-12; the reject side at
+//     u ≥ k/K mirrors it. m ≥ 1e-9 is 550 times that.
+//
+// AcceptProb clamps |x| > 700 to exactly 0 or 1, and the table agrees:
+// its finite bounds lie within ±7.7, so it accepts only below 7.7 and
+// rejects only above −7.7.
 func Accept(u, delta, temp, inv float64) bool {
-	if decided, ok := bracket(u, delta, temp, inv); decided {
+	if decided, ok := tableDecide(u, delta, inv); decided {
 		return ok
 	}
 	return u < AcceptProb(delta, temp)
 }
 
-// bracket tries to decide u < AcceptProb(delta, temp) without math.Exp
-// or a division. With x = delta·inv (inv = 1/temp), y = |x| and z = y/8
-// it brackets e^y between multiply-only bounds,
-//
-//	lo = T4(z)⁸               ≤ e^y   (T4 the degree-4 Taylor polynomial; all z ≥ 0)
-//	hi = (T4(z) + 0.023·z⁵)⁸  ≥ e^y   (z ≤ 1)
-//
-// and rewrites the acceptance test without a division: u·(1+e^y) < 1 for
-// x ≥ 0 (P = 1/(1+e^y)) and u·(1+e^y) < e^y for x < 0 (P = e^y/(1+e^y)).
-// A decision is taken from a bound only when it holds with relative
-// margin acceptMargin. decided is false when u lands inside the band, for
-// a NaN anywhere, and for temp ≤ 0 or +Inf; Accept then evaluates
-// AcceptProb. See PERFORMANCE.md §15 for the derivation, why x may differ
-// from delta/temp by 2 ulps, and the measured fallback rate.
-func bracket(u, delta, temp, inv float64) (decided, ok bool) {
-	if !(temp > 0) || math.IsInf(temp, 1) {
-		return false, false
-	}
-	x := delta * inv
-	if inv > math.MaxFloat64 {
-		x = delta / temp // 1/temp overflowed: temp < 2⁻¹⁰²⁴ is subnormal
-	}
-	z := math.Abs(x) * 0.125
-	// T4(z) = 1 + z + z²/2 + z³/6 + z⁴/24 in Estrin form: a shorter
-	// dependency chain than Horner's rule, and this chain gates the
-	// accept/reject branch.
-	z2 := z * z
-	t4 := (1 + z) + z2*((0.5+z*(1.0/6))+z2*(1.0/24))
-	lo := t4 * t4
-	lo *= lo
-	lo *= lo
-	if x >= 0 {
-		if u*(1+lo) >= 1+acceptMargin {
-			return true, false // u·(1+e^y) ≥ u·(1+lo) > 1
+// tableDecide is Accept's fast path: decided reports whether the bucket
+// of u settles the test, and ok is then the decision.
+func tableDecide(u, delta, inv float64) (decided, ok bool) {
+	if u >= 0 && u < 1 && inv >= 0x1p-1022 && inv <= math.MaxFloat64 {
+		b := &acceptTable[int(u*acceptBuckets)&(acceptBuckets-1)]
+		x := delta * inv
+		if x < b.lo {
+			return true, true
 		}
-		if z <= 1 && u*(1+upperExp(t4, z, z2)) < 1-acceptMargin {
-			return true, true // u·(1+e^y) ≤ u·(1+hi) < 1
-		}
-		return false, false
-	}
-	if u*(1+lo) < lo*(1-acceptMargin) {
-		return true, true // u < lo/(1+lo) ≤ e^y/(1+e^y)
-	}
-	if z <= 1 {
-		if hi := upperExp(t4, z, z2); u*(1+hi) >= hi*(1+acceptMargin) {
-			return true, false // u > hi/(1+hi) ≥ e^y/(1+e^y)
+		if x > b.hi {
+			return true, false
 		}
 	}
 	return false, false
-}
-
-// upperExp returns (t4 + 0.023·z⁵)⁸ ≥ e^(8z), valid for 0 ≤ z ≤ 1, where
-// t4 is the degree-4 Taylor polynomial of e^z and z2 = z².
-func upperExp(t4, z, z2 float64) float64 {
-	hi := t4 + expRemainder*z2*z2*z
-	hi *= hi
-	hi *= hi
-	return hi * hi
 }
 
 // Minimize runs simulated annealing on p and returns run statistics. The

@@ -14,9 +14,11 @@ func BenchmarkAcceptProb(b *testing.B) {
 // acceptSink keeps BenchmarkAccept's decisions observable.
 var acceptSink int
 
-// BenchmarkAccept runs the exp-free acceptance test on BenchmarkAcceptProb's
-// (delta, temp) inputs, with u cycling through a fixed table of uniform
-// draws so both the accept and the reject side are exercised.
+// BenchmarkAccept runs the table-driven acceptance test on
+// BenchmarkAcceptProb's (delta, temp) inputs, with u cycling through a
+// fixed table of uniform draws so both the accept and the reject side are
+// exercised. At -benchtime 20x it times mostly cold reads of the bucket
+// table; longer runs time the decision with the table in cache.
 func BenchmarkAccept(b *testing.B) {
 	rng := NewRand(1991)
 	var us [64]float64

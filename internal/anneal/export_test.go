@@ -1,5 +1,5 @@
 package anneal
 
-// Bracket exposes the exp-free acceptance bracket to the external test
+// TableDecide exposes Accept's logit-bucket fast path to the external test
 // package, which replays real scheduler traces through it.
-var Bracket = bracket
+var TableDecide = tableDecide

@@ -189,6 +189,10 @@ type Scheduler struct {
 	pk   packet
 	runs []restartRun
 
+	// temps is the solve's cooling schedule with its stage temperatures
+	// cached; every packet anneals on it.
+	temps stageTemps
+
 	// Restart-mode state: the replica-exchange RNG (re-seeded from the
 	// scheduler stream per packet) and run-level counters surfaced
 	// through RestartsAbandoned/Exchanges.
@@ -285,6 +289,7 @@ func (s *Scheduler) Reset(g *taskgraph.Graph, topo *topology.Topology, comm topo
 	} else {
 		s.packets = s.packets[:0]
 	}
+	s.temps.Cooling = nil // fillAnnealDefaults binds opt's schedule
 	s.abandoned = 0
 	s.exchanges = 0
 	s.warmOK = opt.Warm != nil && len(opt.Warm.Assignment) == g.NumTasks()
@@ -752,14 +757,42 @@ func (s *Scheduler) exchangeReplicas(runs []restartRun, stage int, report *Packe
 	}
 }
 
+// stageTemps is the solve's cooling schedule with its stage temperatures
+// cached. Every packet and restart of a solve anneals on the same base
+// schedule, so each stage's Temperature is evaluated once per Reset
+// instead of once per packet and run. The cache holds the values the base
+// returned, so every temperature is bit-identical to the base's. It fills
+// lazily, up to the highest stage asked for; stages past its capacity
+// read the base directly.
+type stageTemps struct {
+	anneal.Cooling     // the base schedule; nil until fillAnnealDefaults binds it
+	n              int // temps[:n] hold the base's temperatures of stages 0..n-1
+	temps          [64]float64
+}
+
+func (c *stageTemps) Temperature(stage int) float64 {
+	if stage >= len(c.temps) {
+		return c.Cooling.Temperature(stage)
+	}
+	for ; c.n <= stage; c.n++ {
+		c.temps[c.n] = c.Cooling.Temperature(c.n)
+	}
+	return c.temps[stage]
+}
+
 // fillAnnealDefaults completes the annealing options with packet-scaled
 // values: the number of elementary moves per temperature grows with the
-// mapping's neighborhood size.
+// mapping's neighborhood size. The cooling schedule is the solve's cached
+// one (Options.Anneal.Cooling, or the paper's 60-stage geometric default).
 func (s *Scheduler) fillAnnealDefaults(numTasks, numProcs int) anneal.Options {
 	aopt := s.opt.Anneal
-	if aopt.Cooling == nil {
-		aopt.Cooling = anneal.Geometric{T0: 1, Alpha: 0.9, NumStages: 60}
+	if s.temps.Cooling == nil {
+		s.temps.Cooling, s.temps.n = aopt.Cooling, 0
+		if s.temps.Cooling == nil {
+			s.temps.Cooling = anneal.Geometric{T0: 1, Alpha: 0.9, NumStages: 60}
+		}
 	}
+	aopt.Cooling = &s.temps
 	if aopt.MovesPerStage <= 0 {
 		moves := 2 * numTasks * numProcs
 		if moves < 20 {

@@ -260,6 +260,41 @@ func TestSchedulerCustomAnnealOptions(t *testing.T) {
 	}
 }
 
+// A scheduler arena Reset from one cooling schedule to another anneals on
+// the new one: the stage temperatures it cached for a solve are dropped
+// at Reset, so the arena's packets match a fresh scheduler's bit for bit.
+func TestResetRebindsCachedCooling(t *testing.T) {
+	g, err := taskgraph.ForkJoin("fj", 6, 10, 1, 40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	topo, _ := topology.Hypercube(2)
+	comm := topology.DefaultCommParams()
+	paper := DefaultOptions()
+	paper.Seed = 3
+	hot := paper
+	hot.Anneal.Cooling = anneal.Linear{T0: 4, NumStages: 30}
+	arena := NewSchedulerArena()
+	for _, opt := range []Options{paper, hot, paper} {
+		if err := arena.Reset(g, topo, comm, opt); err != nil {
+			t.Fatal(err)
+		}
+		got, err := machsim.Run(machsim.Model{Graph: g, Topo: topo, Comm: comm}, arena, machsim.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, fresh := runSA(t, g, topo, comm, opt)
+		if got.Makespan != want.Makespan || len(arena.Packets()) != len(fresh.Packets()) {
+			t.Fatalf("%v: arena makespan %v over %d packets, fresh %v over %d", opt.Anneal.Cooling, got.Makespan, len(arena.Packets()), want.Makespan, len(fresh.Packets()))
+		}
+		for k, rep := range arena.Packets() {
+			if !sameReport(rep, fresh.Packets()[k]) {
+				t.Fatalf("%v: packet %d reports %+v, fresh scheduler %+v", opt.Anneal.Cooling, k, rep, fresh.Packets()[k])
+			}
+		}
+	}
+}
+
 func TestFillAnnealDefaultsScalesWithPacket(t *testing.T) {
 	g := taskgraph.New("g")
 	g.AddTask("a", 1)

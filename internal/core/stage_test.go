@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/anneal"
+	"repro/internal/cliutil"
 	"repro/internal/machsim"
 	"repro/internal/programs"
 	"repro/internal/taskgraph"
@@ -262,4 +263,80 @@ func TestTraceKeepsAnswers(t *testing.T) {
 			}
 		}
 	}
+}
+
+// packetProbe runs a Scheduler as the simulator's policy and hands every
+// packet it annealed, with the packet's report, to check.
+type packetProbe struct {
+	*Scheduler
+	check func(pk *packet, rep PacketReport)
+}
+
+func (p packetProbe) Assign(ep *machsim.Epoch) []machsim.Assignment {
+	n := len(p.packets)
+	out := p.Scheduler.Assign(ep)
+	if len(p.packets) > n {
+		p.check(&p.pk, p.packets[n])
+	}
+	return out
+}
+
+// TestOneProcessorPacketsReachColumnMin checks annealStage's p = 1 branch,
+// with its running sums, against the packet's exact optimum. With one idle
+// processor a mapping places one candidate i on the slot, and its eq. 6
+// cost is contribution(i, 0), so no mapping costs less than the minimum of
+// the contribution column. On the 12 combinations the end-to-end benchmark
+// serves (the paper's four programs on Table 2's three machines, default
+// single run at seed 1991), every one-processor packet must end with a
+// FinalCost no lower than that minimum and equal to the cost of the
+// candidate it leaves on the slot, both within costScale's tolerance. The
+// share of those packets that end at the minimum is logged.
+func TestOneProcessorPacketsReachColumnMin(t *testing.T) {
+	total, atMin := 0, 0
+	for _, prog := range []string{"NE", "GJ", "FFT", "MM"} {
+		g, err := cliutil.BuildProgram(prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, spec := range []string{"hypercube:3", "bus:8", "ring:9"} {
+			topo, err := cliutil.ParseTopology(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			comm := topology.DefaultCommParams()
+			opt := DefaultOptions()
+			opt.Seed = 1991
+			sched, err := NewScheduler(g, topo, comm, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			packets, ended := 0, 0
+			probe := packetProbe{sched, func(pk *packet, rep PacketReport) {
+				if rep.Idle != 1 {
+					return
+				}
+				lo := slices.Min(pk.contrib[:len(pk.tasks)])
+				tol := 1e-9 * costScale(pk)
+				if rep.FinalCost < lo-tol {
+					t.Fatalf("%s/%s packet at t=%v: FinalCost %v below the column minimum %v", prog, spec, rep.Time, rep.FinalCost, lo)
+				}
+				if on := pk.taskAt[0]; on < 0 || math.Abs(rep.FinalCost-pk.contribution(on, 0)) > tol {
+					t.Fatalf("%s/%s packet at t=%v: FinalCost %v, but the slot holds candidate %d", prog, spec, rep.Time, rep.FinalCost, on)
+				}
+				packets++
+				if rep.FinalCost <= lo+tol {
+					ended++
+				}
+			}}
+			if _, err := machsim.Run(machsim.Model{Graph: g, Topo: topo, Comm: comm}, probe, machsim.Options{}); err != nil {
+				t.Fatal(err)
+			}
+			if packets == 0 {
+				t.Fatalf("%s/%s: no one-processor packets", prog, spec)
+			}
+			t.Logf("%s/%s: %d of %d one-processor packets end at the column minimum", prog, spec, ended, packets)
+			total, atMin = total+packets, atMin+ended
+		}
+	}
+	t.Logf("all: %d of %d one-processor packets (%.2f%%) end at the column minimum", atMin, total, 100*float64(atMin)/float64(total))
 }
