@@ -176,13 +176,9 @@ type Scheduler struct {
 	g      *taskgraph.Graph
 	topo   *topology.Topology
 	comm   topology.CommParams
-	levels []float64
+	levels taskgraph.LevelScratch
 	opt    Options
 	rng    *anneal.Rand
-
-	// Scratch for the reusable level computation (reverse Kahn pass).
-	lvlDeg   []int32
-	lvlStack []int32
 
 	// pk is the arena-backed packet reused across epochs; runs holds the
 	// per-run workspaces (grown on demand, reused across epochs).
@@ -270,8 +266,8 @@ func (s *Scheduler) Reset(g *taskgraph.Graph, topo *topology.Topology, comm topo
 	s.topo = topo
 	s.comm = comm
 	s.opt = opt
-	if err := s.computeLevels(); err != nil {
-		return err
+	if n := s.levels.Fill(g); n != g.NumTasks() {
+		return fmt.Errorf("core: taskgraph %q: cycle detected (%d of %d tasks ordered)", g.Name(), n, g.NumTasks())
 	}
 	if s.rng == nil {
 		s.rng = anneal.NewRand(opt.Seed)
@@ -295,50 +291,6 @@ func (s *Scheduler) Reset(g *taskgraph.Graph, topo *topology.Topology, comm topo
 	s.warmOK = opt.Warm != nil && len(opt.Warm.Assignment) == g.NumTasks()
 	s.warmSaved = 0
 	s.epochTime = 0
-	return nil
-}
-
-// computeLevels fills s.levels with each task's level using reusable
-// scratch buffers — a reverse Kahn pass from the leaves, matching
-// Graph.Levels exactly (levels are well-defined independent of visit
-// order) without its per-call allocations.
-func (s *Scheduler) computeLevels() error {
-	g := s.g
-	nt := g.NumTasks()
-	s.levels = grow(s.levels, nt)
-	s.lvlDeg = grow(s.lvlDeg, nt)
-	stack := s.lvlStack[:0]
-	for i := 0; i < nt; i++ {
-		d := g.OutDegree(taskgraph.TaskID(i))
-		s.lvlDeg[i] = int32(d)
-		s.levels[i] = 0
-		if d == 0 {
-			stack = append(stack, int32(i))
-		}
-	}
-	processed := 0
-	for len(stack) > 0 {
-		i := taskgraph.TaskID(stack[len(stack)-1])
-		stack = stack[:len(stack)-1]
-		processed++
-		best := 0.0
-		for _, h := range g.Successors(i) {
-			if s.levels[h.To] > best {
-				best = s.levels[h.To]
-			}
-		}
-		s.levels[i] = g.Load(i) + best
-		for _, h := range g.Predecessors(i) {
-			s.lvlDeg[h.To]--
-			if s.lvlDeg[h.To] == 0 {
-				stack = append(stack, int32(h.To))
-			}
-		}
-	}
-	s.lvlStack = stack[:0]
-	if processed != nt {
-		return fmt.Errorf("core: taskgraph %q: cycle detected (%d of %d tasks ordered)", g.Name(), processed, nt)
-	}
 	return nil
 }
 
@@ -382,7 +334,7 @@ func (s *Scheduler) Assign(ep *machsim.Epoch) []machsim.Assignment {
 		return nil
 	}
 	pk := &s.pk
-	pk.reset(ep.Ready, ep.Idle, ep.Sim.ProcOf, s.levels, s.topo, s.comm, s.g, s.opt.Wb, s.opt.Wc)
+	pk.reset(ep.Ready, ep.Idle, ep.Sim.ProcOf, s.levels.Levels, s.topo, s.comm, s.g, s.opt.Wb, s.opt.Wc)
 	s.epochTime = ep.Time
 	s.initPacket(pk, s.rng)
 

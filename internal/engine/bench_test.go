@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/machsim"
 	"repro/internal/programs"
 	"repro/internal/solver"
 	"repro/internal/topology"
@@ -172,35 +171,5 @@ func TestWorkerRunDetachedResult(t *testing.T) {
 	}
 	if got := fingerprint(res1); got != want {
 		t.Fatalf("result mutated by later jobs on the same worker:\n  got  %s\n  want %s", got, want)
-	}
-}
-
-var benchSink *machsim.Result
-
-// BenchmarkEngineStream8 measures a pipelined 8-job batch end to end.
-func BenchmarkEngineStream8(b *testing.B) {
-	eng := New(Config{Workers: 4})
-	defer eng.Close()
-	base := coldJob(b)
-	jobs := make([]Job, 8)
-	for i := range jobs {
-		jobs[i] = base
-		jobs[i].Index = i
-		jobs[i].Req.SA.Seed = int64(i)
-	}
-	ctx := context.Background()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ch, err := eng.Stream(ctx, jobs)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for item := range ch {
-			if item.Err != nil {
-				b.Fatal(item.Err)
-			}
-			benchSink = item.Result
-		}
 	}
 }

@@ -28,14 +28,13 @@
 // caches, singleflight, wire encoding) stay above it; the engine sees only
 // cold solves.
 //
-// Submit enqueues one job and returns a channel carrying its Item. Stream
-// pipelines a batch: every job solves as soon as a worker frees, and items
-// are delivered in completion order, index-tagged, so a consumer (e.g. the
-// service's NDJSON batch endpoint) can forward early finishers while the
-// slowest member still runs. Fan generalizes Stream to arbitrary per-index
-// work for callers that layer caching between themselves and Submit.
-// ParallelFor is the deterministic fan-out loop the experiment harness
-// runs its studies on.
+// Submit enqueues one job and returns a channel carrying its Item. Fan
+// pipelines a batch: it runs per-index work (for the service's NDJSON
+// batch endpoint, a cache consult that only sometimes reaches Submit)
+// concurrently and delivers the results in completion order, so a
+// consumer can forward early finishers while the slowest member still
+// runs. ParallelFor is the deterministic fan-out loop the experiment
+// harness runs its studies on.
 package engine
 
 import (
@@ -57,7 +56,7 @@ type Config struct {
 	// Workers is the pool size, fixed for the engine's life; <= 0 means
 	// one per available CPU (GOMAXPROCS).
 	Workers int
-	// MaxBatch caps the jobs of one Stream (or Fan) call; <= 0 means 256.
+	// MaxBatch caps the jobs of one Fan call; <= 0 means 256.
 	// The engine owns this limit so every front-end enforces it the same
 	// way instead of re-checking per handler.
 	MaxBatch int
@@ -75,7 +74,7 @@ type Config struct {
 	InteractiveWeight int
 }
 
-// DefaultMaxBatch is the Stream/Fan batch cap when Config leaves it zero.
+// DefaultMaxBatch is the Fan batch cap when Config leaves it zero.
 const DefaultMaxBatch = 256
 
 // DefaultQueueDepth is the per-lane queue bound when Config leaves it zero.
@@ -83,12 +82,9 @@ const DefaultQueueDepth = 1024
 
 const defaultInteractiveWeight = 4
 
-// Job is one solver execution: the solver to run and its request. Index is
-// an opaque caller tag replayed on the resulting Item — batch consumers
-// use it to reassemble completion-order items in request order. Lane picks
-// the QoS class; the zero value is LaneInteractive.
+// Job is one solver execution: the solver to run and its request. Lane
+// picks the QoS class; the zero value is LaneInteractive.
 type Job struct {
-	Index  int
 	Lane   Lane
 	Solver solver.Solver
 	Req    solver.Request
@@ -96,7 +92,6 @@ type Job struct {
 
 // Item is the outcome of one Job. Exactly one of Result or Err is set.
 type Item struct {
-	Index  int
 	Result *machsim.Result
 	Err    error
 }
@@ -220,7 +215,7 @@ func (e *Engine) Submit(ctx context.Context, job Job) <-chan Item {
 	e.mu.Lock()
 	if e.closed {
 		e.mu.Unlock()
-		out <- Item{Index: job.Index, Err: ErrClosed}
+		out <- Item{Err: ErrClosed}
 		return out
 	}
 	now := time.Now()
@@ -229,7 +224,7 @@ func (e *Engine) Submit(ctx context.Context, job Job) <-chan Item {
 		if tr := obs.FromContext(ctx); tr != nil {
 			tr.Annotate("shed", ov.Lane.String())
 		}
-		out <- Item{Index: job.Index, Err: ov}
+		out <- Item{Err: ov}
 		return out
 	}
 	t.enq = now
@@ -281,7 +276,7 @@ func (e *Engine) watch(t *task) {
 			e.mu.Lock()
 			e.lanes[t.lane].expired++
 			e.mu.Unlock()
-			t.out <- Item{Index: t.job.Index, Err: fmt.Errorf("%w: %w", ErrQueueTimeout, t.ctx.Err())}
+			t.out <- Item{Err: fmt.Errorf("%w: %w", ErrQueueTimeout, t.ctx.Err())}
 		}
 	case <-t.claimed:
 	}
@@ -358,7 +353,7 @@ func (e *Engine) runTask(w *Worker, t *task) {
 		e.mu.Lock()
 		e.lanes[t.lane].expired++
 		e.mu.Unlock()
-		t.out <- Item{Index: t.job.Index, Err: fmt.Errorf("%w: %w", ErrQueueTimeout, t.ctx.Err())}
+		t.out <- Item{Err: fmt.Errorf("%w: %w", ErrQueueTimeout, t.ctx.Err())}
 		return
 	}
 	tr := obs.FromContext(t.ctx)
@@ -386,27 +381,12 @@ func (e *Engine) Solve(ctx context.Context, job Job) (*machsim.Result, error) {
 	return item.Result, item.Err
 }
 
-// Stream solves a batch with the jobs pipelined across the pool: each job
-// starts as soon as a worker frees, and its Item is delivered the moment
-// it completes — completion order, index-tagged — so consumers can forward
-// early finishers while the slowest job still runs. The channel closes
-// after the last item. Batches beyond MaxBatch are rejected before any
-// job runs.
-func (e *Engine) Stream(ctx context.Context, jobs []Job) (<-chan Item, error) {
-	return Fan(len(jobs), e.maxBatch, func(i int) Item {
-		return <-e.Submit(ctx, jobs[i])
-	})
-}
-
 // Fan runs fn(i) for every i in [0, n) concurrently — each call on its own
 // goroutine — and delivers the results in completion order on the returned
 // channel, which closes after the n-th. limit rejects oversized fan-outs
-// (an Engine's MaxBatch); n <= 0 yields an empty closed channel. Callers
-// whose per-index work is not a bare Job — e.g. a cache consult that only
-// sometimes reaches Submit — use Fan directly and inherit the same
-// pipelining and the same engine-owned batch cap as Stream. The channel
-// is buffered for all n results, so producers never block on a consumer
-// that stopped reading.
+// (an Engine's MaxBatch) before any call runs; n <= 0 yields an empty
+// closed channel. The channel is buffered for all n results, so producers
+// never block on a consumer that stopped reading.
 func Fan[T any](n, limit int, fn func(i int) T) (<-chan T, error) {
 	if n > limit {
 		return nil, fmt.Errorf("engine: batch of %d exceeds the limit of %d", n, limit)
@@ -449,7 +429,7 @@ func (e *Engine) Close() {
 				if t.claimed != nil {
 					close(t.claimed)
 				}
-				t.out <- Item{Index: t.job.Index, Err: ErrClosed}
+				t.out <- Item{Err: ErrClosed}
 			}
 		}
 	})

@@ -39,7 +39,6 @@ func testJobs(t *testing.T, n int) []Job {
 		opt := core.DefaultOptions()
 		opt.Seed = int64(1991 + i)
 		jobs[i] = Job{
-			Index:  i,
 			Solver: slv,
 			Req: solver.Request{
 				Graph: prog.Build(),
@@ -68,23 +67,19 @@ func TestEngineDeterministicAcrossWorkerCounts(t *testing.T) {
 	var want []string
 	for _, workers := range []int{1, 4, 16} {
 		eng := New(Config{Workers: workers})
-		ch, err := eng.Stream(context.Background(), jobs)
-		if err != nil {
-			t.Fatal(err)
+		items := make([]<-chan Item, len(jobs))
+		for i, job := range jobs {
+			items[i] = eng.Submit(context.Background(), job)
 		}
 		got := make([]string, len(jobs))
-		count := 0
-		for item := range ch {
+		for i, ch := range items {
+			item := <-ch
 			if item.Err != nil {
-				t.Fatalf("workers=%d index=%d: %v", workers, item.Index, item.Err)
+				t.Fatalf("workers=%d index=%d: %v", workers, i, item.Err)
 			}
-			got[item.Index] = fingerprint(item.Result)
-			count++
+			got[i] = fingerprint(item.Result)
 		}
 		eng.Close()
-		if count != len(jobs) {
-			t.Fatalf("workers=%d: %d items for %d jobs", workers, count, len(jobs))
-		}
 		if want == nil {
 			want = got
 			continue
@@ -104,7 +99,7 @@ func TestEngineMatchesDirectSolve(t *testing.T) {
 	jobs := testJobs(t, 8)
 	eng := New(Config{Workers: 3})
 	defer eng.Close()
-	for _, job := range jobs {
+	for i, job := range jobs {
 		direct, err := job.Solver.Solve(context.Background(), job.Req)
 		if err != nil {
 			t.Fatal(err)
@@ -115,7 +110,7 @@ func TestEngineMatchesDirectSolve(t *testing.T) {
 		}
 		if fingerprint(via) != fingerprint(direct) {
 			t.Errorf("index %d: engine result diverged from direct solve:\n  engine %s\n  direct %s",
-				job.Index, fingerprint(via), fingerprint(direct))
+				i, fingerprint(via), fingerprint(direct))
 		}
 	}
 }
@@ -153,10 +148,25 @@ func (s gatedSolver) Solve(ctx context.Context, req solver.Request) (*machsim.Re
 	return hlf.Solve(ctx, req)
 }
 
+// indexedItem tags a batch member's Item with its index, as the service's
+// batch endpoint tags its NDJSON lines.
+type indexedItem struct {
+	index int
+	Item
+}
+
+// fanSubmit pipelines jobs through Submit with Fan, the way the service's
+// batch endpoint does, under the engine's batch cap.
+func fanSubmit(eng *Engine, jobs []Job) (<-chan indexedItem, error) {
+	return Fan(len(jobs), eng.MaxBatch(), func(i int) indexedItem {
+		return indexedItem{i, <-eng.Submit(context.Background(), jobs[i])}
+	})
+}
+
 // TestStreamPipelinesEarlyItems is the streaming proof: with one member
-// of a batch artificially stuck, every other item is delivered while the
-// slow member still runs — item 0's delivery does not wait for item N-1's
-// completion.
+// of a batch fanned through Submit artificially stuck, every other item is
+// delivered while the slow member still runs — item 0's delivery does not
+// wait for item N-1's completion.
 func TestStreamPipelinesEarlyItems(t *testing.T) {
 	jobs := testJobs(t, 4)
 	slow := newGate()
@@ -165,7 +175,7 @@ func TestStreamPipelinesEarlyItems(t *testing.T) {
 
 	eng := New(Config{Workers: len(jobs)})
 	defer eng.Close()
-	ch, err := eng.Stream(context.Background(), jobs)
+	ch, err := fanSubmit(eng, jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,12 +187,12 @@ func TestStreamPipelinesEarlyItems(t *testing.T) {
 			t.Fatal("stream closed before the fast items arrived")
 		}
 		if item.Err != nil {
-			t.Fatalf("index %d: %v", item.Index, item.Err)
+			t.Fatalf("index %d: %v", item.index, item.Err)
 		}
-		if item.Index == slowIdx {
+		if item.index == slowIdx {
 			t.Fatal("gated item delivered while its gate is closed")
 		}
-		fast[item.Index] = true
+		fast[item.index] = true
 	}
 	if len(fast) != len(jobs)-1 {
 		t.Fatalf("expected %d distinct fast items, got %v", len(jobs)-1, fast)
@@ -191,7 +201,7 @@ func TestStreamPipelinesEarlyItems(t *testing.T) {
 	// gated; releasing it must complete the stream.
 	slow.open()
 	item, ok := <-ch
-	if !ok || item.Index != slowIdx || item.Err != nil {
+	if !ok || item.index != slowIdx || item.Err != nil {
 		t.Fatalf("slow item = %+v, ok=%v", item, ok)
 	}
 	if _, ok := <-ch; ok {
@@ -202,10 +212,10 @@ func TestStreamPipelinesEarlyItems(t *testing.T) {
 func TestStreamEnforcesMaxBatch(t *testing.T) {
 	eng := New(Config{Workers: 1, MaxBatch: 2})
 	defer eng.Close()
-	if _, err := eng.Stream(context.Background(), make([]Job, 3)); err == nil {
+	if _, err := fanSubmit(eng, make([]Job, 3)); err == nil {
 		t.Fatal("oversized batch accepted")
 	}
-	ch, err := eng.Stream(context.Background(), nil)
+	ch, err := fanSubmit(eng, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -42,5 +42,5 @@ func (w *Worker) run(ctx context.Context, job Job) Item {
 	req.Arena = w.Arena()
 	req.Sched = w.Scheduler()
 	res, err := job.Solver.Solve(ctx, req)
-	return Item{Index: job.Index, Result: res, Err: err}
+	return Item{Result: res, Err: err}
 }

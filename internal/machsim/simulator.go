@@ -69,9 +69,7 @@ type Simulator struct {
 	forced   int
 	events   int
 
-	levels   []float64 // for the forced-assignment fallback
-	lvlDeg   []int32   // scratch: pending successor counts
-	lvlStack []int32   // scratch: reverse-Kahn worklist
+	levels taskgraph.LevelScratch // for the forced-assignment fallback
 
 	// Reusable epoch workspace: the Epoch value handed to the policy, the
 	// ready/idle index buffers, and generation-stamped marks replacing the
@@ -161,8 +159,10 @@ func (s *Simulator) Bind(m Model, opts Options) error {
 	}
 	s.np = m.Topo.N()
 	s.nt = m.Graph.NumTasks()
-	if err := s.computeLevels(); err != nil {
-		return err
+	if s.levels.Fill(m.Graph) != s.nt {
+		// Unreachable after Model.Validate (which rejects cycles), kept as
+		// a defensive invariant.
+		return fmt.Errorf("machsim: taskgraph %q is cyclic", m.Graph.Name())
 	}
 	if s.tracker == nil {
 		s.tracker = taskgraph.NewReadyTracker(m.Graph)
@@ -188,51 +188,6 @@ func (s *Simulator) Bind(m Model, opts Options) error {
 	s.touched = s.touched[:0]
 	s.busFree, s.busBusy, s.busSeen = 0, 0, false
 	s.ep.Sim = s
-	return nil
-}
-
-// computeLevels fills s.levels with each task's level (its load plus the
-// longest successor chain, as in Graph.Levels) using reusable scratch
-// buffers: a reverse Kahn pass from the leaves. Levels are well-defined
-// independent of visit order, so this matches Graph.Levels exactly.
-func (s *Simulator) computeLevels() error {
-	g := s.model.Graph
-	s.levels = growSlice(s.levels, s.nt)
-	s.lvlDeg = growSlice(s.lvlDeg, s.nt)
-	stack := s.lvlStack[:0]
-	for i := 0; i < s.nt; i++ {
-		d := g.OutDegree(taskgraph.TaskID(i))
-		s.lvlDeg[i] = int32(d)
-		s.levels[i] = 0
-		if d == 0 {
-			stack = append(stack, int32(i))
-		}
-	}
-	processed := 0
-	for len(stack) > 0 {
-		i := taskgraph.TaskID(stack[len(stack)-1])
-		stack = stack[:len(stack)-1]
-		processed++
-		best := 0.0
-		for _, h := range g.Successors(i) {
-			if s.levels[h.To] > best {
-				best = s.levels[h.To]
-			}
-		}
-		s.levels[i] = g.Load(i) + best
-		for _, h := range g.Predecessors(i) {
-			s.lvlDeg[h.To]--
-			if s.lvlDeg[h.To] == 0 {
-				stack = append(stack, int32(h.To))
-			}
-		}
-	}
-	s.lvlStack = stack[:0]
-	if processed != s.nt {
-		// Unreachable after Model.Validate (which rejects cycles), kept as
-		// a defensive invariant.
-		return fmt.Errorf("machsim: taskgraph %q is cyclic", g.Name())
-	}
 	return nil
 }
 
@@ -383,9 +338,6 @@ func (s *Simulator) Run(p Policy) (*Result, error) {
 	return s.result(p), nil
 }
 
-// Simulate is the historical name for Run.
-func (s *Simulator) Simulate(p Policy) (*Result, error) { return s.Run(p) }
-
 func (s *Simulator) handle(ev event) {
 	switch ev.kind {
 	case evFinish:
@@ -458,7 +410,7 @@ func (s *Simulator) epoch(p Policy, force bool) error {
 		// with well-behaved policies.
 		best := ready[0]
 		for _, t := range ready[1:] {
-			if s.levels[t] > s.levels[best] {
+			if s.levels.Levels[t] > s.levels.Levels[best] {
 				best = t
 			}
 		}

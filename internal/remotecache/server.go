@@ -1,7 +1,6 @@
 package remotecache
 
 import (
-	"container/list"
 	"encoding/json"
 	"errors"
 	"io"
@@ -9,6 +8,8 @@ import (
 	"net"
 	"sync"
 	"time"
+
+	"repro/internal/lru"
 )
 
 // ServerConfig tunes the daemon. The zero value is usable.
@@ -40,16 +41,14 @@ type ServerStats struct {
 
 // Server is the dtcached daemon: a byte-budgeted LRU of opaque sealed
 // values behind the frame protocol. One goroutine serves each
-// connection; the store is a single mutex-guarded map + intrusive list,
-// which at cache-value sizes is dominated by network time.
+// connection; the store is a single mutex-guarded LRU, which at
+// cache-value sizes is dominated by network time.
 type Server struct {
 	cfg ServerConfig
 
-	mu      sync.Mutex
-	entries map[string]*list.Element
-	order   *list.List // front = most recent
-	bytes   int64
-	stats   ServerStats
+	mu    sync.Mutex
+	store *lru.LRU[string, []byte]
+	stats ServerStats
 
 	connMu sync.Mutex
 	conns  map[net.Conn]struct{}
@@ -57,11 +56,6 @@ type Server struct {
 	closed bool
 
 	wg sync.WaitGroup
-}
-
-type serverEntry struct {
-	key string
-	val []byte
 }
 
 // NewServer returns an idle daemon; pair with Serve or ListenAndServe.
@@ -72,12 +66,9 @@ func NewServer(cfg ServerConfig) *Server {
 	if cfg.IdleTimeout <= 0 {
 		cfg.IdleTimeout = 5 * time.Minute
 	}
-	return &Server{
-		cfg:     cfg,
-		entries: make(map[string]*list.Element),
-		order:   list.New(),
-		conns:   make(map[net.Conn]struct{}),
-	}
+	s := &Server{cfg: cfg, conns: make(map[net.Conn]struct{})}
+	s.store = lru.New(0, cfg.MaxBytes, func(string, []byte) { s.stats.Evictions++ })
+	return s
 }
 
 // ListenAndServe binds addr and serves until Close.
@@ -167,8 +158,8 @@ func (s *Server) Stats() ServerStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := s.stats
-	st.Entries = len(s.entries)
-	st.Bytes = s.bytes
+	st.Entries = s.store.Len()
+	st.Bytes = s.store.Bytes()
 	st.MaxBytes = s.cfg.MaxBytes
 	return st
 }
@@ -235,36 +226,24 @@ func (s *Server) get(key string) ([]byte, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.stats.Gets++
-	el, ok := s.entries[key]
+	val, ok := s.store.Get(key)
 	if !ok {
 		s.stats.Misses++
 		return nil, false
 	}
 	s.stats.Hits++
-	s.order.MoveToFront(el)
-	return el.Value.(*serverEntry).val, true
+	return val, true
 }
 
 func (s *Server) put(key string, val []byte) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.stats.Puts++
-	if el, ok := s.entries[key]; ok {
+	if _, ok := s.store.Get(key); ok {
 		// Content-addressed values are immutable; a re-put just refreshes
 		// recency (and tolerates a differing value from a buggy writer by
 		// keeping the incumbent — first write wins, like the disk tier).
-		s.order.MoveToFront(el)
 		return
 	}
-	e := &serverEntry{key: key, val: val}
-	s.entries[key] = s.order.PushFront(e)
-	s.bytes += int64(len(val))
-	for s.bytes > s.cfg.MaxBytes && s.order.Len() > 1 {
-		back := s.order.Back()
-		old := back.Value.(*serverEntry)
-		s.order.Remove(back)
-		delete(s.entries, old.key)
-		s.bytes -= int64(len(old.val))
-		s.stats.Evictions++
-	}
+	s.store.Put(key, val, int64(len(val)))
 }

@@ -1,9 +1,10 @@
 package service
 
 import (
-	"container/list"
 	"crypto/sha256"
 	"sync"
+
+	"repro/internal/lru"
 )
 
 // Tier is one rung of the cache ladder below the memory tier: a byte
@@ -74,26 +75,15 @@ type Cache struct {
 	mu        sync.Mutex
 	max       int
 	maxBytes  int64
-	bytes     int64
-	ll        *list.List // front = most recently used
-	items     map[string]*list.Element
+	items     *lru.LRU[string, []byte]
+	aliases   *lru.LRU[[sha256.Size]byte, alias]
 	hits      uint64
 	misses    uint64
 	evictions uint64
-
-	aliasLRU *list.List // of *alias; front = most recently used
-	byBody   map[[sha256.Size]byte]*list.Element
 }
 
-type cacheEntry struct {
-	key string
-	val []byte
-}
-
-// alias maps the SHA-256 of a request body to the key of the entry that
-// answered it.
+// alias names the key of the entry that answered a request body.
 type alias struct {
-	sum  [sha256.Size]byte
 	key  string
 	lane string // the request's QoS lane, for the request log
 }
@@ -114,8 +104,9 @@ func NewCache(max int, maxBytes int64) *Cache {
 	if maxBytes <= 0 {
 		maxBytes = defaultMaxBytes
 	}
-	return &Cache{max: max, maxBytes: maxBytes, ll: list.New(), items: make(map[string]*list.Element, max),
-		aliasLRU: list.New(), byBody: make(map[[sha256.Size]byte]*list.Element)}
+	c := &Cache{max: max, maxBytes: maxBytes, aliases: lru.New[[sha256.Size]byte, alias](max, 0, nil)}
+	c.items = lru.New(max, maxBytes, func(string, []byte) { c.evictions++ })
+	return c
 }
 
 // Get returns the cached bytes for key and whether they were present,
@@ -127,14 +118,13 @@ func (c *Cache) Get(key string) ([]byte, bool) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.items[key]
+	val, ok := c.items.Get(key)
 	if !ok {
 		c.misses++
 		return nil, false
 	}
 	c.hits++
-	c.ll.MoveToFront(el)
-	return el.Value.(*cacheEntry).val, true
+	return val, true
 }
 
 // Put stores val under key, evicting least recently used entries while
@@ -146,25 +136,7 @@ func (c *Cache) Put(key string, val []byte) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok {
-		c.ll.MoveToFront(el)
-		e := el.Value.(*cacheEntry)
-		c.bytes += int64(len(val)) - int64(len(e.val))
-		e.val = val
-	} else {
-		c.items[key] = c.ll.PushFront(&cacheEntry{key: key, val: val})
-		c.bytes += int64(len(val))
-	}
-	// The newest entry is never evicted, even when it alone exceeds the
-	// byte budget — a result that was worth solving is worth returning.
-	for c.ll.Len() > 1 && (c.ll.Len() > c.max || c.bytes > c.maxBytes) {
-		oldest := c.ll.Back()
-		c.ll.Remove(oldest)
-		e := oldest.Value.(*cacheEntry)
-		delete(c.items, e.key)
-		c.bytes -= int64(len(e.val))
-		c.evictions++
-	}
+	c.items.Put(key, val, int64(len(val)))
 }
 
 // getAlias answers a request body by its SHA-256: the bytes of the entry
@@ -178,51 +150,38 @@ func (c *Cache) getAlias(sum *[sha256.Size]byte, inflight map[string]*flight) (v
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el := c.byBody[*sum]
-	if el == nil {
+	a, ok := c.aliases.Peek(*sum)
+	if !ok {
 		return nil, "", "", false
 	}
-	a := el.Value.(*alias)
-	target, ok := c.items[a.key]
-	if !ok {
-		c.dropAlias(el)
+	if _, ok := c.items.Peek(a.key); !ok {
+		c.aliases.Remove(*sum)
 		return nil, "", "", false
 	}
 	if _, busy := inflight[a.key]; busy {
 		return nil, "", "", false
 	}
 	c.hits++
-	c.ll.MoveToFront(target)
-	c.aliasLRU.MoveToFront(el)
-	return target.Value.(*cacheEntry).val, a.key, a.lane, true
+	c.aliases.Get(*sum)
+	val, _ = c.items.Get(a.key)
+	return val, a.key, a.lane, true
 }
 
 // putAlias names key's entry as the answer to the body hashing to sum; a
-// key evicted since it answered gets no alias. At the bound the least
-// recently used alias makes way.
+// key evicted since it answered gets no alias. The same bytes always
+// decode to the same key and lane, so putting an alias again only
+// refreshes its recency. At the bound the least recently used alias makes
+// way.
 func (c *Cache) putAlias(sum *[sha256.Size]byte, key, lane string) {
 	if c == nil {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, ok := c.items[key]; !ok {
+	if _, ok := c.items.Peek(key); !ok {
 		return
 	}
-	if el := c.byBody[*sum]; el != nil {
-		// The same bytes always decode to the same key, so the alias
-		// already names it.
-		c.aliasLRU.MoveToFront(el)
-		return
-	}
-	if c.aliasLRU.Len() >= c.max {
-		c.dropAlias(c.aliasLRU.Back())
-	}
-	c.byBody[*sum] = c.aliasLRU.PushFront(&alias{sum: *sum, key: key, lane: lane})
-}
-
-func (c *Cache) dropAlias(el *list.Element) {
-	delete(c.byBody, c.aliasLRU.Remove(el).(*alias).sum)
+	c.aliases.Put(*sum, alias{key: key, lane: lane}, 0)
 }
 
 // CacheStats is a point-in-time snapshot of the cache counters.
@@ -251,10 +210,10 @@ func (c *Cache) Stats() CacheStats {
 		Hits:      c.hits,
 		Misses:    c.misses,
 		Evictions: c.evictions,
-		Entries:   c.ll.Len(),
+		Entries:   c.items.Len(),
 		Max:       c.max,
-		Bytes:     c.bytes,
+		Bytes:     c.items.Bytes(),
 		MaxBytes:  c.maxBytes,
-		Aliases:   len(c.byBody),
+		Aliases:   c.aliases.Len(),
 	}
 }

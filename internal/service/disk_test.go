@@ -148,7 +148,7 @@ func TestServerDeletesCorruptDiskEntries(t *testing.T) {
 	}
 	disk := diskOf(svc1)
 	stop1()
-	for key := range disk.entries {
+	for _, key := range disk.entries.Keys() {
 		keys = append(keys, key)
 	}
 	if len(keys) != 3 {
@@ -317,14 +317,14 @@ func TestDiskTierConservationUnderConcurrency(t *testing.T) {
 		t.Fatal(err)
 	}
 	svc.cache.mu.Lock()
-	_, inMem := svc.cache.items[key]
+	_, inMem := svc.cache.items.Peek(key)
 	svc.cache.mu.Unlock()
 	if inMem {
 		t.Fatal("raced portfolio result found in the memory tier")
 	}
 	dc := diskOf(svc)
 	dc.mu.Lock()
-	_, inDisk := dc.entries[key]
+	_, inDisk := dc.entries.Peek(key)
 	dc.mu.Unlock()
 	if inDisk {
 		t.Fatal("raced portfolio result found in the disk tier index")

@@ -2,7 +2,6 @@ package service
 
 import (
 	"bytes"
-	"container/list"
 	"crypto/sha256"
 	"encoding/binary"
 	"os"
@@ -11,6 +10,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"repro/internal/lru"
 )
 
 // DiskCache is the persistent tier of the result cache: each response is
@@ -38,35 +39,23 @@ type DiskCache struct {
 	dir      string
 	maxBytes int64
 
-	mu        sync.Mutex
-	ll        *list.List // front = most recently used (mirrors Cache)
-	entries   map[string]*list.Element
-	bytes     int64
-	closed    bool
+	mu sync.Mutex
+	// entries indexes the files by key, each sized on disk with its
+	// header; an eviction deletes the file.
+	entries   *lru.LRU[string, struct{}]
 	hits      uint64
 	misses    uint64
 	writes    uint64
 	evictions uint64
 	errors    uint64
 
-	jobs chan diskWrite
-	wg   sync.WaitGroup
+	queue *writeBehind
 
 	// writeObs, when set, observes the wall-clock duration of each
 	// successful persist (temp write + fsync + rename) — the disk-write
 	// latency histogram's feed. Set once before traffic via
 	// SetWriteObserver; read by the writer goroutine under mu.
 	writeObs func(time.Duration)
-}
-
-type diskEntry struct {
-	key  string
-	size int64 // on-disk size, header included
-}
-
-type diskWrite struct {
-	key string
-	val []byte
 }
 
 // diskMagic versions the entry format; bump the last byte on any layout
@@ -81,10 +70,6 @@ const diskHeaderLen = 4 + sha256.Size + 8
 // the memory tier's 256 MiB.
 const defaultDiskMaxBytes = 1 << 30
 
-// diskWriteQueue bounds the write-behind backlog; a full queue drops the
-// write (counted in Errors) instead of stalling a solve.
-const diskWriteQueue = 256
-
 // NewDiskCache opens (creating if needed) a persistent cache rooted at
 // dir with the given byte budget (<= 0 means 1 GiB). Existing entries are
 // indexed by file mtime so the LRU order survives restarts; leftover
@@ -97,27 +82,24 @@ func NewDiskCache(dir string, maxBytes int64) (*DiskCache, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	d := &DiskCache{
-		dir:      dir,
-		maxBytes: maxBytes,
-		ll:       list.New(),
-		entries:  make(map[string]*list.Element),
-		jobs:     make(chan diskWrite, diskWriteQueue),
-	}
+	d := &DiskCache{dir: dir, maxBytes: maxBytes}
+	// The budget never evicts the newest entry, even when it alone
+	// exceeds it — a result worth solving is worth keeping, mirroring the
+	// memory tier's rule.
+	d.entries = lru.New(0, maxBytes, func(key string, _ struct{}) {
+		d.evictions++
+		_ = os.Remove(d.path(key))
+	})
 	if err := d.scan(); err != nil {
 		return nil, err
 	}
-	d.mu.Lock()
-	d.evictLocked()
-	d.mu.Unlock()
-	d.wg.Add(1)
-	go d.writer()
+	d.queue = newWriteBehind(d.write)
 	return d, nil
 }
 
-// scan rebuilds the in-memory index from the directory: entries are
-// ordered by mtime (the persisted recency) and stray tmp- files from an
-// interrupted writer are deleted.
+// scan rebuilds the in-memory index from the directory, enforcing the
+// budget as it goes: entries are ordered by mtime (the persisted recency)
+// and stray tmp- files from an interrupted writer are deleted.
 func (d *DiskCache) scan() error {
 	shards, err := os.ReadDir(d.dir)
 	if err != nil {
@@ -155,10 +137,8 @@ func (d *DiskCache) scan() error {
 	}
 	sort.Slice(found, func(i, j int) bool { return found[i].mtime.Before(found[j].mtime) })
 	for _, s := range found {
-		// Oldest first, each pushed to the front: the newest mtime ends
-		// up most recently used.
-		d.entries[s.key] = d.ll.PushFront(&diskEntry{key: s.key, size: s.size})
-		d.bytes += s.size
+		// Oldest first: the newest mtime ends up most recently used.
+		d.entries.Put(s.key, struct{}{}, s.size)
 	}
 	return nil
 }
@@ -214,9 +194,9 @@ func (d *DiskCache) Get(key string) ([]byte, bool) {
 		d.misses++
 		if !os.IsNotExist(err) {
 			d.errors++
-		} else if el, ok := d.entries[key]; ok {
+		} else {
 			// Index entry with no file (externally removed): drop it.
-			d.dropLocked(el)
+			d.entries.Remove(key)
 		}
 		d.mu.Unlock()
 		return nil, false
@@ -227,9 +207,7 @@ func (d *DiskCache) Get(key string) ([]byte, bool) {
 		d.mu.Lock()
 		d.misses++
 		d.errors++
-		if el, ok := d.entries[key]; ok {
-			d.dropLocked(el)
-		}
+		d.entries.Remove(key)
 		d.mu.Unlock()
 		return nil, false
 	}
@@ -240,9 +218,7 @@ func (d *DiskCache) Get(key string) ([]byte, bool) {
 	// ReadFile and this lock (the bytes read are still whole — rename
 	// and remove are atomic) — re-inserting would create a ghost index
 	// entry for a deleted file and permanently inflate the accounting.
-	if el, ok := d.entries[key]; ok {
-		d.ll.MoveToFront(el)
-	}
+	d.entries.Get(key)
 	d.mu.Unlock()
 	// Persist the recency so a restart recovers the LRU order.
 	now := time.Now()
@@ -254,15 +230,10 @@ func (d *DiskCache) Get(key string) ([]byte, bool) {
 // the writer goroutine performs the atomic write and any evictions off
 // the caller's path. A full queue or closed cache drops the write.
 func (d *DiskCache) Put(key string, val []byte) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.closed {
-		return
-	}
-	select {
-	case d.jobs <- diskWrite{key: key, val: val}:
-	default:
-		d.errors++ // backlogged writer: best-effort tier drops the write
+	if d.queue.put(key, val) {
+		d.mu.Lock()
+		d.errors++
+		d.mu.Unlock()
 	}
 }
 
@@ -273,13 +244,6 @@ func (d *DiskCache) SetWriteObserver(fn func(time.Duration)) {
 	d.mu.Lock()
 	d.writeObs = fn
 	d.mu.Unlock()
-}
-
-func (d *DiskCache) writer() {
-	defer d.wg.Done()
-	for job := range d.jobs {
-		d.write(job.key, job.val)
-	}
 }
 
 // write persists one entry atomically (temp file + fsync + rename in the
@@ -319,41 +283,10 @@ func (d *DiskCache) write(key string, val []byte) {
 	d.mu.Lock()
 	d.writes++
 	obs := d.writeObs
-	if el, ok := d.entries[key]; ok {
-		e := el.Value.(*diskEntry)
-		d.bytes += int64(len(framed)) - e.size
-		e.size = int64(len(framed))
-		d.ll.MoveToFront(el)
-	} else {
-		d.entries[key] = d.ll.PushFront(&diskEntry{key: key, size: int64(len(framed))})
-		d.bytes += int64(len(framed))
-	}
-	d.evictLocked()
+	d.entries.Put(key, struct{}{}, int64(len(framed)))
 	d.mu.Unlock()
 	if obs != nil {
 		obs(time.Since(writeStart))
-	}
-}
-
-// dropLocked removes one index entry (the caller handles the file).
-func (d *DiskCache) dropLocked(el *list.Element) {
-	e := el.Value.(*diskEntry)
-	d.ll.Remove(el)
-	delete(d.entries, e.key)
-	d.bytes -= e.size
-}
-
-// evictLocked removes least-recently-used entries until the byte budget
-// holds. The most recent entry is never evicted, even when it alone
-// exceeds the budget — a result worth solving is worth keeping,
-// mirroring the memory tier's rule.
-func (d *DiskCache) evictLocked() {
-	for d.bytes > d.maxBytes && d.ll.Len() > 1 {
-		el := d.ll.Back()
-		key := el.Value.(*diskEntry).key
-		d.dropLocked(el)
-		d.evictions++
-		_ = os.Remove(d.path(key))
 	}
 }
 
@@ -361,16 +294,7 @@ func (d *DiskCache) evictLocked() {
 // returns, every accepted Put is durably on disk. Later Puts are dropped;
 // Gets keep working. Close is idempotent.
 func (d *DiskCache) Close() {
-	d.mu.Lock()
-	if d.closed {
-		d.mu.Unlock()
-		d.wg.Wait()
-		return
-	}
-	d.closed = true
-	d.mu.Unlock()
-	close(d.jobs)
-	d.wg.Wait()
+	d.queue.close()
 }
 
 // Stats returns the current counters.
@@ -383,8 +307,8 @@ func (d *DiskCache) Stats() TierStats {
 		Writes:    d.writes,
 		Evictions: d.evictions,
 		Errors:    d.errors,
-		Entries:   len(d.entries),
-		Bytes:     d.bytes,
+		Entries:   d.entries.Len(),
+		Bytes:     d.entries.Bytes(),
 		MaxBytes:  d.maxBytes,
 	}
 }

@@ -7,11 +7,6 @@ import (
 	"repro/internal/remotecache"
 )
 
-// remoteWriteQueue bounds the write-behind backlog, same contract as the
-// disk tier: a full queue drops the write (counted in Errors) instead of
-// stalling a solve.
-const remoteWriteQueue = 256
-
 // RemoteCache is the replica-side remote tier: a thin accounting layer
 // over the remotecache client. Gets are synchronous (the caller is the
 // flight leader, already off every other request's path); Puts are
@@ -23,17 +18,10 @@ const remoteWriteQueue = 256
 type RemoteCache struct {
 	client *remotecache.Client
 
-	mu     sync.Mutex
-	stats  TierStats
-	closed bool
+	mu    sync.Mutex
+	stats TierStats
 
-	jobs chan remoteWrite
-	wg   sync.WaitGroup
-}
-
-type remoteWrite struct {
-	key string
-	val []byte
+	queue *writeBehind
 }
 
 // NewRemoteCache returns a remote tier talking to the dtcached daemon at
@@ -41,12 +29,8 @@ type remoteWrite struct {
 // down at startup costs nothing until the ladder consults it (and then
 // costs one counted error per consult).
 func NewRemoteCache(addr string, timeout time.Duration) *RemoteCache {
-	r := &RemoteCache{
-		client: remotecache.NewClient(remotecache.ClientConfig{Addr: addr, Timeout: timeout}),
-		jobs:   make(chan remoteWrite, remoteWriteQueue),
-	}
-	r.wg.Add(1)
-	go r.writer()
+	r := &RemoteCache{client: remotecache.NewClient(remotecache.ClientConfig{Addr: addr, Timeout: timeout})}
+	r.queue = newWriteBehind(r.publish)
 	return r
 }
 
@@ -76,30 +60,23 @@ func (r *RemoteCache) Get(key string) ([]byte, bool) {
 // writer goroutine performs the round trip off the solve hot path. A
 // full queue or closed tier drops the write.
 func (r *RemoteCache) Put(key string, val []byte) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.closed {
-		return
-	}
-	select {
-	case r.jobs <- remoteWrite{key: key, val: val}:
-	default:
-		r.stats.Errors++ // backlogged writer: best-effort tier drops the write
+	if r.queue.put(key, val) {
+		r.mu.Lock()
+		r.stats.Errors++
+		r.mu.Unlock()
 	}
 }
 
-func (r *RemoteCache) writer() {
-	defer r.wg.Done()
-	for job := range r.jobs {
-		err := r.client.Put(job.key, job.val)
-		r.mu.Lock()
-		if err != nil {
-			r.stats.Errors++
-		} else {
-			r.stats.Puts++
-		}
-		r.mu.Unlock()
+// publish is the writer goroutine's round trip for one queued Put.
+func (r *RemoteCache) publish(key string, val []byte) {
+	err := r.client.Put(key, val)
+	r.mu.Lock()
+	if err != nil {
+		r.stats.Errors++
+	} else {
+		r.stats.Puts++
 	}
+	r.mu.Unlock()
 }
 
 // Stats returns the current counters.
@@ -113,15 +90,6 @@ func (r *RemoteCache) Stats() TierStats {
 // after Close returns, every accepted Put has been offered to the daemon
 // (successfully or as a counted error). Idempotent.
 func (r *RemoteCache) Close() {
-	r.mu.Lock()
-	if r.closed {
-		r.mu.Unlock()
-		r.wg.Wait()
-		return
-	}
-	r.closed = true
-	r.mu.Unlock()
-	close(r.jobs)
-	r.wg.Wait()
+	r.queue.close()
 	r.client.Close()
 }

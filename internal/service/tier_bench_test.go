@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -163,6 +164,31 @@ func BenchmarkMemoryTierGet(b *testing.B) {
 		if _, ok := c.Get("k"); !ok {
 			b.Fatal("miss")
 		}
+	}
+}
+
+// BenchmarkMemoryTierPutEvict stores a new answer in a full memory tier
+// of the benchmark server's size, so every Put inserts one entry and
+// evicts the least recently used: each cold_solve answer's tier cost.
+// Keys cycle through twice the entry bound, so none is still cached when
+// it comes round again.
+func BenchmarkMemoryTierPutEvict(b *testing.B) {
+	const entries = 4096
+	c := NewCache(entries, 0)
+	val := bytes.Repeat([]byte("x"), 8<<10)
+	keys := make([]string, 2*entries)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("%064x", i)
+	}
+	for _, k := range keys[entries:] {
+		c.Put(k, val)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.Put(keys[i%len(keys)], val)
+	}
+	if st := c.Stats(); st.Entries != entries {
+		b.Fatalf("cache holds %d entries, want %d", st.Entries, entries)
 	}
 }
 

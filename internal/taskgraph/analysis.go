@@ -62,6 +62,58 @@ func (g *Graph) Levels() ([]float64, error) {
 	return levels, nil
 }
 
+// LevelScratch computes task levels, as Levels does, into buffers it
+// keeps, so a solver that levels one graph per solve stops allocating
+// once they have grown.
+type LevelScratch struct {
+	// Levels holds each task's level after Fill.
+	Levels []float64
+	deg    []int32 // pending successor counts
+	stack  []int32 // reverse-Kahn worklist
+}
+
+// Fill sets ls.Levels to g's task levels by a reverse Kahn pass from the
+// leaves and returns the number of tasks it ordered, which falls short of
+// g.NumTasks() only when g has a cycle. A task's level does not depend on
+// visit order, so Fill matches Levels bit for bit.
+func (ls *LevelScratch) Fill(g *Graph) int {
+	n := g.NumTasks()
+	if cap(ls.Levels) < n || cap(ls.deg) < n {
+		ls.Levels, ls.deg = make([]float64, n), make([]int32, n)
+	}
+	ls.Levels, ls.deg = ls.Levels[:n], ls.deg[:n]
+	stack := ls.stack[:0]
+	for i := 0; i < n; i++ {
+		d := len(g.succ[i])
+		ls.deg[i] = int32(d)
+		ls.Levels[i] = 0
+		if d == 0 {
+			stack = append(stack, int32(i))
+		}
+	}
+	ordered := 0
+	for len(stack) > 0 {
+		i := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		ordered++
+		best := 0.0
+		for _, h := range g.succ[i] {
+			if ls.Levels[h.To] > best {
+				best = ls.Levels[h.To]
+			}
+		}
+		ls.Levels[i] = g.tasks[i].Load + best
+		for _, h := range g.pred[i] {
+			ls.deg[h.To]--
+			if ls.deg[h.To] == 0 {
+				stack = append(stack, int32(h.To))
+			}
+		}
+	}
+	ls.stack = stack[:0]
+	return ordered
+}
+
 // CoLevels returns for every task the accumulated CPU time of the longest
 // path from a root to the task, including the task itself (the earliest
 // possible completion time with unlimited processors and no communication).
