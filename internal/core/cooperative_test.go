@@ -215,7 +215,7 @@ func TestTemperingDeterministicWithExchanges(t *testing.T) {
 	}
 }
 
-// Interrupt ends the anneal at the next barrier but still adopts the best
+// Stop ends the anneal at the next barrier but still adopts the best
 // mapping seen, so the scheduler completes with a valid schedule. Every
 // restart mode polls it: a single run, independent restarts and
 // cooperative restarts.
@@ -235,7 +235,7 @@ func TestCooperativeInterruptStopsEarlyButCompletes(t *testing.T) {
 		opt.Restarts = mode.restarts
 		opt.Cooperative = mode.cooperative
 		barriers := 0
-		opt.Interrupt = func() error {
+		opt.Stop = func(float64) error {
 			barriers++
 			if barriers > 3 {
 				return errors.New("cancelled")

@@ -59,24 +59,18 @@ type Options struct {
 	// means the default (5); negative disables abandonment (restarts
 	// still share the barrier schedule and incumbent).
 	AbandonAfter int
-	// Interrupt, when non-nil, is polled at every stage barrier, in every
-	// restart mode; a non-nil error stops the anneal early (the best mapping
-	// so far is still adopted). The solver layer chains the request
-	// context into it, so a cancelled request — a portfolio loser, a
-	// disconnected client — stops burning CPU mid-anneal instead of at
-	// the next simulator event. Interrupt only fires on runs that are
-	// being discarded, so determinism of served results is unaffected.
-	Interrupt func() error
-	// Bound, when non-nil, is polled at every stage barrier with the
-	// current assignment epoch's simulation time — a monotone
-	// lower bound on this run's final makespan. A non-nil error stops the
-	// anneal early, exactly like Interrupt. The solver portfolio threads
-	// machsim.Options.Bound through here, so a racing SA member that can
-	// no longer beat the incumbent best stops mid-anneal instead of
-	// finishing the packet and waiting for the simulator's next event-
-	// batch poll to kill it. Like Interrupt, it only ever fires on runs
-	// whose results are being discarded.
-	Bound func(now float64) error
+	// Stop, when non-nil, is polled at every stage barrier, in every
+	// restart mode, with the current assignment epoch's simulation time —
+	// a monotone lower bound on this run's final makespan. A non-nil error
+	// stops the anneal early (the best mapping so far is still adopted).
+	// The solver layer installs the same hook it hands the simulator: the
+	// request context, then the portfolio's incumbent bound. So a run that
+	// is being discarded — a cancelled request, a portfolio member that
+	// can no longer beat the incumbent — stops mid-anneal instead of
+	// finishing the packet and waiting for the simulator's next event-batch
+	// poll. Stop only fires on such runs, so determinism of served results
+	// is unaffected.
+	Stop func(now float64) error
 	// Warm seeds every packet from a previously solved assignment and
 	// starts the cooling schedule late (scaled by the seed's structural
 	// distance): the cache-as-a-prior mode. Candidates whose seed
@@ -199,7 +193,7 @@ type Scheduler struct {
 	// Warm-start state: warmOK is whether Options.Warm is usable for this
 	// binding (covers every task), warmSaved totals the cooling stages
 	// skipped across packets, and epochTime is the current assignment
-	// epoch's simulation clock for the Bound barrier poll.
+	// epoch's simulation clock for the Stop barrier poll.
 	warmOK    bool
 	warmSaved int
 	epochTime float64
@@ -376,10 +370,9 @@ func (s *Scheduler) Assign(ep *machsim.Epoch) []machsim.Assignment {
 // Every live run anneals one temperature stage per barrier (annealStage),
 // in restart order, on this goroutine. A run draws only from its own RNG,
 // so stepping the runs in turn gives each the stream it would see alone.
-// At every barrier the loop polls Interrupt and Bound; cooperative runs
-// then share the incumbent (abandonLagging), and tempering exchanges
-// replica states. No decision depends on timing, so equal seeds give
-// equal schedules.
+// At every barrier the loop polls Stop; cooperative runs then share the
+// incumbent (abandonLagging), and tempering exchanges replica states. No
+// decision depends on timing, so equal seeds give equal schedules.
 func (s *Scheduler) anneal(pk *packet, aopt anneal.Options, report *PacketReport) {
 	n := max(s.opt.Restarts, 1)
 	if len(s.runs) < n {
@@ -557,21 +550,12 @@ func (s *Scheduler) annealStage(run *restartRun) bool {
 	return run.st.End(cost, best, moves, accepted, exhausted)
 }
 
-// stopAtBarrier polls Interrupt, then Bound, at a stage barrier and
-// reports whether either asks the anneal to stop; the best mapping so far
-// is still adopted.
-//
-// Interrupt is the request context, threaded in by the solver; the
-// simulator surfaces the cancellation itself. Bound is the portfolio's
-// incumbent, polled at anneal granularity: the epoch's simulation clock
-// only advances, so once it exceeds the incumbent best this run cannot
-// win, and it stops now instead of finishing the packet and letting the
-// simulator's next event-batch poll abort the run. These are the
-// wall-clock-dependent exits, and they only fire on runs whose results
-// are being discarded.
+// stopAtBarrier polls Stop at a stage barrier with the epoch's simulation
+// clock and reports whether it asks the anneal to stop; the best mapping so
+// far is still adopted. This is the wall-clock-dependent exit, and it only
+// fires on runs whose results are being discarded.
 func (s *Scheduler) stopAtBarrier() bool {
-	return s.opt.Interrupt != nil && s.opt.Interrupt() != nil ||
-		s.opt.Bound != nil && s.opt.Bound(s.epochTime) != nil
+	return s.opt.Stop != nil && s.opt.Stop(s.epochTime) != nil
 }
 
 // abandonLagging applies the cooperative incumbent rule at a barrier. The

@@ -162,48 +162,39 @@ func sameReport(a, b PacketReport) bool {
 	return reflect.DeepEqual(a, b)
 }
 
-// An Interrupt or Bound that fires at the k-th stage barrier stops the
-// anneal after exactly k stages of every live run: a 90-candidate packet
-// on one processor, a 30-candidate packet on three, and that packet
-// annealed by 4 restarts. One that never fires (k = 0) is polled once
-// per stage of the whole cooling schedule, which every run completes
-// with the plateau rule off.
+// A Stop that fires at the k-th stage barrier stops the anneal after
+// exactly k stages of every live run: a 90-candidate packet on one
+// processor, a 30-candidate packet on three, and that packet annealed by 4
+// restarts. One that never fires (k = 0) is polled once per stage of the
+// whole cooling schedule, which every run completes with the plateau rule
+// off. Every poll sees the epoch's simulation time.
 func TestBarrierPollsStopAfterKStages(t *testing.T) {
 	for _, shape := range []struct{ n, p, restarts int }{{90, 1, 0}, {30, 3, 0}, {30, 3, 4}} {
 		for _, k := range []int{1, 2, 7, 0} {
-			for _, bound := range []bool{false, true} {
-				name := fmt.Sprintf("n=%d p=%d restarts=%d k=%d bound=%v", shape.n, shape.p, shape.restarts, k, bound)
-				pk := randomPacket(t, 5, shape.n, shape.p)
-				s := &Scheduler{rng: anneal.NewRand(5), epochTime: 3.5}
-				s.opt.Restarts = shape.restarts
-				polls := 0
-				stop := func() error {
-					if polls++; polls == k {
-						return errStop
-					}
-					return nil
+			name := fmt.Sprintf("n=%d p=%d restarts=%d k=%d", shape.n, shape.p, shape.restarts, k)
+			pk := randomPacket(t, 5, shape.n, shape.p)
+			s := &Scheduler{rng: anneal.NewRand(5), epochTime: 3.5}
+			s.opt.Restarts = shape.restarts
+			polls := 0
+			s.opt.Stop = func(now float64) error {
+				if now != 3.5 {
+					t.Fatalf("%s: Stop polled with %v, want the epoch time 3.5", name, now)
 				}
-				if bound {
-					s.opt.Bound = func(now float64) error {
-						if now != 3.5 {
-							t.Fatalf("%s: Bound polled with %v, want the epoch time 3.5", name, now)
-						}
-						return stop()
-					}
-				} else {
-					s.opt.Interrupt = stop
+				if polls++; polls == k {
+					return errStop
 				}
-				aopt := s.fillAnnealDefaults(shape.n, shape.p)
-				aopt.PlateauStages = 0
-				var rep PacketReport
-				s.anneal(pk, aopt, &rep)
-				want := k
-				if k == 0 {
-					want = aopt.Cooling.Stages()
-				}
-				if runs := max(shape.restarts, 1); rep.Stages != want*runs || polls != want {
-					t.Fatalf("%s: %d stages after %d polls, want %d after %d", name, rep.Stages, polls, want*runs, want)
-				}
+				return nil
+			}
+			aopt := s.fillAnnealDefaults(shape.n, shape.p)
+			aopt.PlateauStages = 0
+			var rep PacketReport
+			s.anneal(pk, aopt, &rep)
+			want := k
+			if k == 0 {
+				want = aopt.Cooling.Stages()
+			}
+			if runs := max(shape.restarts, 1); rep.Stages != want*runs || polls != want {
+				t.Fatalf("%s: %d stages after %d polls, want %d after %d", name, rep.Stages, polls, want*runs, want)
 			}
 		}
 	}

@@ -103,8 +103,9 @@ var ErrQueueTimeout = errors.New("engine: queued too long")
 // ErrClosed reports a submission to a closed engine.
 var ErrClosed = errors.New("engine: closed")
 
-// Task states: exactly one party — a worker, the context watcher, or
-// Close — wins the CAS out of taskQueued and delivers the task's Item.
+// Task states: exactly one party — a worker, the context's AfterFunc
+// (expire), or Close — wins the CAS out of taskQueued and delivers the
+// task's Item.
 const (
 	taskQueued int32 = iota
 	taskClaimed
@@ -118,12 +119,13 @@ type task struct {
 	lane Lane
 	enq  time.Time
 	out  chan<- Item
-	// state arbitrates delivery between the dequeuing worker, the context
-	// watcher, and Close (see the task-state constants).
+	// state arbitrates delivery between the dequeuing worker, expire, and
+	// Close (see the task-state constants).
 	state atomic.Int32
-	// claimed, non-nil only when a watcher is running, is closed by
-	// whoever claims the task so the watcher exits promptly.
-	claimed chan struct{}
+	// stop, non-nil only when the context can end, deregisters the
+	// AfterFunc that expires the task; whoever claims the task calls it.
+	// A queued task holds no goroutine.
+	stop func() bool
 }
 
 // Engine is the worker pool. Create with New, stop with Close.
@@ -200,7 +202,7 @@ func (e *Engine) MaxBatch() int { return e.maxBatch }
 // budget is exhausted, ErrClosed after Close. If the job's context ends
 // while it is still queued the Item carries ErrQueueTimeout and the job
 // never runs. Once a worker claims it, the job runs to completion under
-// ctx — solvers honor its cancellation through their interrupt hooks.
+// ctx — solvers honor its cancellation through their stop hooks.
 func (e *Engine) Submit(ctx context.Context, job Job) <-chan Item {
 	out := make(chan Item, 1)
 	lane := job.Lane
@@ -208,9 +210,6 @@ func (e *Engine) Submit(ctx context.Context, job Job) <-chan Item {
 		lane = LaneInteractive
 	}
 	t := &task{ctx: ctx, job: job, lane: lane, out: out}
-	if ctx.Done() != nil {
-		t.claimed = make(chan struct{})
-	}
 
 	e.mu.Lock()
 	if e.closed {
@@ -228,13 +227,14 @@ func (e *Engine) Submit(ctx context.Context, job Job) <-chan Item {
 		return out
 	}
 	t.enq = now
+	if ctx.Done() != nil {
+		// Registered under e.mu, so next and Close see stop set.
+		t.stop = context.AfterFunc(ctx, func() { e.expire(t) })
+	}
 	e.queues[lane] = append(e.queues[lane], t)
 	e.lanes[lane].submitted++
 	e.mu.Unlock()
 
-	if t.claimed != nil {
-		go e.watch(t)
-	}
 	select {
 	case e.wake <- struct{}{}:
 	default:
@@ -267,18 +267,14 @@ func (e *Engine) admitLocked(lane Lane, now time.Time) *OverloadError {
 	return &OverloadError{Lane: lane, Queued: len(q), QueueDelay: headAge, RetryAfter: retry}
 }
 
-// watch delivers ErrQueueTimeout if the task's context ends while it is
-// still queued; it exits as soon as anyone claims the task.
-func (e *Engine) watch(t *task) {
-	select {
-	case <-t.ctx.Done():
-		if t.state.CompareAndSwap(taskQueued, taskExpired) {
-			e.mu.Lock()
-			e.lanes[t.lane].expired++
-			e.mu.Unlock()
-			t.out <- Item{Err: fmt.Errorf("%w: %w", ErrQueueTimeout, t.ctx.Err())}
-		}
-	case <-t.claimed:
+// expire delivers ErrQueueTimeout when the task's context ends while it
+// is still queued; once anyone has claimed the task it does nothing.
+func (e *Engine) expire(t *task) {
+	if t.state.CompareAndSwap(taskQueued, taskExpired) {
+		e.mu.Lock()
+		e.lanes[t.lane].expired++
+		e.mu.Unlock()
+		t.out <- Item{Err: fmt.Errorf("%w: %w", ErrQueueTimeout, t.ctx.Err())}
 	}
 }
 
@@ -313,10 +309,10 @@ func (e *Engine) next() *task {
 		q[0] = nil
 		e.queues[lane] = q[1:]
 		if !t.state.CompareAndSwap(taskQueued, taskClaimed) {
-			continue // the watcher already answered this one
+			continue // expire already answered this one
 		}
-		if t.claimed != nil {
-			close(t.claimed)
+		if t.stop != nil {
+			t.stop()
 		}
 		e.lanes[lane].observeDelay(time.Since(t.enq))
 		return t
@@ -426,8 +422,8 @@ func (e *Engine) Close() {
 		close(e.quit)
 		for _, t := range pending {
 			if t.state.CompareAndSwap(taskQueued, taskClaimed) {
-				if t.claimed != nil {
-					close(t.claimed)
+				if t.stop != nil {
+					t.stop()
 				}
 				t.out <- Item{Err: ErrClosed}
 			}

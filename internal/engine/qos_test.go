@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -291,6 +292,48 @@ func TestQueuedJobCancelledByContextCountsExpired(t *testing.T) {
 	}
 	if st.Completed != 1 {
 		t.Fatalf("completed = %d, want 1", st.Completed)
+	}
+}
+
+// TestQueuedJobsHoldNoGoroutine: a job queued under a cancellable context
+// holds no goroutine while it waits behind a busy worker, and the end of
+// its context still answers it with ErrQueueTimeout, counted as expired.
+func TestQueuedJobsHoldNoGoroutine(t *testing.T) {
+	const n = 32
+	eng := New(Config{Workers: 1})
+	defer eng.Close()
+
+	block := newGate()
+	defer block.open() // a failed check must not leave Close waiting on the leader
+	leader := testJobs(t, 1)[0]
+	leader.Solver = gatedSolver{g: block}
+	leaderCh := eng.Submit(context.Background(), leader)
+	waitBusy(t, eng, 1)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	queued := testJobs(t, 1)[0]
+	before := runtime.NumGoroutine()
+	chs := make([]<-chan Item, n)
+	for i := range chs {
+		chs[i] = eng.Submit(ctx, queued)
+	}
+	if grew := runtime.NumGoroutine() - before; grew >= n {
+		t.Fatalf("%d queued jobs grew the goroutine count by %d, want fewer than %d", n, grew, n)
+	}
+
+	cancel()
+	for i, ch := range chs {
+		if item := <-ch; !errors.Is(item.Err, ErrQueueTimeout) || !errors.Is(item.Err, context.Canceled) {
+			t.Fatalf("queued job %d: err = %v, want ErrQueueTimeout", i, item.Err)
+		}
+	}
+	if got := eng.Stats().Lanes["interactive"].Expired; got != n {
+		t.Fatalf("expired = %d, want %d", got, n)
+	}
+	block.open()
+	if item := <-leaderCh; item.Err != nil {
+		t.Fatalf("leader: %v", item.Err)
 	}
 }
 

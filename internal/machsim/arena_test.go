@@ -158,7 +158,7 @@ func TestArenaRecoversAfterInterrupt(t *testing.T) {
 	m := Model{Graph: programs.NewtonEuler(), Topo: topo, Comm: topology.DefaultCommParams()}
 	arena := NewArena()
 	calls := 0
-	err = arena.Bind(m, Options{Interrupt: func() error {
+	err = arena.Bind(m, Options{Stop: func(float64) error {
 		calls++
 		if calls > 5 {
 			return errAbort

@@ -9,8 +9,8 @@ import (
 	"repro/internal/topology"
 )
 
-// TestInterruptAbortsSimulation covers the Options.Interrupt hook the
-// solver portfolio uses for shared deadlines.
+// TestInterruptAbortsSimulation covers the Options.Stop hook the solver
+// layer uses for request deadlines and portfolio pruning.
 func TestInterruptAbortsSimulation(t *testing.T) {
 	topo, err := topology.Hypercube(3)
 	if err != nil {
@@ -20,7 +20,7 @@ func TestInterruptAbortsSimulation(t *testing.T) {
 
 	sentinel := errors.New("deadline hit")
 	calls := 0
-	_, err = Run(m, greedyPolicy{}, Options{Interrupt: func() error {
+	_, err = Run(m, greedyPolicy{}, Options{Stop: func(float64) error {
 		calls++
 		if calls > 3 {
 			return sentinel
@@ -35,7 +35,7 @@ func TestInterruptAbortsSimulation(t *testing.T) {
 	}
 
 	// A nil-returning hook must not perturb the run.
-	res, err := Run(m, greedyPolicy{}, Options{Interrupt: func() error { return nil }})
+	res, err := Run(m, greedyPolicy{}, Options{Stop: func(float64) error { return nil }})
 	if err != nil {
 		t.Fatal(err)
 	}

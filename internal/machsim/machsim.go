@@ -92,24 +92,13 @@ type Options struct {
 	// default because the paper's Figure 2 Gantt chart shows explicit
 	// receive blocks. This knob exists for ablations.
 	DisableReceiveOverhead bool
-	// Interrupt, when non-nil, is polled once per event batch; a non-nil
-	// return aborts the simulation with that error. It is how callers
-	// impose deadlines (e.g. a context) on long simulations: the solver
-	// portfolio races policies under a shared deadline through this hook.
-	Interrupt func() error
-	// Bound, when non-nil, is polled like Interrupt but receives the
-	// current simulation clock — a monotone lower bound on the final
-	// makespan, since time never goes backwards. A non-nil return aborts
-	// the run with that error. The solver portfolio uses it to cancel a
-	// member whose own bound already exceeds the incumbent best result.
-	Bound func(now float64) error
-	// Publish, when non-nil, is called exactly once with the final
-	// makespan the moment every task has finished — before result
-	// assembly, statistics or cloning. The solver portfolio uses it to
-	// publish a member's completed makespan into the shared incumbent as
-	// early as possible, tightening the other members' Bound while they
-	// are still running.
-	Publish func(makespan float64)
+	// Stop, when non-nil, is polled once per event batch with the current
+	// simulation clock — a monotone lower bound on the final makespan,
+	// since time never goes backwards. A non-nil return aborts the run
+	// with that error. The solver layer installs the request context here,
+	// and the portfolio adds its incumbent bound, so a run whose result
+	// will be discarded stops early.
+	Stop func(now float64) error
 }
 
 // IntervalKind classifies Gantt intervals.
@@ -202,7 +191,7 @@ type Result struct {
 	// timing fact. The service serves raced results but never caches them.
 	Raced bool
 	// Pruned counts portfolio members cancelled mid-run because their own
-	// makespan lower bound exceeded the incumbent best (Options.Bound).
+	// makespan lower bound exceeded the incumbent best (Options.Stop).
 	// Whether a member gets pruned before finishing is a wall-clock fact,
 	// so results with Pruned > 0 are also flagged Raced.
 	Pruned int
@@ -229,8 +218,8 @@ type Result struct {
 	AnnealAccepted int
 	// BoundUpdates counts successful tightenings of the portfolio's
 	// shared incumbent bound during the race that produced this result:
-	// each one is a completed member publishing a makespan that strictly
-	// improved the bound the still-running members prune against.
+	// each one is a member whose finished solve returned a makespan that
+	// strictly improved the bound the still-running members prune against.
 	BoundUpdates int
 }
 

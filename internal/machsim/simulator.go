@@ -286,13 +286,8 @@ func (s *Simulator) Run(p Policy) (*Result, error) {
 	}
 	s.reset()
 	for !s.tracker.AllDone() {
-		if s.opts.Interrupt != nil {
-			if err := s.opts.Interrupt(); err != nil {
-				return nil, fmt.Errorf("machsim: interrupted at t=%.3f: %w", s.now, err)
-			}
-		}
-		if s.opts.Bound != nil {
-			if err := s.opts.Bound(s.now); err != nil {
+		if s.opts.Stop != nil {
+			if err := s.opts.Stop(s.now); err != nil {
 				return nil, fmt.Errorf("machsim: interrupted at t=%.3f: %w", s.now, err)
 			}
 		}
@@ -322,18 +317,6 @@ func (s *Simulator) Run(p Policy) (*Result, error) {
 		if err := s.epoch(p, false); err != nil {
 			return nil, err
 		}
-	}
-	if s.opts.Publish != nil {
-		// The schedule is final here — every task has a finish time that
-		// can no longer move — so the makespan is publishable before the
-		// result bookkeeping (stats, Gantt sort, cloning) runs.
-		m := 0.0
-		for _, f := range s.finishAt {
-			if f > m {
-				m = f
-			}
-		}
-		s.opts.Publish(m)
 	}
 	return s.result(p), nil
 }

@@ -149,30 +149,6 @@ func (tr *Trace) StartTime() time.Time {
 	return tr.t0
 }
 
-// Span is an open stage returned by Start; End closes it. The zero Span
-// (from a nil Trace) is a no-op.
-type Span struct {
-	tr    *Trace
-	name  string
-	start time.Time
-}
-
-// Start opens a top-level stage now. Nil-safe.
-func (tr *Trace) Start(name string) Span {
-	if tr == nil {
-		return Span{}
-	}
-	return Span{tr: tr, name: name, start: time.Now()}
-}
-
-// End closes the span, recording its duration and any annotations.
-func (sp Span) End(notes ...KV) {
-	if sp.tr == nil {
-		return
-	}
-	sp.tr.observe(sp.name, 0, sp.start, time.Since(sp.start), notes)
-}
-
 // Observe records an already-measured top-level stage. Nil-safe.
 func (tr *Trace) Observe(name string, start time.Time, dur time.Duration, notes ...KV) {
 	if tr == nil {

@@ -16,7 +16,6 @@ func TestNilTraceFastPath(t *testing.T) {
 	tr.Observe(StageSolve, time.Now(), time.Millisecond)
 	tr.ObserveSub("portfolio:sa", time.Now(), time.Millisecond)
 	tr.Annotate("k", "v")
-	tr.Start(StageDecode).End()
 	if td := tr.Snapshot(time.Second); td != nil {
 		t.Fatalf("nil trace snapshot = %+v, want nil", td)
 	}

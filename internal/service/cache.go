@@ -46,14 +46,13 @@ type TierStats struct {
 	Enabled bool   `json:"enabled" disk:"gauge,1 when the persistent disk tier (-cache-dir) is configured." remote:"gauge,1 when a shared remote cache tier (dtcached) is configured."`
 	Hits    uint64 `json:"hits" disk:"counter,Persistent disk tier hits (mirrored at item accounting)." remote:"counter,Shared remote tier hits (mirrored at item accounting)."`
 	Misses  uint64 `json:"misses" disk:"counter,Persistent disk tier misses." remote:"counter,Shared remote tier misses (errors degrade to counted misses)."`
-	// Writes counts entries the disk tier persisted; Puts counts results
-	// the remote tier published.
-	Writes    uint64 `json:"writes" disk:"counter,Entries persisted by the disk tier's write-behind writer." remote:"counter,Unused by the remote tier (it counts dtserve_remote_puts_total); always 0."`
-	Puts      uint64 `json:"puts" disk:"counter,Unused by the disk tier (it counts dtserve_disk_writes_total); always 0." remote:"counter,Results published to the shared remote tier by the write-behind writer."`
+	// Writes counts entries the rung's write-behind writer stored.
+	Writes    uint64 `json:"writes" disk:"counter,Entries persisted by the disk tier's write-behind writer." remote:"counter,Results published to the shared remote tier by the write-behind writer."`
 	Evictions uint64 `json:"evictions" disk:"counter,Disk tier entries evicted to hold the byte budget." remote:"counter,Unused by the remote tier (dtcached evicts on its own); always 0."`
 	Errors    uint64 `json:"errors" disk:"counter,Corrupt/stale entries detected and deleted, plus failed or dropped writes." remote:"counter,Remote tier failures: network/daemon errors, checksum mismatches, dropped writes — every one degraded, none served."`
-	// Corrupt singles out values that failed a checksum on read.
-	Corrupt  uint64 `json:"corrupt" disk:"counter,Unused by the disk tier (corrupt entries count in dtserve_disk_errors_total); always 0." remote:"counter,Remote values that failed the client-side checksum and were refused."`
+	// Corrupt singles out values that failed an integrity check on read
+	// (each one is also in Errors).
+	Corrupt  uint64 `json:"corrupt" disk:"counter,Truncated, corrupt or stale-format disk entries detected and deleted (also in dtserve_disk_errors_total)." remote:"counter,Remote values that failed the client-side checksum and were refused."`
 	Entries  int    `json:"entries" disk:"gauge,Entries currently on disk." remote:"gauge,Unused by the remote tier (dtcached holds the entries); always 0."`
 	Bytes    int64  `json:"bytes" disk:"gauge,On-disk bytes (entry headers included)." remote:"gauge,Unused by the remote tier (dtcached holds the bytes); always 0."`
 	MaxBytes int64  `json:"max_bytes" disk:"gauge,Byte budget of the disk tier (-disk-cache-bytes)." remote:"gauge,Unused by the remote tier (dtcached holds the budget); always 0."`

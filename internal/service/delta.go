@@ -191,20 +191,15 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 		scanned:         scratch,
 	}
 
-	sw, _ := w.(*statusWriter)
+	sw := w.(*statusWriter)
 	explicit := wantsTrace(&raw, r)
 	ctx, tr := s.startTrace(r.Context(), sw, t0, explicit)
-	if sw == nil && tr != nil {
-		defer func() { s.finishTrace(tr, time.Since(t0)) }()
-	}
 	meta := &procMeta{warmBase: dreq.Base, noWarm: dreq.NoWarm}
 	if dreq.NoWarm {
 		meta.warmBase = ""
 	}
 	body, status, err := s.process(ctx, &raw, engine.LaneInteractive, meta)
-	if sw != nil {
-		sw.lane = laneName(raw.Lane, engine.LaneInteractive)
-	}
+	sw.lane = laneName(raw.Lane, engine.LaneInteractive)
 	if err != nil {
 		writeError(w, err)
 		return

@@ -48,6 +48,7 @@ type DiskCache struct {
 	writes    uint64
 	evictions uint64
 	errors    uint64
+	corrupt   uint64
 
 	queue *writeBehind
 
@@ -184,8 +185,8 @@ func decodeDiskEntry(data []byte) (body []byte, ok bool) {
 }
 
 // Get returns the stored bytes for key and whether they were present. A
-// corrupt or stale-format entry is deleted and counted in Errors, then
-// reported as a miss — corrupt bytes are never served.
+// corrupt or stale-format entry is deleted and counted in Errors and
+// Corrupt, then reported as a miss — corrupt bytes are never served.
 func (d *DiskCache) Get(key string) ([]byte, bool) {
 	path := d.path(key)
 	data, err := os.ReadFile(path)
@@ -207,6 +208,7 @@ func (d *DiskCache) Get(key string) ([]byte, bool) {
 		d.mu.Lock()
 		d.misses++
 		d.errors++
+		d.corrupt++
 		d.entries.Remove(key)
 		d.mu.Unlock()
 		return nil, false
@@ -307,6 +309,7 @@ func (d *DiskCache) Stats() TierStats {
 		Writes:    d.writes,
 		Evictions: d.evictions,
 		Errors:    d.errors,
+		Corrupt:   d.corrupt,
 		Entries:   d.entries.Len(),
 		Bytes:     d.entries.Bytes(),
 		MaxBytes:  d.maxBytes,

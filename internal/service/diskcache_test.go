@@ -89,7 +89,7 @@ func TestDiskCacheSurvivesReopen(t *testing.T) {
 
 // TestDiskCacheCorruptionDetected hand-writes a truncated entry, a
 // checksum-flipped entry and a wrong-version entry: each must be detected,
-// deleted and counted in Errors — never served.
+// deleted and counted in Errors and Corrupt — never served.
 func TestDiskCacheCorruptionDetected(t *testing.T) {
 	dir := t.TempDir()
 	d := newDisk(t, dir, 0)
@@ -134,7 +134,7 @@ func TestDiskCacheCorruptionDetected(t *testing.T) {
 	if v, ok := d2.Get("aa01"); !ok || string(v) != "payload-aa01" {
 		t.Fatalf("intact entry lost: %q, %v", v, ok)
 	}
-	if st := d2.Stats(); st.Errors != 4 || st.Hits != 1 {
+	if st := d2.Stats(); st.Errors != 4 || st.Corrupt != 4 || st.Hits != 1 {
 		t.Fatalf("stats after corruption sweep: %+v", st)
 	}
 }

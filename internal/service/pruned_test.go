@@ -15,7 +15,7 @@ import (
 	"repro/internal/solver"
 )
 
-// prunableSolver cooperates with the portfolio's Bound hook: it spins
+// prunableSolver cooperates with the portfolio's Stop hook: it spins
 // until the hook reports an incumbent makes +Inf unwinnable, then returns
 // the hook's error — deterministic member pruning for HTTP-level tests.
 type prunableSolver struct{}
@@ -24,7 +24,7 @@ func (prunableSolver) Name() string        { return "prunabletest" }
 func (prunableSolver) Description() string { return "test-only self-pruning portfolio member" }
 
 func (prunableSolver) Solve(ctx context.Context, req solver.Request) (*machsim.Result, error) {
-	if req.Sim.Bound == nil {
+	if req.Sim.Stop == nil {
 		s, err := solver.Get("hlf")
 		if err != nil {
 			return nil, err
@@ -32,7 +32,7 @@ func (prunableSolver) Solve(ctx context.Context, req solver.Request) (*machsim.R
 		return s.Solve(ctx, req)
 	}
 	for {
-		if err := req.Sim.Bound(math.MaxFloat64); err != nil {
+		if err := req.Sim.Stop(math.MaxFloat64); err != nil {
 			return nil, err
 		}
 		select {

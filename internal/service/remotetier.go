@@ -74,7 +74,7 @@ func (r *RemoteCache) publish(key string, val []byte) {
 	if err != nil {
 		r.stats.Errors++
 	} else {
-		r.stats.Puts++
+		r.stats.Writes++
 	}
 	r.mu.Unlock()
 }

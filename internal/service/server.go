@@ -238,8 +238,9 @@ type Stats struct {
 	AnnealMoves    uint64 `json:"anneal_moves" metric:"counter,SA moves proposed by solves (summed over packets and restarts)."`
 	AnnealAccepted uint64 `json:"anneal_accepted" metric:"counter,SA moves accepted by solves; divided by dtserve_anneal_moves_total it is the acceptance ratio."`
 	// PortfolioBoundUpdates counts shared-incumbent tightenings during
-	// portfolio races: completed members publishing makespans that
-	// improved the bound still-running members prune against.
+	// portfolio races: members whose solves returned a makespan that
+	// improved the bound the still-running members' Stop hooks prune
+	// against. Each member feeds the bound once, when its solve returns.
 	PortfolioBoundUpdates uint64 `json:"portfolio_bound_updates" metric:"counter,Portfolio incumbent-bound tightenings published by completed members."`
 	// SimIndexEntries is the similarity index's current size.
 	SimIndexEntries int `json:"sim_index_entries" metric:"gauge,Entries currently held by the similarity index."`
@@ -472,7 +473,7 @@ func CheckLaw(st Stats) error {
 }
 
 // Handler returns the service's HTTP handler with request logging wired
-// around every route.
+// around every route, so every handler writes to a *statusWriter.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/schedule", s.handleSchedule)
@@ -713,12 +714,8 @@ func (s *Server) startTrace(ctx context.Context, sw *statusWriter, t0 time.Time,
 }
 
 // newRequestTrace starts a request's trace at t0 under the logging
-// wrapper's span ID, handing the wrapper its completion; without a
-// wrapper (sw nil) the handler completes it.
+// wrapper's span ID, handing the wrapper its completion.
 func newRequestTrace(sw *statusWriter, t0 time.Time) *obs.Trace {
-	if sw == nil {
-		return obs.NewTrace(obs.NewID(), t0)
-	}
 	tr := obs.NewTrace(sw.traceID, t0)
 	sw.trace = tr // logged() completes and releases it
 	return tr
@@ -770,19 +767,12 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	sw, _ := w.(*statusWriter)
+	sw := w.(*statusWriter)
 	explicit := wantsTrace(&req, r)
 	ctx, tr := s.startTrace(r.Context(), sw, t0, explicit)
-	if sw == nil && tr != nil {
-		// No logging wrapper to complete the trace (handler invoked bare,
-		// e.g. from a test mux): finish it ourselves after responding.
-		defer func() { s.finishTrace(tr, time.Since(t0)) }()
-	}
 	meta := &procMeta{}
 	body, status, err := s.process(ctx, &req, engine.LaneInteractive, meta)
-	if sw != nil {
-		sw.lane = laneName(req.Lane, engine.LaneInteractive)
-	}
+	sw.lane = laneName(req.Lane, engine.LaneInteractive)
 	if err != nil {
 		writeError(w, err)
 		return
@@ -826,18 +816,13 @@ func (s *Server) serveAlias(w http.ResponseWriter, sum *[sha256.Size]byte, t0 ti
 	}
 	s.account("hit")
 	s.aliasHits.Add(1)
-	sw, _ := w.(*statusWriter)
-	if sw != nil {
-		sw.lane = lane
-	}
+	sw := w.(*statusWriter)
+	sw.lane = lane
 	if s.sampler.Sample() {
 		tr := newRequestTrace(sw, t0)
 		tr.Observe(obs.StageDecode, t0, memStart.Sub(t0))
 		tr.Observe(obs.StageMemTier, memStart, time.Since(memStart), obs.KV{Key: "alias", Val: "true"})
 		tr.Annotate("cache", "hit")
-		if sw == nil {
-			defer func() { s.finishTrace(tr, time.Since(t0)) }()
-		}
 	}
 	writeResult(w, body, "hit", &procMeta{key: key})
 	return true
@@ -985,24 +970,18 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, badRequest("empty batch"))
 		return
 	}
-	sw, _ := w.(*statusWriter)
-	if sw != nil {
-		sw.lane = engine.LaneBatch.String()
-	}
+	sw := w.(*statusWriter)
+	sw.lane = engine.LaneBatch.String()
 	queryTrace := urlTrace(r)
 	// Every member solves under one batch-scoped context: cancelling it —
 	// because the client disconnected or the server began draining —
-	// reaches each remaining member's solver through its interrupt hook,
+	// reaches each remaining member's solver through its stop hook,
 	// so abandoned work stops burning workers. Members already finished
 	// are unaffected; members cancelled mid-solve come back as error
 	// items (counted in Stats.Cancelled, cached nowhere).
 	bctx, bcancel := context.WithCancel(r.Context())
 	defer bcancel()
 	n := len(batch.Requests)
-	baseID := obs.NewID()
-	if sw != nil {
-		baseID = sw.traceID
-	}
 	ch, err := engine.Fan(n, s.eng.MaxBatch(), func(i int) BatchItem {
 		// Each member traces independently — explicit per-member flag (or
 		// the batch-wide ?trace=1), else the sampler — under a derived
@@ -1015,7 +994,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		mctx := bctx
 		var mtr *obs.Trace
 		if explicit || s.sampler.Sample() {
-			mtr = obs.NewTrace(baseID+"-"+strconv.Itoa(i), mt0)
+			mtr = obs.NewTrace(sw.traceID+"-"+strconv.Itoa(i), mt0)
 			mctx = obs.With(bctx, mtr)
 		}
 		body, status, err := s.process(mctx, &batch.Requests[i], engine.LaneBatch, nil)

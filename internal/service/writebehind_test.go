@@ -98,7 +98,7 @@ func TestWriteBehindRules(t *testing.T) {
 			tier.Close()
 			accepted := writeBehindQueue + 1
 			st := tier.Stats()
-			if done := st.Writes + st.Puts; done != uint64(accepted) {
+			if done := st.Writes; done != uint64(accepted) {
 				t.Fatalf("Close left %d of %d accepted puts unstored: %+v", uint64(accepted)-done, accepted, st)
 			}
 			if n := stored(); n != accepted {

@@ -51,18 +51,20 @@ var ErrPruned = errors.New("solver: portfolio member pruned by incumbent bound")
 // Early cancellation, whole-field: the makespan of any schedule is bounded
 // below by max(critical path, total work / processors) over the taskgraph.
 // As soon as one member completes at that bound its makespan cannot be
-// beaten, so the remaining members are cancelled through their Interrupt
-// hooks instead of running out the deadline.
+// beaten, so the remaining members are cancelled through their contexts
+// instead of running out the deadline.
 //
 // Early cancellation, per-member: a running member's simulation clock only
 // advances, so it is a lower bound on that member's final makespan. Once
 // it strictly exceeds the incumbent best completed makespan the member
 // cannot win — not even on the index tie-break, which requires equality —
-// and is cancelled through the machsim Bound hook. Pruning therefore never
-// changes which schedule wins; but whether a doomed member is pruned or
-// finishes is a wall-clock fact, so pruned races carry Result.Raced and
-// Result.Pruned — the service serves them but never caches them (the same
-// rule deadline-raced portfolio results already follow).
+// and is cancelled through the one Stop hook every member's simulator (and
+// the SA member's stage barrier) polls. A member feeds the incumbent once,
+// when its solve returns. Pruning therefore never changes which schedule
+// wins; but whether a doomed member is pruned or finishes is a wall-clock
+// fact, so pruned races carry Result.Raced and Result.Pruned — the service
+// serves them but never caches them (the same rule deadline-raced
+// portfolio results already follow).
 type portfolioSolver struct{}
 
 func (portfolioSolver) Name() string { return "portfolio" }
@@ -131,6 +133,17 @@ func (portfolioSolver) Solve(ctx context.Context, req Request) (*machsim.Result,
 
 	var inc incumbent
 	inc.init()
+	if !popt.DisablePruning {
+		// Every member polls one pruning hook. The simulation clock is a
+		// monotone lower bound on a member's final makespan; strictly past
+		// the incumbent it cannot win, not even on the equality tie-break.
+		mreq.Sim.Stop = func(now float64) error {
+			if now > inc.best() {
+				return ErrPruned
+			}
+			return nil
+		}
+	}
 	var raced atomic.Bool
 	var boundUpdates atomic.Int64
 	results := make([]*machsim.Result, len(members))
@@ -149,29 +162,8 @@ func (portfolioSolver) Solve(ctx context.Context, req Request) (*machsim.Result,
 				mctx, mcancel = context.WithTimeout(cctx, popt.MemberTimeout)
 				defer mcancel()
 			}
-			r := mreq
-			if !popt.DisablePruning {
-				// The simulation clock is a monotone lower bound on this
-				// member's final makespan; strictly past the incumbent it
-				// cannot win, not even on the equality tie-break.
-				r.Sim.Bound = func(now float64) error {
-					if now > inc.best() {
-						return ErrPruned
-					}
-					return nil
-				}
-				// Publish the member's makespan into the incumbent the moment
-				// its simulation completes — before result assembly — so the
-				// other members' Bound (and the SA member's cooperative stage
-				// barrier) tighten as early as possible.
-				r.Sim.Publish = func(m float64) {
-					if inc.offer(m) {
-						boundUpdates.Add(1)
-					}
-				}
-			}
 			starts[i] = time.Now()
-			results[i], errs[i] = s.Solve(mctx, r)
+			results[i], errs[i] = s.Solve(mctx, mreq)
 			walls[i] = time.Since(starts[i])
 			if errs[i] != nil {
 				switch {
@@ -190,9 +182,7 @@ func (portfolioSolver) Solve(ctx context.Context, req Request) (*machsim.Result,
 				return
 			}
 			outcomes[i] = "finish"
-			// Members whose solvers bypass machsim's Publish hook (e.g.
-			// "optimal") still feed the incumbent here; for the rest this is
-			// a no-op repeat of the Publish-time offer.
+			// A finished member is the incumbent's only feed.
 			if inc.offer(results[i].Makespan) {
 				boundUpdates.Add(1)
 			}

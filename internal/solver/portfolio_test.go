@@ -32,7 +32,7 @@ func swapMembers(t *testing.T, members []string) {
 
 var registerPortfolioTestSolvers sync.Once
 
-// prunableSolver cooperates with the portfolio's Bound hook: it waits
+// prunableSolver cooperates with the portfolio's Stop hook: it waits
 // until the hook reports that a simulation clock of +Inf can no longer
 // win (i.e. an incumbent landed), then returns the hook's error — exactly
 // what a machsim run whose clock passed the incumbent would do.
@@ -41,12 +41,12 @@ type prunableSolver struct{}
 func (prunableSolver) Name() string        { return "prunabletest" }
 func (prunableSolver) Description() string { return "test-only member that prunes itself" }
 
-// sawBound records whether the last Solve saw a Bound hook installed.
-var sawBound atomic.Bool
+// sawStop records whether the last Solve saw a Stop hook installed.
+var sawStop atomic.Bool
 
 func (prunableSolver) Solve(ctx context.Context, req Request) (*machsim.Result, error) {
-	sawBound.Store(req.Sim.Bound != nil)
-	if req.Sim.Bound == nil {
+	sawStop.Store(req.Sim.Stop != nil)
+	if req.Sim.Stop == nil {
 		// Pruning disabled: answer like hlf.
 		s, err := Get("hlf")
 		if err != nil {
@@ -55,7 +55,7 @@ func (prunableSolver) Solve(ctx context.Context, req Request) (*machsim.Result, 
 		return s.Solve(ctx, req)
 	}
 	for {
-		if err := req.Sim.Bound(math.MaxFloat64); err != nil {
+		if err := req.Sim.Stop(math.MaxFloat64); err != nil {
 			return nil, err
 		}
 		select {
@@ -129,7 +129,7 @@ func TestPortfolioPrunesDoomedMember(t *testing.T) {
 	}
 }
 
-// TestPortfolioPruningDisabled: with DisablePruning no Bound hook is
+// TestPortfolioPruningDisabled: with DisablePruning no Stop hook is
 // installed and nothing is pruned.
 func TestPortfolioPruningDisabled(t *testing.T) {
 	ensurePortfolioTestSolvers(t)
@@ -141,8 +141,8 @@ func TestPortfolioPruningDisabled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sawBound.Load() {
-		t.Fatal("Bound hook installed despite DisablePruning")
+	if sawStop.Load() {
+		t.Fatal("Stop hook installed despite DisablePruning")
 	}
 	if res.Pruned != 0 {
 		t.Fatalf("Pruned = %d, want 0", res.Pruned)
@@ -224,7 +224,7 @@ func TestErrPrunedDetectable(t *testing.T) {
 		t.Fatal(err)
 	}
 	req := Request{Graph: prog.Build(), Topo: topo, Comm: topology.DefaultCommParams(), SA: saOptions(1)}
-	req.Sim.Bound = func(now float64) error { return ErrPruned }
+	req.Sim.Stop = func(now float64) error { return ErrPruned }
 	_, err = Solve(context.Background(), "hlf", req)
 	if !errors.Is(err, ErrPruned) {
 		t.Fatalf("err = %v, want ErrPruned through the machsim wrapper", err)

@@ -42,8 +42,9 @@ type Request struct {
 	// SA carries the annealing options (seed, weights, restarts). The seed
 	// also drives the "random" policy.
 	SA core.Options
-	// Sim configures the execution simulator (e.g. RecordGantt). The
-	// Interrupt hook is chained with the Solve context's cancellation.
+	// Sim configures the execution simulator (e.g. RecordGantt). Solve
+	// polls the context's cancellation before the Stop hook, and for "sa"
+	// the annealer's stage barrier polls that same hook.
 	Sim machsim.Options
 	// Arena, when non-nil, is a caller-owned simulator arena the solve
 	// reuses instead of drawing one from the shared pool: the engine's
@@ -138,21 +139,11 @@ func (p policySolver) Solve(ctx context.Context, req Request) (*machsim.Result, 
 	if err := req.Validate(); err != nil {
 		return nil, err
 	}
-	if p.name == "sa" && req.SA.Interrupt == nil {
-		// Thread the request context into the anneal's stage barrier: a
-		// cancelled request — a pruned portfolio member, a disconnected
-		// client, a lost engine race — stops annealing at the next
-		// barrier instead of finishing the packet. Only cancelled
-		// (discarded) runs ever observe this hook firing.
-		req.SA.Interrupt = ctx.Err
-	}
-	if p.name == "sa" && req.Sim.Bound != nil && req.SA.Bound == nil {
-		// Thread the simulator's incumbent-bound hook into the stage
-		// barrier too: a portfolio SA member whose epoch clock has
-		// fallen past the incumbent best stops mid-anneal instead of
-		// finishing the packet and dying at the next event-batch poll.
-		req.SA.Bound = req.Sim.Bound
-	}
+	// One hook stops a discarded run at both of its polls: the simulator's
+	// event batch and, for "sa", the anneal's stage barrier, so an SA run
+	// stops mid-packet instead of at the next event batch.
+	req.Sim.Stop = stopHook(ctx, req.Sim.Stop)
+	req.SA.Stop = req.Sim.Stop
 	var pol machsim.Policy
 	if p.name == "sa" && req.Sched != nil {
 		// The caller-owned scheduler arena replaces the per-solve
@@ -218,24 +209,29 @@ func annotateAnneal(tr *obs.Trace, sc *core.Scheduler, res *machsim.Result) {
 	tr.Annotate("final_cost", strconv.FormatFloat(final, 'g', -1, 64))
 }
 
-// simulate runs the machine simulator with the context's cancellation
-// chained into the simulator's interrupt hook, on the request's arena
-// when one is provided and the shared pool otherwise.
-func simulate(ctx context.Context, pol machsim.Policy, req Request) (*machsim.Result, error) {
-	opts := req.Sim
-	prev := opts.Interrupt
-	opts.Interrupt = func() error {
-		if prev != nil {
-			if err := prev(); err != nil {
-				return err
-			}
-		}
-		return ctx.Err()
+// stopHook is a solve's one stop hook: the context's cancellation, then
+// next (the portfolio's incumbent bound), if any. A context that can never
+// be cancelled adds nothing. Only discarded runs — a cancelled request, a
+// pruned portfolio member — ever see it fire.
+func stopHook(ctx context.Context, next func(now float64) error) func(now float64) error {
+	if ctx.Done() == nil {
+		return next
 	}
+	return func(now float64) error {
+		if err := ctx.Err(); err != nil || next == nil {
+			return err
+		}
+		return next(now)
+	}
+}
+
+// simulate runs the machine simulator on the request's arena when one is
+// provided and the shared pool otherwise.
+func simulate(ctx context.Context, pol machsim.Policy, req Request) (*machsim.Result, error) {
 	model := machsim.Model{Graph: req.Graph, Topo: req.Topo, Comm: req.Comm}
 	var res *machsim.Result
 	if req.Arena != nil {
-		if err := req.Arena.Bind(model, opts); err != nil {
+		if err := req.Arena.Bind(model, req.Sim); err != nil {
 			return nil, err
 		}
 		r, err := req.Arena.Run(pol)
@@ -245,7 +241,7 @@ func simulate(ctx context.Context, pol machsim.Policy, req Request) (*machsim.Re
 		res = r.Clone()
 	} else {
 		var err error
-		res, err = machsim.Run(model, pol, opts)
+		res, err = machsim.Run(model, pol, req.Sim)
 		if err != nil {
 			return nil, err
 		}
