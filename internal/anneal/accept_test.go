@@ -7,11 +7,19 @@ import (
 )
 
 // checkAccept fails t unless Accept agrees with its specification,
-// u < AcceptProb(delta, temp), on one input.
+// u < AcceptProb(delta, temp), on one input, and unless Column.Stage
+// decides the input as Accept does whenever its Float64 draw can be u:
+// a u in [0, 1) that is a multiple of 2⁻⁶³.
 func checkAccept(t *testing.T, u, delta, temp float64) {
 	t.Helper()
-	if got, want := Accept(u, delta, temp, 1/temp), u < AcceptProb(delta, temp); got != want {
+	want := u < AcceptProb(delta, temp)
+	if got := Accept(u, delta, temp, 1/temp); got != want {
 		t.Fatalf("Accept(%v, %v, %v) = %v, want %v (P = %v)", u, delta, temp, got, want, AcceptProb(delta, temp))
+	}
+	if s := u * (1 << 63); u >= 0 && u < 1 && s == math.Trunc(s) {
+		if got := columnMove(t, u, delta, temp, 1/temp); got != want {
+			t.Fatalf("Column.Stage decided u=%v delta=%v temp=%v as %v, Accept as %v (P = %v)", u, delta, temp, got, want, AcceptProb(delta, temp))
+		}
 	}
 }
 
@@ -126,11 +134,13 @@ func TestAcceptTableBounds(t *testing.T) {
 }
 
 // TestAcceptBoundaryCases walks the edges of the table and of
-// AcceptProb's own case analysis. First every bucket edge: u = k/K and
-// one ulp either side of it, with x on the logit of that edge, 1, 2 and
-// 4 ulps off it and one margin off it on either side, at several
-// temperatures, and x one ulp inside each bound. These are the inputs
-// where a bound that is too tight would decide against the rounded
+// AcceptProb's own case analysis, for Accept and, through checkAccept,
+// for the branch-free decision of Column.Stage. First every bucket edge:
+// u = k/K and one ulp either side of it, with x on the logit of that edge
+// and on the bounds of the two buckets that meet there, each exactly and
+// 1, 2 and 4 ulps off, and x one margin off the logit on either side, at
+// several temperatures, and x one ulp inside each bound. These are the
+// inputs where a bound that is too tight would decide against the rounded
 // AcceptProb. Then |x| around 0, around the table's largest finite bounds
 // ±logit(1/K) and around AcceptProb's ±700 clamps; u at 0 and the ends of
 // [0, 1); and the degenerate temperatures and cost changes that must take
@@ -139,13 +149,19 @@ func TestAcceptBoundaryCases(t *testing.T) {
 	for k := 1; k < acceptBuckets; k++ {
 		l := logitAt(k)
 		m := bucketMargin * (1 + math.Abs(l))
-		xs := []float64{l, l - m, l + m}
-		for _, n := range []int{1, 2, 4} {
-			up, down := l, l
-			for i := 0; i < n; i++ {
-				up, down = math.Nextafter(up, math.Inf(1)), math.Nextafter(down, math.Inf(-1))
+		xs := []float64{l - m, l + m}
+		for _, v := range []float64{l, acceptTable[k-1].lo, acceptTable[k-1].hi, acceptTable[k].lo, acceptTable[k].hi} {
+			if math.IsInf(v, 0) {
+				continue
 			}
-			xs = append(xs, up, down)
+			xs = append(xs, v)
+			for _, n := range []int{1, 2, 4} {
+				up, down := v, v
+				for i := 0; i < n; i++ {
+					up, down = math.Nextafter(up, math.Inf(1)), math.Nextafter(down, math.Inf(-1))
+				}
+				xs = append(xs, up, down)
+			}
 		}
 		edge := float64(k) / acceptBuckets
 		for _, u := range []float64{edge, math.Nextafter(edge, 0), math.Nextafter(edge, 1)} {

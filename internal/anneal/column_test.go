@@ -1,0 +1,41 @@
+package anneal
+
+import (
+	"math"
+	"testing"
+)
+
+// columnMove runs Column.Stage for one move of a two-candidate column
+// whose Float64 draw is u and whose move prices delta, and reports whether
+// the move was accepted. checkAccept holds the answer equal to Accept's.
+// The column holds candidate 0 (C = 0) and the move brings in candidate 1
+// (C = delta), so the move's delta is (delta + 0) − (0 + 0). The move's
+// three draws, Intn(2), the slot draw and Float64, are written into a zero
+// ring as 1<<32 (odd, so candidate 1), 0 and u·2⁶³, which needs u in
+// [0, 1) to be a multiple of 2⁻⁶³. The move must leave the column and the
+// ring where an accepted or rejected move leaves them.
+func columnMove(t *testing.T, u, delta, temp, inv float64) bool {
+	t.Helper()
+	r := &Rand{feed: rngLen - rngTap}
+	tap, feed := r.tap, r.feed
+	for _, x := range []int64{1 << 32, 0, int64(u * (1 << 63))} {
+		tap, feed = (tap+rngLen-1)%rngLen, (feed+rngLen-1)%rngLen
+		r.vec[feed] = x
+	}
+	col := Column{C: []float64{0, delta}, Level: []float64{0.5, 2}, Comm: []float64{3, 0.25},
+		N: NewBound(2), N1: NewBound(1), Fb: -0.5, Fc: 3, BestFb: -0.5, BestFc: 3}
+	accepted := col.Stage(r, temp, inv, 1)
+	if r.tap != tap || r.feed != feed {
+		t.Fatalf("u=%v delta=%v temp=%v: the move took other draws than Intn(2), Intn(1) and Float64", u, delta, temp)
+	}
+	want := Column{Fb: -0.5, Fc: 3}
+	if accepted == 1 {
+		want = Column{Cur: 1, Fb: -0.5 + 0.5 - 2, Fc: 3 - 3 + 0.25, Cost: (delta + 0) - (0 + 0)}
+	}
+	if col.Cur != want.Cur || math.Float64bits(col.Fb) != math.Float64bits(want.Fb) ||
+		math.Float64bits(col.Fc) != math.Float64bits(want.Fc) || math.Float64bits(col.Cost) != math.Float64bits(want.Cost) {
+		t.Fatalf("u=%v delta=%v temp=%v: %d accepted left Cur %d, Fb %v, Fc %v, Cost %v; want %d, %v, %v, %v",
+			u, delta, temp, accepted, col.Cur, col.Fb, col.Fc, col.Cost, want.Cur, want.Fb, want.Fc, want.Cost)
+	}
+	return accepted == 1
+}

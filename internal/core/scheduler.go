@@ -477,14 +477,13 @@ func (s *Scheduler) anneal(pk *packet, aopt anneal.Options, report *PacketReport
 // keep-best rules. Each move is the packet's Propose, decided by
 // anneal.Accept and committed by Apply, with the counters in locals.
 //
-// A packet with one idle processor and a candidate on it takes a scalar
-// branch of the same move. Its whole mapping is the candidate cur on the
-// slot; every move exchanges it for another candidate i, with the delta
-// (c[i] + 0) − (0 + c[cur]) Propose evaluates for that move. The branch
-// draws what Propose draws, in the same order, and updates the running
-// components in Apply's order, so both branches give the same answers to
-// the bit (FuzzStageMatchesMinimize). Four in five annealing moves of the
-// catalog programs fall in such packets (PERFORMANCE.md §25).
+// A packet with one idle processor and a candidate on it anneals the
+// stage in anneal.Column.Stage instead, which makes the same moves with
+// the same draws and float expressions, inline and without a branch on
+// the decision, so both paths give the same answers to the bit
+// (FuzzStageMatchesMinimize). Four in five annealing moves of the catalog
+// programs fall in such packets (PERFORMANCE.md §25). A traced run takes
+// the general loop at every packet shape.
 //
 // With RecordTrace every proposed move appends its TracePoint to
 // run.trace.
@@ -494,57 +493,39 @@ func (s *Scheduler) annealStage(run *restartRun) bool {
 		return false
 	}
 	pk, rng, trace := run.cur, run.rng, s.opt.RecordTrace
+	if n := len(pk.tasks); len(pk.procs) == 1 && n >= 2 && pk.taskAt[0] >= 0 && !trace {
+		init := pk.taskAt[0]
+		col := anneal.Column{ // p = 1: column 0 of the tables
+			C: pk.contrib[:n], Level: pk.level[:n], Comm: pk.commCost[:n], N: pk.drawN, N1: pk.drawN1,
+			Cur: init, Fb: pk.rawFb, Fc: pk.rawFc, Cost: run.st.Cost, Best: run.st.BestCost,
+			BestCur: pk.bestTaskAt[0], BestFb: pk.bestFb, BestFc: pk.bestFc,
+		}
+		accepted := col.Stage(rng, temp, inv, budget)
+		pk.procOf[init], pk.procOf[col.Cur], pk.taskAt[0] = -1, 0, col.Cur
+		pk.rawFb, pk.rawFc = col.Fb, col.Fc
+		pk.bestTaskAt[0], pk.bestFb, pk.bestFc = col.BestCur, col.BestFb, col.BestFc // SaveBest
+		return run.st.End(col.Cost, col.Best, budget, accepted, false)
+	}
 	cost, best, iter := run.st.Cost, run.st.BestCost, run.st.Moves
 	moves, accepted, exhausted := 0, 0, false
-	if n := len(pk.tasks); len(pk.procs) == 1 && n >= 2 && pk.taskAt[0] >= 0 {
-		c, lv, cc := pk.contrib[:n], pk.level[:n], pk.commCost[:n] // p = 1: column 0
-		init := pk.taskAt[0]
-		cur, fb, fc := init, pk.rawFb, pk.rawFc
-		for ; moves < budget; moves++ {
-			i := rng.Draw(&pk.drawN)
-			if i == cur {
-				i = wrap(i+1+rng.Draw(&pk.drawN1), n)
-			}
-			rng.Int63() // the slot draw: Draw(&pk.drawP) is Intn(1), one value
-			delta := (c[i] + 0) - (0 + c[cur])
-			acc := anneal.Accept(rng.Float64(), delta, temp, inv)
-			if acc {
-				accepted++
-				// Apply's remove(cur) then place(i, 0), in its order.
-				fb, fc = fb+lv[cur]-lv[i], fc-cc[cur]+cc[i]
-				cur = i
-				cost += delta
-				if cost < best {
-					best = cost
-					pk.bestTaskAt[0], pk.bestFb, pk.bestFc = cur, fb, fc // SaveBest
-				}
-			}
-			if trace {
-				run.trace = append(run.trace, pk.tracePoint(iter+moves, temp, delta, fb, fc, acc))
+	for ; moves < budget; moves++ {
+		delta, ok := pk.Propose(rng)
+		if !ok {
+			exhausted = true
+			break
+		}
+		acc := anneal.Accept(rng.Float64(), delta, temp, inv)
+		if acc {
+			pk.Apply()
+			accepted++
+			cost += delta
+			if cost < best {
+				best = cost
+				pk.SaveBest()
 			}
 		}
-		pk.procOf[init], pk.procOf[cur], pk.taskAt[0] = -1, 0, cur
-		pk.rawFb, pk.rawFc = fb, fc
-	} else {
-		for ; moves < budget; moves++ {
-			delta, ok := pk.Propose(rng)
-			if !ok {
-				exhausted = true
-				break
-			}
-			acc := anneal.Accept(rng.Float64(), delta, temp, inv)
-			if acc {
-				pk.Apply()
-				accepted++
-				cost += delta
-				if cost < best {
-					best = cost
-					pk.SaveBest()
-				}
-			}
-			if trace {
-				run.trace = append(run.trace, pk.tracePoint(iter+moves, temp, delta, pk.rawFb, pk.rawFc, acc))
-			}
+		if trace {
+			run.trace = append(run.trace, pk.tracePoint(iter+moves, temp, delta, pk.rawFb, pk.rawFc, acc))
 		}
 	}
 	return run.st.End(cost, best, moves, accepted, exhausted)

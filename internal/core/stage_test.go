@@ -65,6 +65,9 @@ func FuzzStageMatchesMinimize(f *testing.F) {
 	f.Add(int64(11), uint8(9), uint8(2), uint16(59), uint16(0), uint8(0x14))
 	f.Add(int64(23), uint8(4), uint8(7), uint16(19), uint16(300), uint8(0x0d))
 	f.Add(int64(99), uint8(11), uint8(11), uint16(287), uint16(4000), uint8(0x08))
+	// p = 1 with n = 128, T0 = 1, 60 stages of 400 moves and neither a cap
+	// nor a plateau stop: the kernel meets moves in their bucket's band.
+	f.Add(int64(30), uint8(127), uint8(0), uint16(399), uint16(0), uint8(0))
 	f.Fuzz(func(t *testing.T, seed int64, nRaw, pRaw uint8, perStage, maxMoves uint16, flags uint8) {
 		p := int(pRaw)%12 + 1
 		n := int(nRaw)%12 + 1

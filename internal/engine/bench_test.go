@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"repro/internal/cliutil"
 	"repro/internal/core"
 	"repro/internal/programs"
 	"repro/internal/solver"
@@ -61,6 +62,54 @@ func BenchmarkEngineColdSolve(b *testing.B) {
 		if _, err := eng.Solve(ctx, job); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkColdSolveCatalog measures cold SA solves through the engine on
+// the 12 combinations the end-to-end benchmark serves: the paper's four
+// programs on Table 2's three machines. Iteration k solves combination
+// k mod 12 at seed 1991+k, so every solve is new, as in cold_solve. One
+// worker runs them, and one warmup pass over the combinations grows its
+// arenas first. Unlike BenchmarkEngineColdSolve (NE on the 3-cube), whose
+// one-processor packets carry few of its moves, this mix times the anneal
+// where most moves are one-processor moves.
+func BenchmarkColdSolveCatalog(b *testing.B) {
+	slv, err := solver.Get("sa")
+	if err != nil {
+		b.Fatal(err)
+	}
+	var jobs []Job
+	for _, key := range []string{"NE", "GJ", "FFT", "MM"} {
+		g, err := cliutil.BuildProgram(key)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, spec := range []string{"hypercube:3", "bus:8", "ring:9"} {
+			topo, err := cliutil.ParseTopology(spec)
+			if err != nil {
+				b.Fatal(err)
+			}
+			jobs = append(jobs, Job{Solver: slv, Req: solver.Request{
+				Graph: g, Topo: topo, Comm: topology.DefaultCommParams(), SA: core.DefaultOptions(),
+			}})
+		}
+	}
+	eng := New(Config{Workers: 1})
+	defer eng.Close()
+	ctx := context.Background()
+	solve := func(job Job, seed int64) {
+		job.Req.SA.Seed = seed
+		if _, err := eng.Solve(ctx, job); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for k, job := range jobs {
+		solve(job, 1990-int64(k)) // seeds below the timed ones
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for k := 0; k < b.N; k++ {
+		solve(jobs[k%len(jobs)], 1991+int64(k))
 	}
 }
 

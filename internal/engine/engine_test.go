@@ -175,6 +175,7 @@ func TestStreamPipelinesEarlyItems(t *testing.T) {
 
 	eng := New(Config{Workers: len(jobs)})
 	defer eng.Close()
+	defer slow.open() // a failed check must not leave Close waiting on the slow member
 	ch, err := fanSubmit(eng, jobs)
 	if err != nil {
 		t.Fatal(err)
@@ -228,6 +229,7 @@ func TestSubmitQueueRespectsContext(t *testing.T) {
 	eng := New(Config{Workers: 1})
 	defer eng.Close()
 	block := newGate()
+	defer block.open() // a failed check must not leave Close waiting on the leader
 	jobs := testJobs(t, 2)
 	jobs[0].Solver = gatedSolver{g: block}
 	first := eng.Submit(context.Background(), jobs[0])

@@ -57,6 +57,7 @@ func TestWeightedDequeueFavorsInteractive(t *testing.T) {
 	defer eng.Close()
 
 	block := newGate()
+	defer block.open() // a failed check must not leave Close waiting on the leader
 	var mu sync.Mutex
 	var order []Lane
 	probe := func(lane Lane) probeSolver {
@@ -144,6 +145,7 @@ func TestAdmissionControlShedsOnDepth(t *testing.T) {
 	defer eng.Close()
 
 	block := newGate()
+	defer block.open() // a failed check must not leave Close waiting on the leader
 	leader := testJobs(t, 1)[0]
 	leader.Solver = gatedSolver{g: block}
 	leaderCh := eng.Submit(context.Background(), leader)
@@ -214,6 +216,7 @@ func TestAdmissionControlShedsOnQueueDelay(t *testing.T) {
 	defer eng.Close()
 
 	block := newGate()
+	defer block.open() // a failed check must not leave Close waiting on the leader
 	leader := testJobs(t, 1)[0]
 	leader.Solver = gatedSolver{g: block}
 	leaderCh := eng.Submit(context.Background(), leader)
@@ -267,6 +270,7 @@ func TestQueuedJobCancelledByContextCountsExpired(t *testing.T) {
 	defer eng.Close()
 
 	block := newGate()
+	defer block.open() // a failed check must not leave Close waiting on the leader
 	leader := testJobs(t, 1)[0]
 	leader.Solver = gatedSolver{g: block}
 	leaderCh := eng.Submit(context.Background(), leader)
@@ -342,6 +346,7 @@ func TestQueuedJobsHoldNoGoroutine(t *testing.T) {
 func TestCloseFailsQueuedTasks(t *testing.T) {
 	eng := New(Config{Workers: 1})
 	block := newGate()
+	defer block.open() // a failed check must not leave the leader blocked
 	leader := testJobs(t, 1)[0]
 	leader.Solver = gatedSolver{g: block}
 	leaderCh := eng.Submit(context.Background(), leader)
