@@ -7,9 +7,9 @@ import (
 )
 
 // checkAccept fails t unless Accept agrees with its specification,
-// u < AcceptProb(delta, temp), on one input, and unless Column.Stage
-// decides the input as Accept does whenever its Float64 draw can be u:
-// a u in [0, 1) that is a multiple of 2⁻⁶³.
+// u < AcceptProb(delta, temp), on one input, and unless Column.Stage and
+// Grid.Stage decide the input as Accept does whenever their Float64 draw
+// can be u: a u in [0, 1) that is a multiple of 2⁻⁶³.
 func checkAccept(t *testing.T, u, delta, temp float64) {
 	t.Helper()
 	want := u < AcceptProb(delta, temp)
@@ -19,6 +19,9 @@ func checkAccept(t *testing.T, u, delta, temp float64) {
 	if s := u * (1 << 63); u >= 0 && u < 1 && s == math.Trunc(s) {
 		if got := columnMove(t, u, delta, temp, 1/temp); got != want {
 			t.Fatalf("Column.Stage decided u=%v delta=%v temp=%v as %v, Accept as %v (P = %v)", u, delta, temp, got, want, AcceptProb(delta, temp))
+		}
+		if got := gridMove(t, u, delta, temp, 1/temp); got != want {
+			t.Fatalf("Grid.Stage decided u=%v delta=%v temp=%v as %v, Accept as %v (P = %v)", u, delta, temp, got, want, AcceptProb(delta, temp))
 		}
 	}
 }
@@ -133,13 +136,13 @@ func TestAcceptTableBounds(t *testing.T) {
 	}
 }
 
-// TestAcceptBoundaryCases walks the edges of the table and of
-// AcceptProb's own case analysis, for Accept and, through checkAccept,
-// for the branch-free decision of Column.Stage. First every bucket edge:
-// u = k/K and one ulp either side of it, with x on the logit of that edge
-// and on the bounds of the two buckets that meet there, each exactly and
-// 1, 2 and 4 ulps off, and x one margin off the logit on either side, at
-// several temperatures, and x one ulp inside each bound. These are the
+// TestAcceptBoundaryCases walks the edges of the table and of AcceptProb's
+// own case analysis, for Accept and, through checkAccept, for the
+// branch-free decisions of Column.Stage and Grid.Stage. First every bucket
+// edge: u = k/K and one ulp either side of it, with x on the logit of that
+// edge and on the bounds of the two buckets that meet there, each exactly
+// and 1, 2 and 4 ulps off, and x one margin off the logit on either side,
+// at several temperatures, and x one ulp inside each bound. These are the
 // inputs where a bound that is too tight would decide against the rounded
 // AcceptProb. Then |x| around 0, around the table's largest finite bounds
 // ±logit(1/K) and around AcceptProb's ±700 clamps; u at 0 and the ends of

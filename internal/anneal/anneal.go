@@ -160,8 +160,8 @@ var acceptTable [acceptBuckets]struct{ lo, hi float64 }
 func init() {
 	for k := range acceptTable {
 		lo, hi := math.Log(float64(acceptBuckets-k-1)/float64(k+1)), math.Log(float64(acceptBuckets-k)/float64(k))
-		acceptTable[k].lo = lo - bucketMargin*(1+math.Abs(lo))
-		acceptTable[k].hi = hi + bucketMargin*(1+math.Abs(hi))
+		acceptTable[k].lo = lo - float64(bucketMargin*(1+math.Abs(lo)))
+		acceptTable[k].hi = hi + float64(bucketMargin*(1+math.Abs(hi)))
 	}
 }
 

@@ -84,3 +84,54 @@ func BenchmarkMoveDraws(b *testing.B) {
 		drawSink = s
 	})
 }
+
+// newGrid builds a synthetic n × p packet whose contributions, levels and
+// communication costs are drawn from rng, with candidates 0..min(n, p)−1
+// on slots 0..min(n, p)−1 and the running components and cost of that
+// mapping.
+func newGrid(rng *Rand, n, p int) *Grid {
+	gr := &Grid{C: make([]float64, n*p), Comm: make([]float64, n*p), Level: make([]float64, n),
+		TaskAt: make([]int, p), ProcOf: make([]int, n), BestTaskAt: make([]int, p),
+		N: NewBound(n), P: NewBound(p), P1: NewBound(p - 1)}
+	for i := range gr.Level {
+		gr.Level[i] = 4 * rng.Float64()
+		gr.ProcOf[i] = -1
+	}
+	for k := range gr.C {
+		gr.Comm[k] = 100 * rng.Float64()
+		gr.C[k] = -0.5*gr.Level[k/p]/4 + 0.5*gr.Comm[k]/400
+	}
+	for j := range gr.TaskAt {
+		gr.TaskAt[j] = -1
+		if j < n {
+			gr.TaskAt[j], gr.ProcOf[j] = j, j
+			gr.Fb -= gr.Level[j]
+			gr.Fc += gr.Comm[j*p+j]
+			gr.Cost += gr.C[j*p+j]
+		}
+	}
+	gr.Best = gr.Cost
+	copy(gr.BestTaskAt, gr.TaskAt)
+	gr.BestFb, gr.BestFc = gr.Fb, gr.Fc
+	return gr
+}
+
+// gridSink keeps BenchmarkGridStage's acceptances observable.
+var gridSink int
+
+// BenchmarkGridStage times one 400-move stage of Grid.Stage on a
+// synthetic packet of 13 candidates on 8 processors at a temperature
+// that accepts about three moves in ten. Each stage continues from the
+// state the one before it left. It must run at 0 allocs/op.
+func BenchmarkGridStage(b *testing.B) {
+	rng := NewRand(1991)
+	gr := newGrid(rng, 13, 8)
+	gr.Stage(rng, 0.05, 1/0.05, 400)
+	b.ResetTimer()
+	n := 0
+	for i := 0; i < b.N; i++ {
+		n += gr.Stage(rng, 0.05, 1/0.05, 400)
+	}
+	gridSink = n
+	b.ReportMetric(float64(n)/float64(400*b.N), "accept/move")
+}

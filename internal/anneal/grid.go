@@ -1,0 +1,169 @@
+package anneal
+
+import "math"
+
+// Grid is the state of a packet with n ≥ 1 candidates and p ≥ 2 idle
+// processors. Every move relocates a candidate to another slot, or swaps
+// it with the candidate on that slot (the paper's §5.2a moves), and Stage
+// anneals such packets in one function with no call per move.
+type Grid struct {
+	// C and Comm are n × p row-major tables: C[i*p+j] is the eq. 6
+	// contribution of candidate i on slot j and Comm[i*p+j] its eq. 5
+	// communication cost. Level[i] is candidate i's level. From Level and
+	// Comm a move updates the raw eq. 3 and eq. 5 components Fb and Fc.
+	C, Comm, Level []float64
+	// The mapping, which Stage updates in place: TaskAt[j] is the
+	// candidate on slot j and ProcOf[i] the slot of candidate i, −1 for
+	// none. Their lengths give p and n; n must be below 2³¹.
+	TaskAt, ProcOf []int
+	// N, P and P1 are the divisors of Intn(n), Intn(p) and Intn(p−1).
+	N, P, P1 Bound
+
+	// The running components, the running cost and the lowest cost seen.
+	Fb, Fc     float64
+	Cost, Best float64
+	// The keep-best snapshot of TaskAt and the components, which Stage
+	// writes whenever an accepted move takes Cost below Best.
+	BestTaskAt     []int
+	BestFb, BestFc float64
+}
+
+// Stage anneals one temperature stage of gr: budget moves at temperature
+// temp, with inv = 1/temp (the values Run.Begin returns), drawing from r.
+// It returns how many moves it accepted.
+//
+// Every move is the packet's Propose, Accept and Apply. It draws Intn(n)
+// for the candidate i, Intn(p) for the slot j, Intn(p−1) when j is i's own
+// slot cur (taking the slot that many places after it), then Float64, in
+// that order. It prices the move as Propose does, (C[i,j] + C[other,cur])
+// − (C[i,cur] + C[other,j]) with other the candidate on j, and updates Fb
+// and Fc in Apply's order: remove i, remove other, place i on j, place
+// other on cur. A term of an absent candidate or slot is +0, except the
+// last term of the price and of each sum when other is absent, which
+// Propose and Apply leave out: there the term is −0 on an add and +0 on a
+// subtract, which leave the sum as it is, to the bit. So gr and r end
+// where that loop would leave them, to the bit.
+//
+// As in Column.Stage, the draws, the bucket lookup of Accept and the move
+// run inline, the decision is x < lo of u's bucket, and the move is
+// applied by selects on it, not by a branch: the four mapping stores are
+// unconditional, each writing the old or the new value, and a store whose
+// index is absent goes to index 0 before the store that may need that
+// entry. Only x in the bucket's band, or an inv that is not a positive
+// normal float64, branches to Accept's exact rule.
+func (gr *Grid) Stage(r *Rand, temp, inv float64, budget int) (accepted int) {
+	taskAt, procOf := gr.TaskAt, gr.ProcOf
+	p, n := len(taskAt), len(procOf)
+	c, comm, level := gr.C[:n*p], gr.Comm[:n*p], gr.Level[:n]
+	bn, bp, bp1 := gr.N, gr.P, gr.P1
+	if n < 1 || n >= 1<<31 || p < 2 || bn.n != uint64(n) || bp.n != uint64(p) || bp1.n != uint64(p-1) || len(gr.BestTaskAt) != p {
+		panic("anneal: Grid needs 1 ≤ n < 2³¹ candidates, p ≥ 2 slots and the divisors of n, p and p−1")
+	}
+	if !(inv >= 0x1p-1022 && inv <= math.MaxFloat64) {
+		// Accept decides every move exactly at such an inv; a NaN x sends
+		// every move to the band test's exact branch.
+		inv = math.NaN()
+	}
+	g := ring{r.tap, r.feed, &r.vec}
+	fb, fc, cost, best := gr.Fb, gr.Fc, gr.Cost, gr.Best
+	for k := budget; k > 0; k-- {
+		// i := r.Draw(&gr.N), j := r.Draw(&gr.P), and when j is i's slot
+		// the move takes the slot r.Draw(&gr.P1) places after it.
+		var x int64
+		for {
+			if g, x = g.int63(); int32(x>>32) <= bn.max {
+				break
+			}
+		}
+		i := bn.mod(x >> 32)
+		cur := procOf[i]
+		for {
+			if g, x = g.int63(); int32(x>>32) <= bp.max {
+				break
+			}
+		}
+		j := bp.mod(x >> 32)
+		if j == cur {
+			for {
+				if g, x = g.int63(); int32(x>>32) <= bp1.max {
+					break
+				}
+			}
+			if j += 1 + bp1.mod(x>>32); j >= p {
+				j -= p
+			}
+		}
+		other := taskAt[j]
+		u := 1.0
+		for u == 1 { // Float64's resample; taken O(never)
+			g, x = g.int63()
+			u = float64(x) / (1 << 63)
+		}
+
+		// zc and zo are all ones when cur and other are absent; cu and ot
+		// are then 0, a valid index whose terms the masks replace.
+		zc, zo := uint64(cur>>63), uint64(other>>63)
+		cu, ot := cur&^int(zc), other&^int(zo)
+		ri, ro := i*p, ot*p
+		before := posz(c[ri+cu], zc) + posz(c[ro+j], zo)
+		after := c[ri+j] + negz(posz(c[ro+cu], zc), zo)
+		delta := after - before
+
+		// Accept, inline: a is 1 to accept and 0 to reject, set without a
+		// branch when x falls outside the band of u's bucket.
+		b := &acceptTable[int(u*acceptBuckets)&(acceptBuckets-1)]
+		xd := delta * inv
+		var a, above uint64
+		if xd < b.lo {
+			a = 1
+		}
+		if xd > b.hi {
+			above = 1
+		}
+		if a|above == 0 && u < AcceptProb(delta, temp) {
+			a = 1
+		}
+		m := -a
+
+		// Apply's remove(i), remove(other), place(i, j), place(other, cur).
+		nfb := fb + negz(level[i], zc)
+		nfb += negz(level[ot], zo)
+		nfb -= level[i]
+		nfb -= posz(level[ot], zc|zo)
+		nfc := fc - posz(comm[ri+cu], zc)
+		nfc -= posz(comm[ro+j], zo)
+		nfc += comm[ri+j]
+		nfc += negz(comm[ro+cu], zc|zo)
+		fb, fc = pick(m, nfb, fb), pick(m, nfc, fc)
+		cost = pick(m, cost+delta, cost)
+		im, ic, io := int(m), int(m&^zc), int(m&^zo)
+		tcu, pot := taskAt[cu], procOf[ot]
+		taskAt[cu] = tcu ^ (tcu^other)&ic
+		taskAt[j] = other ^ (other^i)&im
+		procOf[ot] = pot ^ (pot^cur)&io
+		procOf[i] = cur ^ (cur^j)&im
+		accepted += int(a)
+		// Only an accepted move may save: a replica exchange can leave
+		// Cost below Best until the next acceptance.
+		if cost < best && a != 0 {
+			best = cost
+			copy(gr.BestTaskAt, taskAt)
+			gr.BestFb, gr.BestFc = fb, fc
+		}
+	}
+	r.tap, r.feed = g.tap, g.feed
+	gr.Fb, gr.Fc, gr.Cost, gr.Best = fb, fc, cost, best
+	return accepted
+}
+
+// posz returns +0 where the mask m is all ones and v where it is zero,
+// without a branch: the term of an absent candidate or slot.
+func posz(v float64, m uint64) float64 {
+	return math.Float64frombits(math.Float64bits(v) &^ m)
+}
+
+// negz returns −0 where the mask m is all ones and v where it is zero,
+// without a branch: a term that leaves the sum it is added to unchanged.
+func negz(v float64, m uint64) float64 {
+	return math.Float64frombits(math.Float64bits(v)&^m | m&(1<<63))
+}

@@ -125,7 +125,7 @@ func (m *mappingState) Cost() float64 {
 			continue
 		}
 		d := m.topo.Dist(src, dst)
-		total += e.Bits * float64(d)
+		total += float64(e.Bits * float64(d))
 		path := m.topo.Path(src, dst)
 		for k := 1; k < len(path); k++ {
 			linkLoad[topology.CanonicalLink(path[k-1], path[k])] += e.Bits
@@ -137,7 +137,7 @@ func (m *mappingState) Cost() float64 {
 			maxLoad = l
 		}
 	}
-	return m.opt.WTotal*total + m.opt.WMax*maxLoad
+	return float64(m.opt.WTotal*total) + float64(m.opt.WMax*maxLoad)
 }
 
 // Propose implements anneal.Problem: price moving a task to a free
@@ -292,7 +292,7 @@ func (b *balanceState) Cost() float64 {
 	}
 	comm := 0.0
 	for _, e := range b.g.Edges() {
-		comm += e.Bits * float64(b.topo.Dist(b.procOf[e.From], b.procOf[e.To]))
+		comm += float64(e.Bits * float64(b.topo.Dist(b.procOf[e.From], b.procOf[e.To])))
 	}
 	return b.opt.Wb*dev/b.loadDen + b.opt.Wc*comm/b.commDen
 }
@@ -302,10 +302,10 @@ func (b *balanceState) Cost() float64 {
 func (b *balanceState) taskCommCost(i taskgraph.TaskID, proc int) float64 {
 	sum := 0.0
 	for _, h := range b.g.Successors(i) {
-		sum += h.Bits * float64(b.topo.Dist(proc, b.procOf[h.To]))
+		sum += float64(h.Bits * float64(b.topo.Dist(proc, b.procOf[h.To])))
 	}
 	for _, h := range b.g.Predecessors(i) {
-		sum += h.Bits * float64(b.topo.Dist(b.procOf[h.To], proc))
+		sum += float64(h.Bits * float64(b.topo.Dist(b.procOf[h.To], proc)))
 	}
 	return sum
 }

@@ -357,6 +357,12 @@ func (pk *packet) Fc() float64 { return pk.rawFc }
 // the mapping and the running components are not touched, and no heap
 // allocation happens. Every draw is rng.Intn(k) for k in {n, n−1, p, p−1},
 // taken through the packet's precomputed divisors.
+//
+// An untraced solve makes these moves inside anneal.Column.Stage and
+// anneal.Grid.Stage, which repeat Propose's draws and float expressions
+// and Apply's order inline. Propose and Apply run only in traced runs
+// (Figure 1) and in anneal.Minimize, the reference those kernels are held
+// to.
 func (pk *packet) Propose(rng *anneal.Rand) (float64, bool) {
 	n, p := len(pk.tasks), len(pk.procs)
 	if n == 0 || p == 0 || (n == 1 && p == 1) {

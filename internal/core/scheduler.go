@@ -474,26 +474,30 @@ func (s *Scheduler) anneal(pk *packet, aopt anneal.Options, report *PacketReport
 
 // annealStage anneals one temperature stage of run and reports whether
 // another stage follows; run.st states the stage, plateau, move-cap and
-// keep-best rules. Each move is the packet's Propose, decided by
-// anneal.Accept and committed by Apply, with the counters in locals.
+// keep-best rules.
 //
-// A packet with one idle processor and a candidate on it anneals the
-// stage in anneal.Column.Stage instead, which makes the same moves with
-// the same draws and float expressions, inline and without a branch on
-// the decision, so both paths give the same answers to the bit
-// (FuzzStageMatchesMinimize). Four in five annealing moves of the catalog
-// programs fall in such packets (PERFORMANCE.md §25). A traced run takes
-// the general loop at every packet shape.
+// An untraced packet anneals the stage in one call to an anneal kernel:
+// anneal.Column.Stage when it has one idle processor and a candidate on
+// it (four in five annealing moves of the catalog programs, PERFORMANCE.md
+// §25), and anneal.Grid.Stage when it has two or more. Each makes the
+// moves of the packet's Propose, decided as anneal.Accept decides and
+// committed as Apply commits, with the same draws and float expressions,
+// inline and without a branch on the decision, so every path gives the
+// same answers to the bit (FuzzStageMatchesMinimize).
 //
-// With RecordTrace every proposed move appends its TracePoint to
-// run.trace.
+// A traced run takes the general loop at every packet shape: each move is
+// the packet's Propose, decided by anneal.Accept and committed by Apply,
+// with the counters in locals, and appends its TracePoint to run.trace.
 func (s *Scheduler) annealStage(run *restartRun) bool {
 	temp, inv, budget, ok := run.st.Begin()
 	if !ok {
 		return false
 	}
 	pk, rng, trace := run.cur, run.rng, s.opt.RecordTrace
-	if n := len(pk.tasks); len(pk.procs) == 1 && n >= 2 && pk.taskAt[0] >= 0 && !trace {
+	n, p := len(pk.tasks), len(pk.procs)
+	switch {
+	case trace: // the general loop below
+	case p == 1 && n >= 2 && pk.taskAt[0] >= 0:
 		init := pk.taskAt[0]
 		col := anneal.Column{ // p = 1: column 0 of the tables
 			C: pk.contrib[:n], Level: pk.level[:n], Comm: pk.commCost[:n], N: pk.drawN, N1: pk.drawN1,
@@ -505,6 +509,17 @@ func (s *Scheduler) annealStage(run *restartRun) bool {
 		pk.rawFb, pk.rawFc = col.Fb, col.Fc
 		pk.bestTaskAt[0], pk.bestFb, pk.bestFc = col.BestCur, col.BestFb, col.BestFc // SaveBest
 		return run.st.End(col.Cost, col.Best, budget, accepted, false)
+	case p >= 2 && n >= 1:
+		gr := anneal.Grid{
+			C: pk.contrib, Comm: pk.commCost, Level: pk.level, TaskAt: pk.taskAt, ProcOf: pk.procOf,
+			N: pk.drawN, P: pk.drawP, P1: pk.drawP1,
+			Fb: pk.rawFb, Fc: pk.rawFc, Cost: run.st.Cost, Best: run.st.BestCost,
+			BestTaskAt: pk.bestTaskAt, BestFb: pk.bestFb, BestFc: pk.bestFc,
+		}
+		accepted := gr.Stage(rng, temp, inv, budget)
+		pk.rawFb, pk.rawFc = gr.Fb, gr.Fc
+		pk.bestFb, pk.bestFc = gr.BestFb, gr.BestFc // SaveBest; the kernel copied bestTaskAt
+		return run.st.End(gr.Cost, gr.Best, budget, accepted, false)
 	}
 	cost, best, iter := run.st.Cost, run.st.BestCost, run.st.Moves
 	moves, accepted, exhausted := 0, 0, false

@@ -172,7 +172,7 @@ func ablationRandomGraphs(arch Arch, numGraphs int, withComm bool, seed int64, w
 			MaxLoad:  100,
 			MinBits:  40,
 			MaxBits:  400,
-			EdgeProb: 0.2 + 0.4*rng.Float64(),
+			EdgeProb: 0.2 + float64(0.4*rng.Float64()),
 		}
 		g, err := taskgraph.Layered(fmt.Sprintf("rand%d", k), cfg, rng)
 		if err != nil {

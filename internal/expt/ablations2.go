@@ -142,7 +142,7 @@ func AblationOptimal(numGraphs, procs int, seed int64) (*OptimalStudy, error) {
 	cells := make([]cell, numGraphs)
 	for k := range cells {
 		n := 6 + rng.Intn(4) // 6..9 tasks keep the exact solver fast
-		g, err := taskgraph.GnpDAG(fmt.Sprintf("opt%d", k), n, 0.15+0.25*rng.Float64(), 1, 20, 0, 0, rng)
+		g, err := taskgraph.GnpDAG(fmt.Sprintf("opt%d", k), n, 0.15+float64(0.25*rng.Float64()), 1, 20, 0, 0, rng)
 		if err != nil {
 			return nil, err
 		}

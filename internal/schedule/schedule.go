@@ -123,7 +123,7 @@ func (s *Schedule) Validate(g *taskgraph.Graph, topo *topology.Topology, comm to
 			}
 			if pred.Proc != e.Proc {
 				d := topo.Dist(pred.Proc, e.Proc)
-				minDelay := comm.EffSigma() + comm.TransferTime(h.Bits)*float64(d)
+				minDelay := comm.EffSigma() + float64(comm.TransferTime(h.Bits)*float64(d))
 				if e.Start < pred.Finish+minDelay-eps {
 					return fmt.Errorf("schedule: task %d starts %g after remote predecessor %d (finish %g), need >= %g of communication",
 						e.Task, e.Start-pred.Finish, h.To, pred.Finish, minDelay)

@@ -41,7 +41,7 @@ func Variance(xs []float64) float64 {
 	var sum float64
 	for _, x := range xs {
 		d := x - m
-		sum += d * d
+		sum += float64(d * d)
 	}
 	return sum / float64(len(xs))
 }
@@ -106,14 +106,14 @@ func Percentile(xs []float64, p float64) float64 {
 	}
 	s := append([]float64(nil), xs...)
 	sort.Float64s(s)
-	rank := p / 100 * float64(len(s)-1)
+	rank := float64(p / 100 * float64(len(s)-1))
 	lo := int(math.Floor(rank))
 	hi := int(math.Ceil(rank))
 	if lo == hi {
 		return s[lo]
 	}
 	frac := rank - float64(lo)
-	return s[lo]*(1-frac) + s[hi]*frac
+	return float64(s[lo]*(1-frac)) + float64(s[hi]*frac)
 }
 
 // GeoMean returns the geometric mean of xs; all samples must be positive.

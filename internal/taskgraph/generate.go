@@ -51,7 +51,7 @@ func Layered(name string, cfg LayeredConfig, rng *rand.Rand) (*Graph, error) {
 		if hi <= lo {
 			return lo
 		}
-		return lo + rng.Float64()*(hi-lo)
+		return lo + float64(rng.Float64()*(hi-lo))
 	}
 	widthOf := func() int {
 		if cfg.MaxWidth == cfg.MinWidth {
@@ -106,7 +106,7 @@ func GnpDAG(name string, n int, p float64, minLoad, maxLoad, minBits, maxBits fl
 		if hi <= lo {
 			return lo
 		}
-		return lo + rng.Float64()*(hi-lo)
+		return lo + float64(rng.Float64()*(hi-lo))
 	}
 	for i := 0; i < n; i++ {
 		g.AddTask(fmt.Sprintf("v%d", i), uniform(minLoad, maxLoad))
@@ -166,7 +166,7 @@ func Independent(name string, n int, minLoad, maxLoad float64, rng *rand.Rand) (
 	for i := 0; i < n; i++ {
 		load := minLoad
 		if maxLoad > minLoad {
-			load += rng.Float64() * (maxLoad - minLoad)
+			load += float64(rng.Float64() * (maxLoad - minLoad))
 		}
 		g.AddTask(fmt.Sprintf("t%d", i), load)
 	}

@@ -94,7 +94,7 @@ func (s Sketch) Distance(o Sketch) float64 {
 			eq++
 		}
 	}
-	return 1 - float64(eq)/float64(SketchLanes)
+	return 1 - float64(float64(eq)/float64(SketchLanes))
 }
 
 // Sketch computes the graph's structural minhash sketch over the same

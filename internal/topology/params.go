@@ -78,10 +78,10 @@ func (p CommParams) TransferTime(bits float64) float64 {
 }
 
 // EffSigma returns the effective (scaled) send overhead.
-func (p CommParams) EffSigma() float64 { return p.Scale * p.Sigma }
+func (p CommParams) EffSigma() float64 { return float64(p.Scale * p.Sigma) }
 
 // EffTau returns the effective (scaled) receive/route overhead.
-func (p CommParams) EffTau() float64 { return p.Scale * p.Tau }
+func (p CommParams) EffTau() float64 { return float64(p.Scale * p.Tau) }
 
 // CommCost evaluates the paper's equation (4): the effective cost of
 // sending a message of the given volume between two tasks whose hosting
@@ -98,7 +98,7 @@ func (p CommParams) CommCost(dist int, bits float64) float64 {
 		return 0
 	}
 	w := p.TransferTime(bits)
-	return w*float64(dist) + float64(dist-1)*p.EffTau() + p.EffSigma()
+	return float64(w*float64(dist)) + float64(float64(dist-1)*p.EffTau()) + p.EffSigma()
 }
 
 // MaxCommCost returns equation (4) evaluated at the given distance for a
