@@ -79,9 +79,11 @@ type Options struct {
 	Seed int64
 }
 
-// DefaultOptions returns the engine configuration used throughout the
-// reproduction: 60 geometric cooling stages from T0 = 1 with α = 0.9,
-// plateau patience of 5 stages, and a 20 000-move cap.
+// DefaultOptions returns the paper's engine configuration (§6a): 60
+// geometric cooling stages from T0 = 1 with α = 0.9, plateau patience of 5
+// stages, and a 20 000-move cap. assign.SolveMapping and
+// assign.SolveBalancing start from it when their options name no
+// schedule; the packet scheduler takes only its cooling schedule from it.
 func DefaultOptions() Options {
 	return Options{
 		Cooling:       Geometric{T0: 1, Alpha: 0.9, NumStages: 60},
@@ -168,7 +170,9 @@ func init() {
 // Accept decides one Glauber move: it returns exactly
 // u < AcceptProb(delta, temp) for every float64 input. inv must be 1/temp,
 // which an annealing loop computes once per stage (Run.Begin returns it).
-// Minimize and the packet scheduler's loop both decide with it.
+// Minimize is its only caller outside tests: the packet scheduler decides
+// its moves inside Column.Stage and Grid.Stage, which inline this test,
+// and checkAccept holds each kernel's decision equal to Accept's.
 //
 // P(x) = 1/(1+e^x) falls with x, so u < P(x) exactly when x < logit(u).
 // For u in bucket k, logit(u) lies in (logit((k+1)/K), logit(k/K)], so
@@ -223,8 +227,8 @@ func tableDecide(u, delta, inv float64) (decided, ok bool) {
 // Minimize runs simulated annealing on p and returns run statistics. The
 // Problem is left in its final (or best, for Snapshotters) state. Its
 // stage, plateau, move-cap and keep-best rules are Run's, the ones the
-// packet scheduler's own loop drives, so Minimize on a packet is that
-// loop's reference.
+// packet scheduler's own loop drives, so Minimize, run on the core tests'
+// reference packet, is what that loop and its kernels are held to.
 func Minimize(p Problem, opt Options) (Result, error) {
 	if opt.Cooling == nil {
 		return Result{}, ErrNoCooling

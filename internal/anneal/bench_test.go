@@ -135,3 +135,40 @@ func BenchmarkGridStage(b *testing.B) {
 	gridSink = n
 	b.ReportMetric(float64(n)/float64(400*b.N), "accept/move")
 }
+
+// newColumn builds a synthetic one-processor packet of n candidates whose
+// contributions, levels and communication costs are drawn from rng, as
+// newGrid's are, with candidate 0 on the slot and the running components
+// and cost of that mapping.
+func newColumn(rng *Rand, n int) *Column {
+	col := &Column{C: make([]float64, n), Level: make([]float64, n), Comm: make([]float64, n),
+		N: NewBound(n), N1: NewBound(n - 1)}
+	for i := range col.C {
+		col.Level[i] = 4 * rng.Float64()
+		col.Comm[i] = 100 * rng.Float64()
+		col.C[i] = -0.5*col.Level[i]/4 + 0.5*col.Comm[i]/400
+	}
+	col.Fb, col.Fc, col.Cost = -col.Level[0], col.Comm[0], col.C[0]
+	col.Best, col.BestFb, col.BestFc = col.Cost, col.Fb, col.Fc
+	return col
+}
+
+// columnSink keeps BenchmarkColumnStage's acceptances observable.
+var columnSink int
+
+// BenchmarkColumnStage times one 400-move stage of Column.Stage on a
+// synthetic packet of 16 candidates on one processor at BenchmarkGridStage's
+// temperature. Each stage continues from the state the one before it
+// left. It must run at 0 allocs/op.
+func BenchmarkColumnStage(b *testing.B) {
+	rng := NewRand(1991)
+	col := newColumn(rng, 16)
+	col.Stage(rng, 0.05, 1/0.05, 400)
+	b.ResetTimer()
+	n := 0
+	for i := 0; i < b.N; i++ {
+		n += col.Stage(rng, 0.05, 1/0.05, 400)
+	}
+	columnSink = n
+	b.ReportMetric(float64(n)/float64(400*b.N), "accept/move")
+}

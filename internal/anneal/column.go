@@ -28,6 +28,9 @@ type Column struct {
 	// takes Cost below Best.
 	BestCur        int
 	BestFb, BestFc float64
+	// Delta is the price of the last move Stage made, accepted or not: a
+	// traced run anneals with budget 1 and records it per move.
+	Delta float64
 }
 
 // ring is Rand's feedback register as three values that an inlined draw
@@ -65,14 +68,16 @@ func (b Bound) mod(v int64) int {
 
 // Stage anneals one temperature stage of col: budget moves at temperature
 // temp, with inv = 1/temp (the values Run.Begin returns), drawing from r.
-// It returns how many moves it accepted.
+// It returns how many moves it accepted and leaves the price of the last
+// move in Delta.
 //
-// Every move is the packet's Propose, Accept and Apply on one slot. It
-// draws Intn(n), Intn(n−1) when the first draw hit Cur, the slot draw
-// Intn(1) (one Int63) and Float64, in that order, prices the move
-// (C[i] + 0) − (0 + C[Cur]) and updates Fb + Level[Cur] − Level[i] and
-// Fc − Comm[Cur] + Comm[i], so col and r end where that loop would leave
-// them, to the bit.
+// Every move is the packet's §5.2a move on its one slot, decided as Accept
+// decides, and is held to the reference move the core package's tests
+// keep: Propose, then Accept, then Apply. It draws Intn(n), Intn(n−1)
+// when the first draw hit Cur, the slot draw Intn(1) (one Int63) and
+// Float64, in that order, prices the move (C[i] + 0) − (0 + C[Cur]) and
+// updates Fb + Level[Cur] − Level[i] and Fc − Comm[Cur] + Comm[i], so col
+// and r end where that reference would leave them, to the bit.
 //
 // The draws, the bucket lookup of Accept and the move run inline, with
 // the ring's indices and the state in locals. The decision is x < lo of
@@ -95,7 +100,7 @@ func (col *Column) Stage(r *Rand, temp, inv float64, budget int) (accepted int) 
 		inv = math.NaN()
 	}
 	g := ring{r.tap, r.feed, &r.vec}
-	cur, fb, fc, cost, best := col.Cur, col.Fb, col.Fc, col.Cost, col.Best
+	cur, fb, fc, cost, best, last := col.Cur, col.Fb, col.Fc, col.Cost, col.Best, col.Delta
 	for k := budget; k > 0; k-- {
 		// i := r.Draw(&col.N), and when it hits cur the move takes the
 		// candidate r.Draw(&col.N1) places after it.
@@ -123,6 +128,7 @@ func (col *Column) Stage(r *Rand, temp, inv float64, budget int) (accepted int) 
 			u = float64(x) / (1 << 63)
 		}
 		delta := (c[i] + 0) - (0 + c[cur])
+		last = delta
 
 		// Accept, inline: a is 1 to accept and 0 to reject, set without a
 		// branch when x falls outside the band of u's bucket.
@@ -152,7 +158,7 @@ func (col *Column) Stage(r *Rand, temp, inv float64, budget int) (accepted int) 
 		}
 	}
 	r.tap, r.feed = g.tap, g.feed
-	col.Cur, col.Fb, col.Fc, col.Cost, col.Best = cur, fb, fc, cost, best
+	col.Cur, col.Fb, col.Fc, col.Cost, col.Best, col.Delta = cur, fb, fc, cost, best, last
 	return accepted
 }
 

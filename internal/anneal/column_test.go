@@ -13,7 +13,8 @@ import (
 // three draws, Intn(2), the slot draw and Float64, are written into a zero
 // ring as 1<<32 (odd, so candidate 1), 0 and u·2⁶³, which needs u in
 // [0, 1) to be a multiple of 2⁻⁶³. The move must leave the column and the
-// ring where an accepted or rejected move leaves them.
+// ring where an accepted or rejected move leaves them, and its price in
+// Delta.
 func columnMove(t *testing.T, u, delta, temp, inv float64) bool {
 	t.Helper()
 	r := &Rand{feed: rngLen - rngTap}
@@ -28,14 +29,14 @@ func columnMove(t *testing.T, u, delta, temp, inv float64) bool {
 	if r.tap != tap || r.feed != feed {
 		t.Fatalf("u=%v delta=%v temp=%v: the move took other draws than Intn(2), Intn(1) and Float64", u, delta, temp)
 	}
-	want := Column{Fb: -0.5, Fc: 3}
+	want := Column{Fb: -0.5, Fc: 3, Delta: (delta + 0) - (0 + 0)}
 	if accepted == 1 {
-		want = Column{Cur: 1, Fb: -0.5 + 0.5 - 2, Fc: 3 - 3 + 0.25, Cost: (delta + 0) - (0 + 0)}
+		want = Column{Cur: 1, Fb: -0.5 + 0.5 - 2, Fc: 3 - 3 + 0.25, Cost: want.Delta, Delta: want.Delta}
 	}
-	if col.Cur != want.Cur || math.Float64bits(col.Fb) != math.Float64bits(want.Fb) ||
-		math.Float64bits(col.Fc) != math.Float64bits(want.Fc) || math.Float64bits(col.Cost) != math.Float64bits(want.Cost) {
-		t.Fatalf("u=%v delta=%v temp=%v: %d accepted left Cur %d, Fb %v, Fc %v, Cost %v; want %d, %v, %v, %v",
-			u, delta, temp, accepted, col.Cur, col.Fb, col.Fc, col.Cost, want.Cur, want.Fb, want.Fc, want.Cost)
+	if col.Cur != want.Cur || math.Float64bits(col.Fb) != math.Float64bits(want.Fb) || math.Float64bits(col.Fc) != math.Float64bits(want.Fc) ||
+		math.Float64bits(col.Cost) != math.Float64bits(want.Cost) || math.Float64bits(col.Delta) != math.Float64bits(want.Delta) {
+		t.Fatalf("u=%v delta=%v temp=%v: %d accepted left Cur %d, Fb %v, Fc %v, Cost %v, Delta %v; want %d, %v, %v, %v, %v",
+			u, delta, temp, accepted, col.Cur, col.Fb, col.Fc, col.Cost, col.Delta, want.Cur, want.Fb, want.Fc, want.Cost, want.Delta)
 	}
 	return accepted == 1
 }

@@ -26,23 +26,28 @@ type Grid struct {
 	// writes whenever an accepted move takes Cost below Best.
 	BestTaskAt     []int
 	BestFb, BestFc float64
+	// Delta is the price of the last move Stage made, accepted or not: a
+	// traced run anneals with budget 1 and records it per move.
+	Delta float64
 }
 
 // Stage anneals one temperature stage of gr: budget moves at temperature
 // temp, with inv = 1/temp (the values Run.Begin returns), drawing from r.
-// It returns how many moves it accepted.
+// It returns how many moves it accepted and leaves the price of the last
+// move in Delta.
 //
-// Every move is the packet's Propose, Accept and Apply. It draws Intn(n)
-// for the candidate i, Intn(p) for the slot j, Intn(p−1) when j is i's own
-// slot cur (taking the slot that many places after it), then Float64, in
-// that order. It prices the move as Propose does, (C[i,j] + C[other,cur])
-// − (C[i,cur] + C[other,j]) with other the candidate on j, and updates Fb
+// Every move is held to the reference move the core package's tests
+// keep: Propose, then Accept, then Apply. It draws Intn(n) for the
+// candidate i, Intn(p) for the slot j, Intn(p−1) when j is i's own slot
+// cur (taking the slot that many places after it), then Float64, in that
+// order. It prices the move as Propose does, (C[i,j] + C[other,cur]) −
+// (C[i,cur] + C[other,j]) with other the candidate on j, and updates Fb
 // and Fc in Apply's order: remove i, remove other, place i on j, place
 // other on cur. A term of an absent candidate or slot is +0, except the
 // last term of the price and of each sum when other is absent, which
 // Propose and Apply leave out: there the term is −0 on an add and +0 on a
 // subtract, which leave the sum as it is, to the bit. So gr and r end
-// where that loop would leave them, to the bit.
+// where that reference would leave them, to the bit.
 //
 // As in Column.Stage, the draws, the bucket lookup of Accept and the move
 // run inline, the decision is x < lo of u's bucket, and the move is
@@ -65,7 +70,7 @@ func (gr *Grid) Stage(r *Rand, temp, inv float64, budget int) (accepted int) {
 		inv = math.NaN()
 	}
 	g := ring{r.tap, r.feed, &r.vec}
-	fb, fc, cost, best := gr.Fb, gr.Fc, gr.Cost, gr.Best
+	fb, fc, cost, best, last := gr.Fb, gr.Fc, gr.Cost, gr.Best, gr.Delta
 	for k := budget; k > 0; k-- {
 		// i := r.Draw(&gr.N), j := r.Draw(&gr.P), and when j is i's slot
 		// the move takes the slot r.Draw(&gr.P1) places after it.
@@ -108,6 +113,7 @@ func (gr *Grid) Stage(r *Rand, temp, inv float64, budget int) (accepted int) {
 		before := posz(c[ri+cu], zc) + posz(c[ro+j], zo)
 		after := c[ri+j] + negz(posz(c[ro+cu], zc), zo)
 		delta := after - before
+		last = delta
 
 		// Accept, inline: a is 1 to accept and 0 to reject, set without a
 		// branch when x falls outside the band of u's bucket.
@@ -152,7 +158,7 @@ func (gr *Grid) Stage(r *Rand, temp, inv float64, budget int) (accepted int) {
 		}
 	}
 	r.tap, r.feed = g.tap, g.feed
-	gr.Fb, gr.Fc, gr.Cost, gr.Best = fb, fc, cost, best
+	gr.Fb, gr.Fc, gr.Cost, gr.Best, gr.Delta = fb, fc, cost, best, last
 	return accepted
 }
 

@@ -25,12 +25,12 @@ func gridStep(t *testing.T, gr *Grid, draws []int64, temp, inv float64) int {
 }
 
 // sameGrid reports whether gr's mapping, running components, cost and
-// keep-best snapshot equal want's, floats to the bit.
+// keep-best snapshot and last price equal want's, floats to the bit.
 func sameGrid(gr, want *Grid) bool {
 	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 	return slices.Equal(gr.TaskAt, want.TaskAt) && slices.Equal(gr.ProcOf, want.ProcOf) && same(gr.Fb, want.Fb) && same(gr.Fc, want.Fc) &&
 		same(gr.Cost, want.Cost) && same(gr.Best, want.Best) && slices.Equal(gr.BestTaskAt, want.BestTaskAt) &&
-		same(gr.BestFb, want.BestFb) && same(gr.BestFc, want.BestFc)
+		same(gr.BestFb, want.BestFb) && same(gr.BestFc, want.BestFc) && same(gr.Delta, want.Delta)
 }
 
 // gridMove runs Grid.Stage for one move of a 2 × 2 packet whose Float64
@@ -53,12 +53,13 @@ func gridMove(t *testing.T, u, delta, temp, inv float64) bool {
 		TaskAt: []int{0, 1}, ProcOf: []int{0, 1}, N: NewBound(2), P: NewBound(2), P1: NewBound(1),
 		Fb: fb, Fc: fc, BestTaskAt: []int{0, 1}, BestFb: fb, BestFc: fc}
 	accepted := gridStep(t, &gr, []int64{0, 0, 0, int64(u * (1 << 63))}, temp, inv)
-	want := Grid{TaskAt: []int{0, 1}, ProcOf: []int{0, 1}, Fb: fb, Fc: fc, BestTaskAt: []int{0, 1}, BestFb: fb, BestFc: fc}
+	want := Grid{TaskAt: []int{0, 1}, ProcOf: []int{0, 1}, Fb: fb, Fc: fc, BestTaskAt: []int{0, 1}, BestFb: fb, BestFc: fc,
+		Delta: (delta + 0) - (0 + 0)}
 	if accepted == 1 {
 		want.TaskAt, want.ProcOf = []int{1, 0}, []int{1, 0}
 		want.Fb = fb + level[0] + level[1] - level[0] - level[1]
 		want.Fc = fc - comm[0] - comm[3] + comm[1] + comm[2]
-		want.Cost = (delta + 0) - (0 + 0)
+		want.Cost = want.Delta
 		if want.Cost < 0 {
 			want.Best, want.BestTaskAt, want.BestFb, want.BestFc = want.Cost, want.TaskAt, want.Fb, want.Fc
 		}
@@ -87,7 +88,7 @@ func TestGridRelocateKeepsSignedZeros(t *testing.T) {
 		t.Fatal("u = 0 rejected a move with delta = 0")
 	}
 	want := Grid{TaskAt: []int{-1, 0}, ProcOf: []int{1},
-		Fb: fb + level[0] - level[0], Fc: fc - comm[0] + comm[1], Cost: nz + (nz - (0 + 0)), Best: nz,
+		Fb: fb + level[0] - level[0], Fc: fc - comm[0] + comm[1], Cost: nz + (nz - (0 + 0)), Best: nz, Delta: nz - (0 + 0),
 		BestTaskAt: []int{0, -1}, BestFb: fb, BestFc: fc}
 	if !sameGrid(&gr, &want) {
 		t.Fatalf("left %+v; want %+v", gr, want)

@@ -9,12 +9,13 @@ import (
 	"repro/internal/topology"
 )
 
-// The packet's elementary move must not allocate: Propose records the
-// priced move in packet fields and Apply commits it, so the annealer's
+// The reference move must not allocate: Propose records the priced move
+// in its own fields and Apply commits it, so anneal.Minimize's
 // accept/reject loop stays off the heap entirely. Every other proposal is
 // applied, so both the rejected and the accepted path are counted.
 func TestPacketProposeZeroAllocs(t *testing.T) {
-	pk, _ := packetFixture(t, 0.5, 0.5)
+	fix, _ := packetFixture(t, 0.5, 0.5)
+	pk := reference(fix)
 	rng := anneal.NewRand(51)
 	pk.initRandom(rng)
 	move := 0
@@ -35,7 +36,8 @@ func TestPacketProposeZeroAllocs(t *testing.T) {
 // allocate either: best-state tracking goes through the packet's reusable
 // double buffer, not through per-improvement snapshot copies.
 func TestPacketMinimizeZeroAllocs(t *testing.T) {
-	pk, _ := packetFixture(t, 0.5, 0.5)
+	fix, _ := packetFixture(t, 0.5, 0.5)
+	pk := reference(fix)
 	rng := anneal.NewRand(52)
 	pk.initRandom(rng)
 	opt := anneal.Options{

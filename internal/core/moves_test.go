@@ -18,7 +18,7 @@ import (
 // prices it from the mapping it left, and records the move in the move
 // fields for referenceUndo. It is the oracle FuzzPacketMovesMatchApplyUndo
 // holds Propose and Apply to.
-func referencePropose(pk *packet, rng *anneal.Rand) (float64, bool) {
+func referencePropose(pk *refPacket, rng *anneal.Rand) (float64, bool) {
 	n, p := len(pk.tasks), len(pk.procs)
 	if n == 0 || p == 0 || (n == 1 && p == 1) {
 		return 0, false
@@ -55,7 +55,7 @@ func referencePropose(pk *packet, rng *anneal.Rand) (float64, bool) {
 }
 
 // referenceUndo reverts the move recorded by the last referencePropose.
-func referenceUndo(pk *packet) {
+func referenceUndo(pk *refPacket) {
 	i, j, cur, other := pk.moveI, pk.moveJ, pk.moveCur, pk.moveOther
 	pk.remove(i)
 	if other >= 0 && cur >= 0 {
@@ -143,9 +143,9 @@ func FuzzPacketMovesMatchApplyUndo(f *testing.F) {
 	f.Add(int64(11), uint8(15), uint8(4), ^uint64(0))
 	f.Fuzz(func(t *testing.T, seed int64, nRaw, pRaw uint8, accept uint64) {
 		n, p := int(nRaw)%12+1, int(pRaw)%12+1
-		pk := randomPacket(t, seed, n, p)
-		ref := &packet{}
-		ref.cloneFrom(pk)
+		pk := reference(randomPacket(t, seed, n, p))
+		ref := reference(&packet{})
+		ref.cloneFrom(pk.packet)
 		rng, refRng := anneal.NewRand(seed+1), anneal.NewRand(seed+1)
 		for move := 0; move < 256; move++ {
 			taskAt, procOf := slices.Clone(pk.taskAt), slices.Clone(pk.procOf)
@@ -165,7 +165,7 @@ func FuzzPacketMovesMatchApplyUndo(f *testing.F) {
 			}
 			if accept>>(move%64)&1 == 1 {
 				pk.Apply()
-				if got := pk.Cost() - cost; math.Abs(got-delta) > 1e-9*costScale(pk) {
+				if got := pk.Cost() - cost; math.Abs(got-delta) > 1e-9*costScale(pk.packet) {
 					t.Fatalf("n=%d p=%d move %d: Apply moved Cost by %v, delta %v", n, p, move, got, delta)
 				}
 			} else {

@@ -58,12 +58,7 @@ type packet struct {
 	rawFb float64
 	rawFc float64
 
-	// The move priced by the last Propose, for Apply: candidate, target
-	// slot, the candidate's current slot, and the incumbent it displaces
-	// (-1 if none).
-	moveI, moveJ, moveCur, moveOther int
-
-	// Precomputed divisors of Propose's draws, Intn(n), Intn(n−1),
+	// Precomputed divisors of the moves' draws, Intn(n), Intn(n−1),
 	// Intn(p) and Intn(p−1) for n tasks and p processors; a bound whose
 	// n would be 0 is left zero and never drawn from.
 	drawN, drawN1, drawP, drawP1 anneal.Bound
@@ -330,7 +325,7 @@ func (pk *packet) remove(i int) {
 	pk.rawFc -= pk.comm(i, j)
 }
 
-// Cost implements anneal.Problem: eq. 6, F = wb·Fb/ΔFb + wc·Fc/ΔFc.
+// Cost returns the mapping's eq. 6 cost, F = wb·Fb/ΔFb + wc·Fc/ΔFc.
 func (pk *packet) Cost() float64 { return pk.costOf(pk.rawFb, pk.rawFc) }
 
 // costOf returns eq. 6 for the raw components fb and fc.
@@ -349,82 +344,6 @@ func (pk *packet) Fb() float64 { return pk.rawFb }
 
 // Fc returns the current raw communication cost (eq. 5).
 func (pk *packet) Fc() float64 { return pk.rawFc }
-
-// Propose implements anneal.Problem with the paper's elementary moves
-// (§5.2a): pick a task tᵢ and a processor pⱼ ≠ m(tᵢ); if pⱼ is free,
-// (re)assign tᵢ to pⱼ, otherwise exchange tᵢ with the task occupying pⱼ.
-// The move is priced from the contribution table and recorded for Apply;
-// the mapping and the running components are not touched, and no heap
-// allocation happens. Every draw is rng.Intn(k) for k in {n, n−1, p, p−1},
-// taken through the packet's precomputed divisors.
-//
-// An untraced solve makes these moves inside anneal.Column.Stage and
-// anneal.Grid.Stage, which repeat Propose's draws and float expressions
-// and Apply's order inline. Propose and Apply run only in traced runs
-// (Figure 1) and in anneal.Minimize, the reference those kernels are held
-// to.
-func (pk *packet) Propose(rng *anneal.Rand) (float64, bool) {
-	n, p := len(pk.tasks), len(pk.procs)
-	if n == 0 || p == 0 || (n == 1 && p == 1) {
-		return 0, false // no alternative mapping exists
-	}
-	i := rng.Draw(&pk.drawN)
-	cur := pk.procOf[i]
-	if p == 1 && cur == 0 {
-		// The single slot already holds ti; a legal move must involve a
-		// different task (which then displaces the incumbent).
-		i = wrap(i+1+rng.Draw(&pk.drawN1), n)
-		cur = pk.procOf[i]
-	}
-	j := rng.Draw(&pk.drawP)
-	if j == cur {
-		j = wrap(j+1+rng.Draw(&pk.drawP1), p) // resample a slot different from m(ti); p > 1 here
-	}
-	other := pk.taskAt[j]
-
-	// ti moves onto slot j; if j was occupied, its task takes ti's old
-	// slot (which may be "unassigned", contributing nothing).
-	before := pk.componentCost(i, cur) + pk.componentCost(other, j)
-	after := pk.contribution(i, j)
-	if other >= 0 {
-		after += pk.componentCost(other, cur)
-	}
-	pk.moveI, pk.moveJ, pk.moveCur, pk.moveOther = i, j, cur, other
-	return after - before, true
-}
-
-// wrap returns k mod m for 0 ≤ k < 2m without a division.
-func wrap(k, m int) int {
-	if k >= m {
-		k -= m
-	}
-	return k
-}
-
-// Apply implements anneal.Problem: commit the move priced by the last
-// Propose, updating the mapping and the running components.
-func (pk *packet) Apply() {
-	i, j, cur, other := pk.moveI, pk.moveJ, pk.moveCur, pk.moveOther
-	if cur >= 0 {
-		pk.remove(i)
-	}
-	if other >= 0 {
-		pk.remove(other)
-	}
-	pk.place(i, j)
-	if other >= 0 && cur >= 0 {
-		pk.place(other, cur)
-	}
-}
-
-// componentCost returns candidate i's contribution when on slot j, or 0
-// when i or j denote "none" (negative).
-func (pk *packet) componentCost(i, j int) float64 {
-	if i < 0 || j < 0 {
-		return 0
-	}
-	return pk.contribution(i, j)
-}
 
 // SaveBest implements anneal.Snapshotter by copying the mapping's taskAt
 // and running components into the packet's reusable best buffer.
@@ -448,27 +367,12 @@ func (pk *packet) RestoreBest() {
 	pk.rawFb, pk.rawFc = pk.bestFb, pk.bestFc
 }
 
-// initGreedy fills the processor slots with the highest-level candidates
-// in order (an HLF-like warm start).
-func (pk *packet) initGreedy() {
-	idx := grow(pk.idxScratch, len(pk.tasks))
-	pk.idxScratch = idx
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool { return pk.level[idx[a]] > pk.level[idx[b]] })
-	k := pk.nSelect()
-	for j := 0; j < k; j++ {
-		pk.place(idx[j], j)
-	}
-}
-
 // initWarm seeds the mapping from a whole-graph task→processor assignment
 // (taskgraph.ProjectAssignment's output, indexed by task ID, −1 meaning
 // unseeded): every candidate whose seed processor is idle in this packet
-// keeps its placement, and the remaining slots fill with the unseeded
-// candidates in HLF order — exactly initGreedy's rule restricted to the
-// leftover tasks and slots. Deterministic, no RNG draw.
+// keeps its placement, and the remaining slots fill in order with the
+// unseeded candidates in HLF order (highest level first, ties to the
+// lower index). Deterministic, no RNG draw.
 func (pk *packet) initWarm(assign []int) {
 	k := pk.nSelect()
 	placed := 0

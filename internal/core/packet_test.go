@@ -108,15 +108,43 @@ func TestPacketCostTracksPlacements(t *testing.T) {
 	}
 }
 
-func TestPacketGreedyInitPicksHighestLevels(t *testing.T) {
+// initHLF fills pk's slots by initWarm's rule with no task seeded: every
+// slot in order takes the highest-level candidate left (HLF).
+func initHLF(pk *packet) {
+	unseeded := make([]int, int(slices.Max(pk.tasks))+1)
+	for t := range unseeded {
+		unseeded[t] = -1
+	}
+	pk.initWarm(unseeded)
+}
+
+// With no task seeded, initWarm fills the slots in order with the
+// candidates in level order (ties to the lower index), and leaves the
+// rest unplaced. The fixture's levels are x 10, y 6 and z 2; a second
+// packet of levels 3, 7, 3, 7, 1 on three slots checks the tie order.
+func TestPacketWarmFillPicksHighestLevels(t *testing.T) {
 	pk, _ := packetFixture(t, 0.5, 0.5)
-	pk.initGreedy()
+	initHLF(pk)
 	// Slots take candidates in level order: x (10) then y (6).
 	if pk.taskAt[0] != 0 || pk.taskAt[1] != 1 {
-		t.Errorf("greedy mapping = %v", pk.taskAt)
+		t.Errorf("HLF mapping = %v", pk.taskAt)
 	}
 	if pk.procOf[2] != -1 {
-		t.Error("z selected by greedy init")
+		t.Error("z selected by the HLF fill")
+	}
+
+	g := taskgraph.New("ties")
+	var ready []taskgraph.TaskID
+	for _, load := range []float64{3, 7, 3, 7, 1} {
+		ready = append(ready, g.AddTask("t", load))
+	}
+	levels, _ := g.Levels()
+	topo, _ := topology.ChainTopo(3)
+	pk = newPacket(ready, []int{0, 1, 2}, func(taskgraph.TaskID) int { return -1 },
+		levels, topo, topology.DefaultCommParams(), g, 0.5, 0.5)
+	initHLF(pk)
+	if want := []int{1, 3, 0}; !slices.Equal(pk.taskAt, want) {
+		t.Errorf("HLF mapping with ties = %v, want %v", pk.taskAt, want)
 	}
 }
 
@@ -151,7 +179,8 @@ func unchangedBy(pk *packet, taskAt, procOf []int, fb, fc float64) bool {
 // packet; the rest are applied to a clone, so every delta is checked.
 func TestPropertyProposeDeltaConsistent(t *testing.T) {
 	rng := anneal.NewRand(32)
-	pk, _ := packetFixture(t, 0.4, 0.6)
+	fix, _ := packetFixture(t, 0.4, 0.6)
+	pk := reference(fix)
 	pk.initRandom(rng)
 	var clone packet
 	for move := 0; move < 500; move++ {
@@ -162,14 +191,13 @@ func TestPropertyProposeDeltaConsistent(t *testing.T) {
 		if !ok {
 			t.Fatal("no move possible")
 		}
-		if !unchangedBy(pk, taskAt, procOf, fb, fc) {
+		if !unchangedBy(pk.packet, taskAt, procOf, fb, fc) {
 			t.Fatalf("move %d: Propose changed the state", move)
 		}
 		applied := pk
 		if move%2 == 0 { // rejected: the packet keeps its state
-			clone.cloneFrom(pk)
-			clone.moveI, clone.moveJ, clone.moveCur, clone.moveOther = pk.moveI, pk.moveJ, pk.moveCur, pk.moveOther
-			applied = &clone
+			clone.cloneFrom(pk.packet)
+			applied = &refPacket{&clone, pk.moveI, pk.moveJ, pk.moveCur, pk.moveOther}
 		}
 		applied.Apply()
 		if after := applied.Cost(); math.Abs((after-before)-delta) > 1e-9 {
@@ -184,7 +212,8 @@ func TestPropertyProposeDeltaConsistent(t *testing.T) {
 // unapplied proposal changes nothing.
 func TestPropertyMappingInvariants(t *testing.T) {
 	rng := anneal.NewRand(33)
-	pk, _ := packetFixture(t, 0.5, 0.5)
+	fix, _ := packetFixture(t, 0.5, 0.5)
+	pk := reference(fix)
 	pk.initRandom(rng)
 	countPlaced := func() int {
 		n := 0
@@ -207,7 +236,7 @@ func TestPropertyMappingInvariants(t *testing.T) {
 			t.Fatal("no move")
 		}
 		if move%3 == 0 {
-			if !unchangedBy(pk, taskAt, procOf, fb, fc) {
+			if !unchangedBy(pk.packet, taskAt, procOf, fb, fc) {
 				t.Fatalf("move %d: unapplied proposal changed the state", move)
 			}
 		} else {
@@ -221,8 +250,9 @@ func TestPropertyMappingInvariants(t *testing.T) {
 
 func TestPacketSaveRestoreBest(t *testing.T) {
 	rng := anneal.NewRand(34)
-	pk, _ := packetFixture(t, 0.5, 0.5)
-	pk.initGreedy()
+	fix, _ := packetFixture(t, 0.5, 0.5)
+	initHLF(fix)
+	pk := reference(fix)
 	pk.SaveBest()
 	costBefore := pk.Cost()
 	procOf := slices.Clone(pk.procOf)
@@ -264,8 +294,8 @@ func TestPacketSingleTaskSingleProcHasNoMoves(t *testing.T) {
 	topo, _ := topology.ChainTopo(2)
 	pk := newPacket([]taskgraph.TaskID{a}, []int{0}, func(taskgraph.TaskID) int { return -1 },
 		levels, topo, topology.DefaultCommParams(), g, 0.5, 0.5)
-	pk.initGreedy()
-	if _, ok := pk.Propose(anneal.NewRand(1)); ok {
+	initHLF(pk)
+	if _, ok := reference(pk).Propose(anneal.NewRand(1)); ok {
 		t.Error("move proposed on a 1x1 packet")
 	}
 }
@@ -279,18 +309,19 @@ func TestPacketSingleProcMovesSwapTasks(t *testing.T) {
 	topo, _ := topology.ChainTopo(2)
 	pk := newPacket([]taskgraph.TaskID{a, b}, []int{0}, func(taskgraph.TaskID) int { return -1 },
 		levels, topo, topology.DefaultCommParams(), g, 1, 0)
-	pk.initGreedy() // a (level 5) on the slot
+	initHLF(pk) // a (level 5) on the slot
+	ref := reference(pk)
 	rng := anneal.NewRand(35)
 	for i := 0; i < 20; i++ {
 		incumbent := pk.taskAt[0]
-		_, ok := pk.Propose(rng)
+		_, ok := ref.Propose(rng)
 		if !ok {
 			t.Fatal("no move")
 		}
 		if pk.taskAt[0] != incumbent {
 			t.Fatal("Propose changed the incumbent")
 		}
-		pk.Apply()
+		ref.Apply()
 		if pk.taskAt[0] != 1-incumbent {
 			t.Fatalf("slot holds %d after the move, want the other task", pk.taskAt[0])
 		}
@@ -343,7 +374,7 @@ func TestPacketFullSelectionBalanceRange(t *testing.T) {
 		return -1
 	}
 	idle := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
-	pk := newPacket(ready, idle, locate, levels, topo, topology.DefaultCommParams(), g, 0.5, 0.5)
+	pk := reference(newPacket(ready, idle, locate, levels, topo, topology.DefaultCommParams(), g, 0.5, 0.5))
 	if pk.dFb != 1 {
 		t.Fatalf("ΔFb = %g, want 1", pk.dFb)
 	}

@@ -16,14 +16,15 @@ type Options struct {
 	// cost function (eq. 6). The paper requires Wb + Wc = 1 and uses
 	// Wb = Wc = 0.5 for its Figure 1.
 	Wb, Wc float64
-	// Anneal configures the annealing engine per packet. Zero-valued
-	// fields are filled with packet-size-dependent defaults.
-	Anneal anneal.Options
+	// Cooling is the temperature schedule every packet anneals on; nil
+	// means the paper's 60-stage geometric schedule (anneal.DefaultOptions).
+	// The rest of the paper's §6a schedule is fixed: 2·n·p moves per stage
+	// for a packet of n candidates on p idle processors, clamped to
+	// 20–400, a plateau stop after 5 stages within 1e-12, and a 20 000-move
+	// cap per run.
+	Cooling anneal.Cooling
 	// Seed drives all stochastic choices; equal seeds give equal schedules.
 	Seed int64
-	// GreedyInit starts each packet from the HLF mapping instead of a
-	// random one.
-	GreedyInit bool
 	// RecordTrace keeps the per-move cost trajectories (Fb, Fc, Ftot) of
 	// every packet, as plotted in the paper's Figure 1. With restarts,
 	// the trace of the winning (lowest-cost) restart is kept.
@@ -103,14 +104,8 @@ const temperRatio = 1.5
 const defaultAbandonAfter = 5
 
 // DefaultOptions returns the configuration used for the Table 2
-// reproduction: equal weights and the default annealing engine with a
-// packet-size-adaptive move budget (MovesPerStage is left zero so
-// fillAnnealDefaults scales it per packet).
-func DefaultOptions() Options {
-	opt := Options{Wb: 0.5, Wc: 0.5, Anneal: anneal.DefaultOptions()}
-	opt.Anneal.MovesPerStage = 0
-	return opt
-}
+// reproduction: equal weights on the paper's cooling schedule.
+func DefaultOptions() Options { return Options{Wb: 0.5, Wc: 0.5} }
 
 // Validate reports whether the options are usable.
 func (o Options) Validate() error {
@@ -476,74 +471,69 @@ func (s *Scheduler) anneal(pk *packet, aopt anneal.Options, report *PacketReport
 // another stage follows; run.st states the stage, plateau, move-cap and
 // keep-best rules.
 //
-// An untraced packet anneals the stage in one call to an anneal kernel:
-// anneal.Column.Stage when it has one idle processor and a candidate on
-// it (four in five annealing moves of the catalog programs, PERFORMANCE.md
-// §25), and anneal.Grid.Stage when it has two or more. Each makes the
-// moves of the packet's Propose, decided as anneal.Accept decides and
-// committed as Apply commits, with the same draws and float expressions,
-// inline and without a branch on the decision, so every path gives the
-// same answers to the bit (FuzzStageMatchesMinimize).
-//
-// A traced run takes the general loop at every packet shape: each move is
-// the packet's Propose, decided by anneal.Accept and committed by Apply,
-// with the counters in locals, and appends its TracePoint to run.trace.
+// Every move runs in an anneal kernel: anneal.Column.Stage when the packet
+// has one idle processor (four in five annealing moves of the catalog
+// programs, PERFORMANCE.md §25), and anneal.Grid.Stage when it has two or
+// more. Each makes the packet's §5.2a moves with their draws, eq. 1
+// decision and update inline and without a branch on the decision. The
+// tests keep the packet's Propose, anneal.Accept and Apply as the
+// reference, which gives the same answers to the bit
+// (FuzzStageMatchesMinimize). An untraced stage is one kernel call; a
+// traced one calls the kernel for one move at a time and appends each
+// move's TracePoint to run.trace. A packet of one candidate on one
+// processor has no other mapping, so its run ends in its first stage with
+// no move.
 func (s *Scheduler) annealStage(run *restartRun) bool {
 	temp, inv, budget, ok := run.st.Begin()
 	if !ok {
 		return false
 	}
-	pk, rng, trace := run.cur, run.rng, s.opt.RecordTrace
+	pk, rng := run.cur, run.rng
 	n, p := len(pk.tasks), len(pk.procs)
+	trace, step, iter, accepted := s.opt.RecordTrace, budget, run.st.Moves, 0
+	if trace {
+		step = 1
+	}
 	switch {
-	case trace: // the general loop below
-	case p == 1 && n >= 2 && pk.taskAt[0] >= 0:
+	case n == 1 && p == 1:
+		return run.st.End(run.st.Cost, run.st.BestCost, 0, 0, true)
+	case p == 1:
+		// Every init fills the slot; the kernel reads column 0 of the tables.
 		init := pk.taskAt[0]
-		col := anneal.Column{ // p = 1: column 0 of the tables
+		col := anneal.Column{
 			C: pk.contrib[:n], Level: pk.level[:n], Comm: pk.commCost[:n], N: pk.drawN, N1: pk.drawN1,
 			Cur: init, Fb: pk.rawFb, Fc: pk.rawFc, Cost: run.st.Cost, Best: run.st.BestCost,
 			BestCur: pk.bestTaskAt[0], BestFb: pk.bestFb, BestFc: pk.bestFc,
 		}
-		accepted := col.Stage(rng, temp, inv, budget)
+		for k := 0; k < budget; k += step {
+			a := col.Stage(rng, temp, inv, step)
+			accepted += a
+			if trace {
+				run.trace = append(run.trace, pk.tracePoint(iter+k, temp, col.Delta, col.Fb, col.Fc, a != 0))
+			}
+		}
 		pk.procOf[init], pk.procOf[col.Cur], pk.taskAt[0] = -1, 0, col.Cur
 		pk.rawFb, pk.rawFc = col.Fb, col.Fc
 		pk.bestTaskAt[0], pk.bestFb, pk.bestFc = col.BestCur, col.BestFb, col.BestFc // SaveBest
 		return run.st.End(col.Cost, col.Best, budget, accepted, false)
-	case p >= 2 && n >= 1:
+	default:
 		gr := anneal.Grid{
 			C: pk.contrib, Comm: pk.commCost, Level: pk.level, TaskAt: pk.taskAt, ProcOf: pk.procOf,
 			N: pk.drawN, P: pk.drawP, P1: pk.drawP1,
 			Fb: pk.rawFb, Fc: pk.rawFc, Cost: run.st.Cost, Best: run.st.BestCost,
 			BestTaskAt: pk.bestTaskAt, BestFb: pk.bestFb, BestFc: pk.bestFc,
 		}
-		accepted := gr.Stage(rng, temp, inv, budget)
+		for k := 0; k < budget; k += step {
+			a := gr.Stage(rng, temp, inv, step)
+			accepted += a
+			if trace {
+				run.trace = append(run.trace, pk.tracePoint(iter+k, temp, gr.Delta, gr.Fb, gr.Fc, a != 0))
+			}
+		}
 		pk.rawFb, pk.rawFc = gr.Fb, gr.Fc
 		pk.bestFb, pk.bestFc = gr.BestFb, gr.BestFc // SaveBest; the kernel copied bestTaskAt
 		return run.st.End(gr.Cost, gr.Best, budget, accepted, false)
 	}
-	cost, best, iter := run.st.Cost, run.st.BestCost, run.st.Moves
-	moves, accepted, exhausted := 0, 0, false
-	for ; moves < budget; moves++ {
-		delta, ok := pk.Propose(rng)
-		if !ok {
-			exhausted = true
-			break
-		}
-		acc := anneal.Accept(rng.Float64(), delta, temp, inv)
-		if acc {
-			pk.Apply()
-			accepted++
-			cost += delta
-			if cost < best {
-				best = cost
-				pk.SaveBest()
-			}
-		}
-		if trace {
-			run.trace = append(run.trace, pk.tracePoint(iter+moves, temp, delta, pk.rawFb, pk.rawFc, acc))
-		}
-	}
-	return run.st.End(cost, best, moves, accepted, exhausted)
 }
 
 // stopAtBarrier polls Stop at a stage barrier with the epoch's simulation
@@ -585,19 +575,16 @@ func (s *Scheduler) abandonLagging(runs []restartRun, after int, report *PacketR
 	}
 }
 
-// initPacket fills a freshly reset (or cleared) packet's initial mapping
-// according to the scheduler options: the warm seed when one is active,
-// else HLF-greedy or random. All three are deterministic for a fixed RNG
-// stream position.
+// initPacket fills a freshly reset (or cleared) packet's initial mapping:
+// from the warm seed when one is active, else at random. Both are
+// deterministic for a fixed RNG stream position, and both fill min(n, p)
+// slots.
 func (s *Scheduler) initPacket(pk *packet, rng *anneal.Rand) {
-	switch {
-	case s.warmOK:
+	if s.warmOK {
 		pk.initWarm(s.opt.Warm.Assignment)
-	case s.opt.GreedyInit:
-		pk.initGreedy()
-	default:
-		pk.initRandom(rng)
+		return
 	}
+	pk.initRandom(rng)
 }
 
 // warmSkipFrac is the fraction of the cooling schedule a zero-distance
@@ -712,36 +699,29 @@ func (c *stageTemps) Temperature(stage int) float64 {
 	return c.temps[stage]
 }
 
-// fillAnnealDefaults completes the annealing options with packet-scaled
-// values: the number of elementary moves per temperature grows with the
-// mapping's neighborhood size. The cooling schedule is the solve's cached
-// one (Options.Anneal.Cooling, or the paper's 60-stage geometric default).
+// paperCooling is the paper's cooling schedule, boxed once so that a
+// solve on it does not allocate.
+var paperCooling = anneal.DefaultOptions().Cooling
+
+// fillAnnealDefaults returns the annealing options of a packet of
+// numTasks candidates on numProcs idle processors: the paper's §6a
+// constants, with 2·n·p elementary moves per temperature (clamped to
+// 20–400) to match the mapping's neighbourhood size, on the solve's
+// cached cooling schedule (Options.Cooling, or the paper's).
 func (s *Scheduler) fillAnnealDefaults(numTasks, numProcs int) anneal.Options {
-	aopt := s.opt.Anneal
 	if s.temps.Cooling == nil {
-		s.temps.Cooling, s.temps.n = aopt.Cooling, 0
+		s.temps.Cooling, s.temps.n = s.opt.Cooling, 0
 		if s.temps.Cooling == nil {
-			s.temps.Cooling = anneal.Geometric{T0: 1, Alpha: 0.9, NumStages: 60}
+			s.temps.Cooling = paperCooling
 		}
 	}
-	aopt.Cooling = &s.temps
-	if aopt.MovesPerStage <= 0 {
-		moves := 2 * numTasks * numProcs
-		if moves < 20 {
-			moves = 20
-		}
-		if moves > 400 {
-			moves = 400
-		}
-		aopt.MovesPerStage = moves
+	return anneal.Options{
+		Cooling:       &s.temps,
+		MovesPerStage: min(max(2*numTasks*numProcs, 20), 400),
+		PlateauStages: 5,
+		PlateauEps:    1e-12,
+		MaxMoves:      20000,
 	}
-	if aopt.PlateauStages == 0 {
-		aopt.PlateauStages = 5
-	}
-	if aopt.MaxMoves == 0 {
-		aopt.MaxMoves = 20000
-	}
-	return aopt
 }
 
 // AvgCandidates returns the mean number of ready candidates per packet

@@ -217,21 +217,6 @@ func TestSchedulerTraceRecording(t *testing.T) {
 	}
 }
 
-func TestSchedulerGreedyInit(t *testing.T) {
-	g, err := taskgraph.ForkJoin("fj", 6, 10, 1, 40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	topo, _ := topology.Hypercube(2)
-	opt := DefaultOptions()
-	opt.Seed = 13
-	opt.GreedyInit = true
-	res, _ := runSA(t, g, topo, topology.DefaultCommParams(), opt)
-	if res.Makespan <= 0 || res.Forced != 0 {
-		t.Errorf("greedy init run failed: %+v", res)
-	}
-}
-
 func TestSchedulerCustomAnnealOptions(t *testing.T) {
 	g, err := taskgraph.ForkJoin("fj", 6, 10, 1, 40)
 	if err != nil {
@@ -240,20 +225,12 @@ func TestSchedulerCustomAnnealOptions(t *testing.T) {
 	topo, _ := topology.Hypercube(2)
 	opt := DefaultOptions()
 	opt.Seed = 17
-	opt.Anneal = anneal.Options{
-		Cooling:       anneal.Linear{T0: 0.5, NumStages: 10},
-		MovesPerStage: 15,
-		PlateauStages: 3,
-		MaxMoves:      1000,
-	}
+	opt.Cooling = anneal.Linear{T0: 0.5, NumStages: 10}
 	res, sched := runSA(t, g, topo, topology.DefaultCommParams(), opt)
 	if res.Makespan <= 0 {
 		t.Fatal("no makespan")
 	}
 	for _, p := range sched.Packets() {
-		if p.Moves > 1000 {
-			t.Errorf("packet exceeded move cap: %d", p.Moves)
-		}
 		if p.Stages > 10 {
 			t.Errorf("packet exceeded stages: %d", p.Stages)
 		}
@@ -273,7 +250,7 @@ func TestResetRebindsCachedCooling(t *testing.T) {
 	paper := DefaultOptions()
 	paper.Seed = 3
 	hot := paper
-	hot.Anneal.Cooling = anneal.Linear{T0: 4, NumStages: 30}
+	hot.Cooling = anneal.Linear{T0: 4, NumStages: 30}
 	arena := NewSchedulerArena()
 	for _, opt := range []Options{paper, hot, paper} {
 		if err := arena.Reset(g, topo, comm, opt); err != nil {
@@ -285,11 +262,11 @@ func TestResetRebindsCachedCooling(t *testing.T) {
 		}
 		want, fresh := runSA(t, g, topo, comm, opt)
 		if got.Makespan != want.Makespan || len(arena.Packets()) != len(fresh.Packets()) {
-			t.Fatalf("%v: arena makespan %v over %d packets, fresh %v over %d", opt.Anneal.Cooling, got.Makespan, len(arena.Packets()), want.Makespan, len(fresh.Packets()))
+			t.Fatalf("%v: arena makespan %v over %d packets, fresh %v over %d", opt.Cooling, got.Makespan, len(arena.Packets()), want.Makespan, len(fresh.Packets()))
 		}
 		for k, rep := range arena.Packets() {
 			if !sameReport(rep, fresh.Packets()[k]) {
-				t.Fatalf("%v: packet %d reports %+v, fresh scheduler %+v", opt.Anneal.Cooling, k, rep, fresh.Packets()[k])
+				t.Fatalf("%v: packet %d reports %+v, fresh scheduler %+v", opt.Cooling, k, rep, fresh.Packets()[k])
 			}
 		}
 	}

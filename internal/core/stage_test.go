@@ -50,14 +50,21 @@ func syntheticPacket(rng *anneal.Rand, n, p int) *packet {
 
 // FuzzStageMatchesMinimize holds the scheduler's annealing loop equal to
 // anneal.Minimize, which anneals a clone of the same packet through the
-// anneal.Problem interface, over random packets (n in 1..128 at p = 1,
+// reference move (refPacket), over random packets (n in 1..128 at p = 1,
 // n and p in 1..12 otherwise), random seeds, a plain or warm-offset
 // cooling schedule, an optional plateau rule and small move budgets and
 // caps: the same final mapping, running components and FinalCost to the
 // bit, equal Moves, Accepted, Stages and PlateauStop, and both RNG
-// streams at the same position.
+// streams at the same position. A third clone anneals with RecordTrace
+// on, which steps the kernels one move at a time: it must end with the
+// untraced run's report, mapping and RNG position, and its trace must
+// hold one point per move, numbered 0..Moves−1, marked accepted as often
+// as the report counts.
 func FuzzStageMatchesMinimize(f *testing.F) {
+	// 1 × 1 packets, which have no move: on the plain schedule, and on a
+	// warm-offset one with a plateau rule and a cap.
 	f.Add(int64(1), uint8(0), uint8(0), uint16(19), uint16(0), uint8(0))
+	f.Add(int64(2), uint8(128), uint8(12), uint16(5), uint16(7), uint8(0x07))
 	f.Add(int64(7), uint8(88), uint8(0), uint16(179), uint16(0), uint8(0x0b))
 	f.Add(int64(42), uint8(13), uint8(0), uint16(40), uint16(37), uint8(0x31))
 	f.Add(int64(1991), uint8(126), uint8(0), uint16(399), uint16(2500), uint8(0xfe))
@@ -79,8 +86,9 @@ func FuzzStageMatchesMinimize(f *testing.F) {
 			n = int(nRaw)%128 + 1
 		}
 		pk := syntheticPacket(anneal.NewRand(seed), n, p)
-		ref := &packet{}
+		ref, traced := &packet{}, &packet{}
 		ref.cloneFrom(pk)
+		traced.cloneFrom(pk)
 
 		var cooling anneal.Cooling = anneal.Geometric{T0: 1, Alpha: 0.9, NumStages: 60}
 		if flags&1 == 1 {
@@ -100,7 +108,7 @@ func FuzzStageMatchesMinimize(f *testing.F) {
 		refRng := anneal.NewRand(seed + 1)
 		ropt := aopt
 		ropt.RNG = refRng
-		res, err := anneal.Minimize(ref, ropt)
+		res, err := anneal.Minimize(reference(ref), ropt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -113,17 +121,43 @@ func FuzzStageMatchesMinimize(f *testing.F) {
 			t.Fatalf("n=%d p=%d: loop mapping %v (Fb %v, Fc %v), Minimize %v (Fb %v, Fc %v)",
 				n, p, pk.taskAt, pk.Fb(), pk.Fc(), ref.taskAt, ref.Fb(), ref.Fc())
 		}
-		if a, b := s.rng.Int63(), refRng.Int63(); a != b {
+
+		ts := &Scheduler{rng: anneal.NewRand(seed + 1)}
+		ts.opt.RecordTrace = true
+		var trep PacketReport
+		ts.anneal(traced, aopt, &trep)
+		if !sameReport(trep, rep) || !slices.Equal(traced.taskAt, pk.taskAt) || !slices.Equal(traced.procOf, pk.procOf) ||
+			math.Float64bits(traced.Fb()) != math.Float64bits(pk.Fb()) || math.Float64bits(traced.Fc()) != math.Float64bits(pk.Fc()) {
+			t.Fatalf("n=%d p=%d: traced run %+v with mapping %v, untraced %+v with %v", n, p, trep, traced.taskAt, rep, pk.taskAt)
+		}
+		if len(trep.Trace) != rep.Moves {
+			t.Fatalf("n=%d p=%d: %d trace points for %d moves", n, p, len(trep.Trace), rep.Moves)
+		}
+		accepted := 0
+		for k, tp := range trep.Trace {
+			if tp.Iter != k {
+				t.Fatalf("n=%d p=%d: trace point %d has Iter %d", n, p, k, tp.Iter)
+			}
+			if tp.Accepted {
+				accepted++
+			}
+		}
+		if accepted != rep.Accepted {
+			t.Fatalf("n=%d p=%d: trace marks %d moves accepted, the report %d", n, p, accepted, rep.Accepted)
+		}
+
+		if a, b, c := s.rng.Int63(), refRng.Int63(), ts.rng.Int63(); a != b || a != c {
 			t.Fatalf("n=%d p=%d: RNG streams diverged", n, p)
 		}
 	})
 }
 
-// The stage accounting at its two edges, on both branches of the loop. A
-// MaxMoves budget used up exactly at a stage's end stops the run one
-// empty stage later, which the report counts; one used up inside a stage
-// stops it in that stage. A packet with no alternative mapping (one
-// candidate, one processor) ends in its first stage with no move.
+// The stage accounting at its two edges, in both kernels, untraced and
+// traced. A MaxMoves budget used up exactly at a stage's end stops the run
+// one empty stage later, which the report counts; one used up inside a
+// stage stops it in that stage. A packet with no alternative mapping (one
+// candidate, one processor) ends in its first stage with no move. A
+// traced run ends with the same report and one trace point per move.
 func TestStageAccountingEdges(t *testing.T) {
 	cases := []struct {
 		name          string
@@ -139,22 +173,31 @@ func TestStageAccountingEdges(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			pk := syntheticPacket(anneal.NewRand(3), c.n, c.p)
-			initial := pk.Cost()
-			s := &Scheduler{rng: anneal.NewRand(4)}
-			aopt := anneal.Options{
-				Cooling:       anneal.Geometric{T0: 1, Alpha: 0.9, NumStages: 60},
-				MovesPerStage: c.perStage,
-				MaxMoves:      c.cap,
-			}
-			var rep PacketReport
-			s.anneal(pk, aopt, &rep)
-			if rep.Stages != c.stages || rep.Moves != c.moves || rep.PlateauStop {
-				t.Fatalf("%d stages, %d moves, plateau stop %v; want %d stages, %d moves",
-					rep.Stages, rep.Moves, rep.PlateauStop, c.stages, c.moves)
-			}
-			if c.moves == 0 && math.Float64bits(rep.FinalCost) != math.Float64bits(initial) {
-				t.Fatalf("FinalCost %v, want the initial cost %v", rep.FinalCost, initial)
+			var untraced PacketReport
+			for _, trace := range []bool{false, true} {
+				pk := syntheticPacket(anneal.NewRand(3), c.n, c.p)
+				initial := pk.Cost()
+				s := &Scheduler{rng: anneal.NewRand(4)}
+				s.opt.RecordTrace = trace
+				aopt := anneal.Options{
+					Cooling:       anneal.Geometric{T0: 1, Alpha: 0.9, NumStages: 60},
+					MovesPerStage: c.perStage,
+					MaxMoves:      c.cap,
+				}
+				var rep PacketReport
+				s.anneal(pk, aopt, &rep)
+				if rep.Stages != c.stages || rep.Moves != c.moves || rep.PlateauStop {
+					t.Fatalf("traced %v: %d stages, %d moves, plateau stop %v; want %d stages, %d moves",
+						trace, rep.Stages, rep.Moves, rep.PlateauStop, c.stages, c.moves)
+				}
+				if c.moves == 0 && math.Float64bits(rep.FinalCost) != math.Float64bits(initial) {
+					t.Fatalf("traced %v: FinalCost %v, want the initial cost %v", trace, rep.FinalCost, initial)
+				}
+				if !trace {
+					untraced = rep
+				} else if !sameReport(rep, untraced) || len(rep.Trace) != rep.Moves {
+					t.Fatalf("traced run %+v with %d trace points, untraced %+v", rep, len(rep.Trace), untraced)
+				}
 			}
 		})
 	}

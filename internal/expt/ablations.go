@@ -94,7 +94,7 @@ func AblationCooling(progKey string, arch Arch, seed int64) ([]CoolingPoint, err
 		cs := schedules[k]
 		opt := core.DefaultOptions()
 		opt.Seed = seed
-		opt.Anneal.Cooling = cs
+		opt.Cooling = cs
 		res, sched, err := RunSA(prog.Build(), arch.Topo, comm, opt, machsim.Options{})
 		if err != nil {
 			return err
