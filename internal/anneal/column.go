@@ -150,9 +150,7 @@ func (col *Column) Stage(r *Rand, temp, inv float64, budget int) (accepted int) 
 		cost = pick(m, cost+delta, cost)
 		cur ^= (cur ^ i) & int(m)
 		accepted += int(a)
-		// Only an accepted move may save: a replica exchange can leave
-		// Cost below Best until the next acceptance.
-		if cost < best && a != 0 {
+		if cost < best {
 			best = cost
 			col.BestCur, col.BestFb, col.BestFc = cur, fb, fc
 		}

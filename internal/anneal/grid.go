@@ -149,9 +149,7 @@ func (gr *Grid) Stage(r *Rand, temp, inv float64, budget int) (accepted int) {
 		procOf[ot] = pot ^ (pot^cur)&io
 		procOf[i] = cur ^ (cur^j)&im
 		accepted += int(a)
-		// Only an accepted move may save: a replica exchange can leave
-		// Cost below Best until the next acceptance.
-		if cost < best && a != 0 {
+		if cost < best {
 			best = cost
 			copy(gr.BestTaskAt, taskAt)
 			gr.BestFb, gr.BestFc = fb, fc

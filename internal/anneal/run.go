@@ -29,8 +29,7 @@ import "math"
 type Run struct {
 	Result
 	// Cost is the current cost, the initial cost plus every accepted
-	// delta. A replica exchange that swaps states between runs swaps
-	// their Costs too.
+	// delta. It never drops below BestCost.
 	Cost float64
 
 	opt  Options

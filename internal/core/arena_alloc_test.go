@@ -10,10 +10,10 @@ import (
 )
 
 // Restarts keep their workspaces in the scheduler arena: packet clones,
-// RNGs, stage bookkeeping and tempering rungs are reused across packets
-// and solves. Through one reused core.Scheduler and machsim.Arena, a
-// Restarts=4 solve in every restart mode allocates at most two more times
-// than a single run.
+// RNGs and stage bookkeeping are reused across packets and solves.
+// Through one reused core.Scheduler and machsim.Arena, a Restarts=4 solve
+// in every restart mode allocates at most two more times than a single
+// run.
 func TestRestartModesArenaAllocs(t *testing.T) {
 	g, err := cliutil.BuildProgram("NE")
 	if err != nil {
@@ -46,23 +46,15 @@ func TestRestartModesArenaAllocs(t *testing.T) {
 	base := core.DefaultOptions()
 	base.Seed = 7
 	single := allocs(base)
-	for _, mode := range []struct {
-		name              string
-		cooperative, temp bool
-	}{
-		{"independent", false, false},
-		{"cooperative", true, false},
-		{"tempering", false, true},
-	} {
+	for _, cooperative := range []bool{false, true} {
 		opt := base
 		opt.Restarts = 4
-		opt.Cooperative = mode.cooperative
-		opt.Tempering = mode.temp
+		opt.Cooperative = cooperative
 		if got := allocs(opt); got > single+2 {
-			t.Errorf("%s Restarts=4: %.1f allocs/solve, single run %.1f; want at most %.1f",
-				mode.name, got, single, single+2)
+			t.Errorf("cooperative=%v Restarts=4: %.1f allocs/solve, single run %.1f; want at most %.1f",
+				cooperative, got, single, single+2)
 		} else {
-			t.Logf("%s Restarts=4: %.1f allocs/solve (single run %.1f)", mode.name, got, single)
+			t.Logf("cooperative=%v Restarts=4: %.1f allocs/solve (single run %.1f)", cooperative, got, single)
 		}
 	}
 }

@@ -145,9 +145,6 @@ func TestCooperativeAbandonsDominatedRestarts(t *testing.T) {
 	sum := 0
 	for _, p := range sched.Packets() {
 		sum += p.Abandoned
-		if p.Exchanges != 0 {
-			t.Errorf("packet at %g: %d exchanges outside tempering mode", p.Time, p.Exchanges)
-		}
 	}
 	if sum != sched.RestartsAbandoned() {
 		t.Errorf("packet Abandoned sum %d != scheduler total %d", sum, sched.RestartsAbandoned())
@@ -167,51 +164,6 @@ func TestCooperativeAbandonsDominatedRestarts(t *testing.T) {
 	}
 	if sa, sf := stages(sched), stages(fsched); sa >= sf {
 		t.Errorf("abandonment did not save work: %d stages with patience 2 vs %d without", sa, sf)
-	}
-}
-
-// Tempering: deterministic across runs and worker counts, with replica
-// exchanges actually occurring, and no abandonment (the ladder must stay
-// fully populated).
-func TestTemperingDeterministicWithExchanges(t *testing.T) {
-	g, topo, comm := coopFixture(t)
-	opt := DefaultOptions()
-	opt.Seed = 19
-	opt.Restarts = 4
-	opt.Tempering = true
-
-	old := runtime.GOMAXPROCS(0)
-	defer runtime.GOMAXPROCS(old)
-
-	var ref *machsim.Result
-	var refExch int
-	for _, procs := range []int{1, 8} {
-		runtime.GOMAXPROCS(procs)
-		res, sched := coopRun(t, g, topo, comm, opt)
-		if sched.RestartsAbandoned() != 0 {
-			t.Fatalf("tempering abandoned %d restarts, want 0", sched.RestartsAbandoned())
-		}
-		if ref == nil {
-			ref, refExch = res, sched.Exchanges()
-			if refExch == 0 {
-				t.Error("no replica exchanges accepted over a full run")
-			}
-			if name := sched.Name(); name != "SA(pt r=4)" {
-				t.Errorf("Name() = %q", name)
-			}
-			sum := 0
-			for _, p := range sched.Packets() {
-				sum += p.Exchanges
-			}
-			if sum != refExch {
-				t.Errorf("packet Exchanges sum %d != scheduler total %d", sum, refExch)
-			}
-			continue
-		}
-		sameSchedule(t, "tempering", ref, res)
-		if n := sched.Exchanges(); n != refExch {
-			t.Fatalf("GOMAXPROCS=%d accepted %d exchanges, reference %d", procs, n, refExch)
-		}
 	}
 }
 

@@ -222,18 +222,6 @@ func (pk *packet) adoptMapping(src *packet) {
 	pk.rawFb, pk.rawFc = src.rawFb, src.rawFc
 }
 
-// swapCurrent exchanges the current mapping state of two clones sharing
-// the same cost tables — a parallel-tempering replica exchange. Only the
-// slice headers and running cost components move (O(1), no copying);
-// each packet keeps its own best-state double buffer, which stays valid
-// because a best snapshot bounds whatever current state the packet holds.
-func (pk *packet) swapCurrent(other *packet) {
-	pk.taskAt, other.taskAt = other.taskAt, pk.taskAt
-	pk.procOf, other.procOf = other.procOf, pk.procOf
-	pk.rawFb, other.rawFb = other.rawFb, pk.rawFb
-	pk.rawFc, other.rawFc = other.rawFc, pk.rawFc
-}
-
 // comm returns the eq.-5 cost of candidate i on processor slot j.
 func (pk *packet) comm(i, j int) float64 { return pk.commCost[i*pk.np+j] }
 

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/anneal"
 	"repro/internal/machsim"
@@ -47,15 +46,6 @@ type Options struct {
 	// restart order, never by wall clock, so cooperative schedules are
 	// byte-identical at any GOMAXPROCS or worker count.
 	Cooperative bool
-	// Tempering layers parallel tempering onto the restarts' barriers:
-	// restart r anneals on the base cooling schedule scaled by
-	// temperRatio^r (a temperature ladder), and after every stage
-	// adjacent live replicas attempt a Metropolis state exchange drawn
-	// from a dedicated seed-derived RNG. Exchanges move good states
-	// toward the cold end of the ladder while hot replicas keep
-	// exploring. Early abandonment is disabled so every rung stays live.
-	// Deterministic under the same argument as Cooperative.
-	Tempering bool
 	// AbandonAfter is the cooperative patience in stage barriers. 0
 	// means the default (5); negative disables abandonment (restarts
 	// still share the barrier schedule and incumbent).
@@ -94,11 +84,6 @@ type WarmStart struct {
 	// degrades to an almost-cold run.
 	Distance float64
 }
-
-// temperRatio is the geometric spacing of the parallel-tempering
-// temperature ladder: replica r runs temperRatio^r hotter than the base
-// schedule.
-const temperRatio = 1.5
 
 // defaultAbandonAfter is the cooperative patience when AbandonAfter is 0.
 const defaultAbandonAfter = 5
@@ -149,11 +134,8 @@ type PacketReport struct {
 	// Restart is the index of the winning restart (0 for single runs).
 	Restart int
 	// Abandoned counts restarts of this packet stopped early by the
-	// cooperative incumbent rule; Exchanges counts accepted
-	// parallel-tempering replica swaps. Both are zero outside
-	// cooperative and tempering restarts.
+	// cooperative incumbent rule; it is zero outside cooperative restarts.
 	Abandoned int
-	Exchanges int
 	Trace     []TracePoint // winning restart's trace; nil unless Options.RecordTrace
 }
 
@@ -178,12 +160,9 @@ type Scheduler struct {
 	// cached; every packet anneals on it.
 	temps stageTemps
 
-	// Restart-mode state: the replica-exchange RNG (re-seeded from the
-	// scheduler stream per packet) and run-level counters surfaced
-	// through RestartsAbandoned/Exchanges.
-	exchRng   *anneal.Rand
+	// abandoned totals the restarts stopped by the cooperative incumbent
+	// rule, surfaced through RestartsAbandoned.
 	abandoned int
-	exchanges int
 
 	// Warm-start state: warmOK is whether Options.Warm is usable for this
 	// binding (covers every task), warmSaved totals the cooling stages
@@ -207,10 +186,7 @@ type restartRun struct {
 	seeded *anneal.Rand
 	// st is the run's stage bookkeeping: stage, plateau, move budget and
 	// result.
-	st anneal.Run
-	// rung is the run's tempering schedule. st holds &rung, so the ladder
-	// is not boxed into an interface per packet.
-	rung  scaledCooling
+	st    anneal.Run
 	trace []TracePoint
 
 	// Barrier bookkeeping: whether the run has ended, and for how many
@@ -276,7 +252,6 @@ func (s *Scheduler) Reset(g *taskgraph.Graph, topo *topology.Topology, comm topo
 	}
 	s.temps.Cooling = nil // fillAnnealDefaults binds opt's schedule
 	s.abandoned = 0
-	s.exchanges = 0
 	s.warmOK = opt.Warm != nil && len(opt.Warm.Assignment) == g.NumTasks()
 	s.warmSaved = 0
 	s.epochTime = 0
@@ -288,10 +263,7 @@ func (s *Scheduler) Reset(g *taskgraph.Graph, topo *topology.Topology, comm topo
 // unambiguous about the configuration that produced a result.
 func (s *Scheduler) Name() string {
 	if s.opt.Restarts > 1 {
-		switch {
-		case s.opt.Tempering:
-			return fmt.Sprintf("SA(pt r=%d)", s.opt.Restarts)
-		case s.opt.Cooperative:
+		if s.opt.Cooperative {
 			return fmt.Sprintf("SA(coop r=%d)", s.opt.Restarts)
 		}
 		return fmt.Sprintf("SA(r=%d)", s.opt.Restarts)
@@ -305,10 +277,6 @@ func (s *Scheduler) Packets() []PacketReport { return s.packets }
 // RestartsAbandoned returns the total restarts stopped early by the
 // cooperative incumbent rule across all packets since the last Reset.
 func (s *Scheduler) RestartsAbandoned() int { return s.abandoned }
-
-// Exchanges returns the total accepted parallel-tempering replica swaps
-// across all packets since the last Reset.
-func (s *Scheduler) Exchanges() int { return s.exchanges }
 
 // WarmSavedStages returns the total cooling stages skipped by the
 // warm-start temperature offset across all packets since the last Reset —
@@ -365,16 +333,15 @@ func (s *Scheduler) Assign(ep *machsim.Epoch) []machsim.Assignment {
 // Every live run anneals one temperature stage per barrier (annealStage),
 // in restart order, on this goroutine. A run draws only from its own RNG,
 // so stepping the runs in turn gives each the stream it would see alone.
-// At every barrier the loop polls Stop; cooperative runs then share the
-// incumbent (abandonLagging), and tempering exchanges replica states. No
-// decision depends on timing, so equal seeds give equal schedules.
+// At every barrier the loop polls Stop, and cooperative runs then share
+// the incumbent (abandonLagging). No decision depends on timing, so equal
+// seeds give equal schedules.
 func (s *Scheduler) anneal(pk *packet, aopt anneal.Options, report *PacketReport) {
 	n := max(s.opt.Restarts, 1)
 	if len(s.runs) < n {
 		s.runs = append(s.runs, make([]restartRun, n-len(s.runs))...)
 	}
 	runs := s.runs[:n]
-	temper := n > 1 && s.opt.Tempering
 	for r := range runs {
 		run := &runs[r]
 		run.cur, run.rng = pk, s.rng
@@ -398,35 +365,19 @@ func (s *Scheduler) anneal(pk *packet, aopt anneal.Options, report *PacketReport
 				s.initPacket(&run.pk, run.rng)
 			}
 		}
-		ropt := aopt
-		if temper {
-			run.rung = scaledCooling{base: aopt.Cooling, scale: math.Pow(temperRatio, float64(r))}
-			ropt.Cooling = &run.rung
-		}
 		run.trace = run.trace[:0]
-		run.st.Start(ropt, run.cur.Cost(), run.cur)
+		run.st.Start(aopt, run.cur.Cost(), run.cur)
 		run.stopped, run.lag = false, 0
 	}
 	abandonAfter := 0
-	switch {
-	case temper:
-		// Every rung must stay live for exchanges to percolate good
-		// states toward the cold end, so abandonment is disabled. The
-		// exchange RNG's seed follows the restarts' seeds.
-		seed := s.rng.Int63()
-		if s.exchRng == nil {
-			s.exchRng = anneal.NewRand(seed)
-		} else {
-			s.exchRng.Seed(seed)
-		}
-	case n > 1 && s.opt.Cooperative:
+	if n > 1 && s.opt.Cooperative {
 		abandonAfter = s.opt.AbandonAfter
 		if abandonAfter == 0 {
 			abandonAfter = defaultAbandonAfter
 		}
 	}
 
-	for stage := 0; ; stage++ {
+	for {
 		live := false
 		for r := range runs {
 			if run := &runs[r]; !run.stopped {
@@ -439,9 +390,6 @@ func (s *Scheduler) anneal(pk *packet, aopt anneal.Options, report *PacketReport
 		}
 		if abandonAfter > 0 {
 			s.abandonLagging(runs, abandonAfter, report)
-		}
-		if temper {
-			s.exchangeReplicas(runs, stage, report)
 		}
 	}
 
@@ -629,52 +577,6 @@ func (c offsetCooling) Temperature(stage int) float64 {
 	return c.base.Temperature(stage + c.skip)
 }
 func (c offsetCooling) Stages() int { return c.base.Stages() - c.skip }
-
-// scaledCooling scales a base schedule's temperatures by a constant
-// factor — one rung of the parallel-tempering ladder.
-type scaledCooling struct {
-	base  anneal.Cooling
-	scale float64
-}
-
-func (c scaledCooling) Name() string {
-	return fmt.Sprintf("%s*%g", c.base.Name(), c.scale)
-}
-func (c scaledCooling) Temperature(stage int) float64 {
-	return c.scale * c.base.Temperature(stage)
-}
-func (c scaledCooling) Stages() int { return c.base.Stages() }
-
-// exchangeReplicas attempts the parallel-tempering swap between adjacent
-// live replicas after a stage — even pairs on even stages, odd pairs on
-// odd ones, so every rung couples with both neighbours over time. The
-// Metropolis rule on the inverse-temperature gap keeps the joint ladder
-// distribution invariant; the exchange RNG is seeded from the scheduler
-// stream and consumed only here, in index order, so swap decisions are
-// identical at any worker count.
-func (s *Scheduler) exchangeReplicas(runs []restartRun, stage int, report *PacketReport) {
-	for r := stage % 2; r+1 < len(runs); r += 2 {
-		a, b := &runs[r], &runs[r+1]
-		if a.stopped || b.stopped {
-			continue
-		}
-		ta := a.rung.Temperature(stage)
-		tb := b.rung.Temperature(stage)
-		if ta <= 0 || tb <= 0 {
-			continue
-		}
-		// Accept with prob min(1, exp((1/Ta - 1/Tb) * (Ea - Eb))): a
-		// better state always moves to the colder rung.
-		d := (1/ta - 1/tb) * (a.st.Cost - b.st.Cost)
-		if d < 0 && s.exchRng.Float64() >= math.Exp(d) {
-			continue
-		}
-		a.cur.swapCurrent(b.cur)
-		a.st.Cost, b.st.Cost = b.st.Cost, a.st.Cost
-		s.exchanges++
-		report.Exchanges++
-	}
-}
 
 // stageTemps is the solve's cooling schedule with its stage temperatures
 // cached. Every packet and restart of a solve anneals on the same base

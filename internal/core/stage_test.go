@@ -252,8 +252,8 @@ func TestBarrierPollsStopAfterKStages(t *testing.T) {
 
 // Recording the trace leaves the answers alone: a Newton-Euler solve on
 // the 3-cube (Figure 1's setting) gives the same schedule and packet
-// reports with and without RecordTrace, as a single run and as 4-restart
-// tempering. A single run's trace holds one point per move of the
+// reports with and without RecordTrace, as a single run and as 4
+// cooperative restarts. A single run's trace holds one point per move of the
 // packet, marked accepted exactly as often as the report counts.
 func TestTraceKeepsAnswers(t *testing.T) {
 	g := programs.NewtonEuler()
@@ -277,7 +277,7 @@ func TestTraceKeepsAnswers(t *testing.T) {
 		opt := DefaultOptions()
 		opt.Seed = 42
 		opt.Restarts = restarts
-		opt.Tempering = restarts > 1
+		opt.Cooperative = restarts > 1
 		makespan, reps := solve(opt)
 		opt.RecordTrace = true
 		tMakespan, tReps := solve(opt)

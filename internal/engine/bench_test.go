@@ -174,15 +174,16 @@ func TestEngineColdSolveAllocsBelowBaseline(t *testing.T) {
 
 // TestEngineColdSolveAllocsUntracedPin pins the tracing fast path: with no
 // trace in the context — the overwhelmingly common case — the engine's
-// cold solve must stay at the CI-guarded allocation baseline (27 allocs/op
-// recorded on the CI machine, tolerance 24). The stage-recording calls sit
-// behind nil-trace guards precisely so the observability layer costs
-// nothing when off; this test is what keeps those guards honest.
+// cold solve makes exactly the 28 allocs/op it made when last measured,
+// with no tolerance, so one new per-solve allocation fails here. The
+// stage-recording calls sit behind nil-trace guards precisely so the
+// observability layer costs nothing when off; this test is what keeps
+// those guards honest. A change that removes an allocation lowers the pin.
 func TestEngineColdSolveAllocsUntracedPin(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation counting in -short mode")
 	}
-	const budget = 27 + 24 // CI baseline + the benchjson guard's tolerance
+	const pin = 28
 	eng := New(Config{Workers: 1})
 	defer eng.Close()
 	job := coldJob(t)
@@ -195,9 +196,12 @@ func TestEngineColdSolveAllocsUntracedPin(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	t.Logf("untraced cold solve: %.1f allocs/op (budget %d)", got, budget)
-	if got > budget {
-		t.Fatalf("untraced cold solve allocates %.1f/op, over the guarded budget of %d — the disabled-trace fast path regressed", got, budget)
+	t.Logf("untraced cold solve: %.1f allocs/op (pin %d)", got, pin)
+	switch {
+	case got > pin:
+		t.Fatalf("untraced cold solve allocates %.1f/op, over the pin of %d — the disabled-trace fast path regressed", got, pin)
+	case got < pin:
+		t.Fatalf("untraced cold solve allocates %.1f/op, under the pin of %d — lower the pin", got, pin)
 	}
 }
 

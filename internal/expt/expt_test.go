@@ -325,43 +325,33 @@ func TestTable2EngineWorkerCounts(t *testing.T) {
 }
 
 // TestTable2CooperativeWorkerCounts pins the cooperative-annealing
-// acceptance matrix: with restarts sharing an incumbent (and, in the
-// second variant, exchanging replicas in tempering mode), the rendered
+// acceptance matrix: with restarts sharing an incumbent, the rendered
 // Table 2 must stay byte-identical at 1, 4 and 16 fan-out workers — the
-// abandonment rule and replica exchanges are functions of the seeds and
-// stage barriers alone, never of scheduling order.
+// abandonment rule is a function of the seeds and stage barriers alone,
+// never of scheduling order.
 func TestTable2CooperativeWorkerCounts(t *testing.T) {
-	for _, mode := range []struct {
-		name      string
-		tempering bool
-	}{
-		{name: "cooperative"},
-		{name: "tempering", tempering: true},
-	} {
-		t.Run(mode.name, func(t *testing.T) {
-			sa := core.DefaultOptions()
-			sa.Restarts = 6
-			sa.Cooperative = true
-			sa.Tempering = mode.tempering
-			cfg := Table2Config{Seed: 1991, Restarts: -1, SA: sa, Programs: []string{"NE"}}
-			var want string
-			for _, workers := range []int{1, 4, 16} {
-				cfg.Workers = workers
-				rows, err := Table2(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got := FormatTable2(rows)
-				if want == "" {
-					want = got
-					continue
-				}
-				if got != want {
-					t.Fatalf("workers=%d produced a different table:\n%s\nwant:\n%s", workers, got, want)
-				}
+	t.Run("cooperative", func(t *testing.T) {
+		sa := core.DefaultOptions()
+		sa.Restarts = 6
+		sa.Cooperative = true
+		cfg := Table2Config{Seed: 1991, Restarts: -1, SA: sa, Programs: []string{"NE"}}
+		var want string
+		for _, workers := range []int{1, 4, 16} {
+			cfg.Workers = workers
+			rows, err := Table2(cfg)
+			if err != nil {
+				t.Fatal(err)
 			}
-		})
-	}
+			got := FormatTable2(rows)
+			if want == "" {
+				want = got
+				continue
+			}
+			if got != want {
+				t.Fatalf("workers=%d produced a different table:\n%s\nwant:\n%s", workers, got, want)
+			}
+		}
+	})
 }
 
 // The pre-generated-population pattern: random-graph studies aggregate

@@ -182,7 +182,6 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 		Wb:              &wb,
 		Restarts:        opt.Restarts,
 		Cooperative:     opt.Cooperative,
-		Tempering:       opt.Tempering,
 		TimeoutMS:       timeoutMS,
 		MemberTimeoutMS: opt.MemberTimeout,
 		Lane:            dreq.Lane,

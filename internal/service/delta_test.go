@@ -65,7 +65,6 @@ func referenceDelta(s *Server, body []byte) *httptest.ResponseRecorder {
 		Wb:              &wb,
 		Restarts:        opt.Restarts,
 		Cooperative:     opt.Cooperative,
-		Tempering:       opt.Tempering,
 		TimeoutMS:       timeoutMS,
 		MemberTimeoutMS: opt.MemberTimeout,
 		Lane:            dreq.Lane,

@@ -66,8 +66,6 @@ func TestFusedKeyMatchesCacheKey(t *testing.T) {
 	coop := base
 	coop.Restarts = 4
 	coop.Cooperative = true
-	temper := coop
-	temper.Tempering = true
 	seeded := base
 	seeded.Seed = 1991
 	seeded.Wb = 0.7
@@ -86,7 +84,6 @@ func TestFusedKeyMatchesCacheKey(t *testing.T) {
 		"seeded":      {"ring-9", commScaled, "sa", seeded, 250, 0},
 		"portfolio":   {"mesh-3x4", comm, "portfolio", base, 1000, 50},
 		"cooperative": {"hypercube-8", comm, "sa", coop, 0, 0},
-		"tempering":   {"hypercube-8", comm, "sa", temper, 0, 0},
 	}
 
 	var c taskgraph.Canonicalizer
@@ -117,11 +114,11 @@ func TestFusedKeyMatchesCacheKey(t *testing.T) {
 	}
 }
 
-// TestCooperativeFlagsSplitCacheKeys pins that the cooperative/tempering
-// wire flags are part of the content address — their schedules can differ
-// from plain restarts, so they must never share a cache line — while
-// leaving keys for requests without the flags byte-stable (both fields
-// marshal away under omitempty, so pre-existing disk tiers stay warm).
+// TestCooperativeFlagsSplitCacheKeys pins that the cooperative wire flag
+// is part of the content address — its schedules can differ from plain
+// restarts, so they must never share a cache line — while leaving keys
+// for requests without the flag byte-stable (the field marshals away
+// under omitempty, so pre-existing disk tiers stay warm).
 func TestCooperativeFlagsSplitCacheKeys(t *testing.T) {
 	g, err := cliutil.BuildProgram("FFT")
 	if err != nil {
@@ -132,8 +129,6 @@ func TestCooperativeFlagsSplitCacheKeys(t *testing.T) {
 	plain.Restarts = 4
 	coop := plain
 	coop.Cooperative = true
-	temper := plain
-	temper.Tempering = true
 
 	kPlain, err := cacheKey(g, "hypercube-8", comm, "sa", plain, 0, 0)
 	if err != nil {
@@ -143,12 +138,7 @@ func TestCooperativeFlagsSplitCacheKeys(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	kTemper, err := cacheKey(g, "hypercube-8", comm, "sa", temper, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if kPlain == kCoop || kPlain == kTemper || kCoop == kTemper {
-		t.Fatalf("cooperative/tempering flags do not split keys: plain %s coop %s temper %s",
-			kPlain, kCoop, kTemper)
+	if kPlain == kCoop {
+		t.Fatalf("cooperative flag does not split keys: plain %s coop %s", kPlain, kCoop)
 	}
 }

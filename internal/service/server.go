@@ -1215,9 +1215,11 @@ func (s *Server) process(ctx context.Context, req *rawRequest, defLane engine.La
 	if req.Restarts < 0 || req.Restarts > maxRestarts {
 		return nil, "", badRequest("restarts %d out of range [0,%d]", req.Restarts, maxRestarts)
 	}
+	if req.PT {
+		return nil, "", badRequest("tempering: parallel-tempering restarts were removed; use restarts, optionally cooperative")
+	}
 	saOpt.Restarts = req.Restarts
 	saOpt.Cooperative = req.Cooperative
-	saOpt.Tempering = req.Tempering
 	if err := saOpt.Validate(); err != nil {
 		return nil, "", badRequest("%v", err)
 	}

@@ -496,6 +496,63 @@ func TestRestartsCapped(t *testing.T) {
 	}
 }
 
+// TestTemperingRefused: the parallel-tempering restart mode is gone, so a
+// body or batch member that still sets "tempering": true is refused with
+// the 400 that names it — on the scanner's path and on encoding/json's —
+// and solves nothing, instead of running independent restarts under
+// another key. "tempering": false is the request without the field: same
+// body, same address.
+func TestTemperingRefused(t *testing.T) {
+	svc, ts := newTestServer(t, Config{CacheSize: 64})
+	plain := wireRequest(t, "FFT", nil)
+	with := func(fields string) []byte {
+		return append(plain[:len(plain)-1:len(plain)-1], fields+"}"...)
+	}
+
+	var msg string
+	for name, body := range map[string][]byte{
+		"scanned": with(`,"tempering":true`),
+		"decoded": with(`,"tempering":true,"colour":"red"`), // an unknown key declines the scanner
+	} {
+		resp, out := post(t, ts.URL+"/v1/schedule", body)
+		var er ErrorResponse
+		if err := json.Unmarshal(out, &er); resp.StatusCode != http.StatusBadRequest || err != nil ||
+			!strings.Contains(er.Error, "tempering") {
+			t.Fatalf("%s: %d %s, want a 400 naming tempering", name, resp.StatusCode, out)
+		}
+		msg = er.Error
+	}
+	if st := svc.Stats(); st.WireSlowDecodes != 1 {
+		t.Fatalf("wire_slow_decodes = %d, want 1 (the decoded case)", st.WireSlowDecodes)
+	}
+
+	resp, out := post(t, ts.URL+"/v1/schedule/batch", []byte(`{"requests":[`+string(with(`,"tempering":true`))+`]}`))
+	var batch BatchResponse
+	if err := json.Unmarshal(out, &batch); resp.StatusCode != http.StatusOK || err != nil || len(batch.Items) != 1 {
+		t.Fatalf("batch: %d %s", resp.StatusCode, out)
+	}
+	if it := batch.Items[0]; it.Error != msg || it.Result != nil {
+		t.Fatalf("batch member answered %+v, want the error %q", it, msg)
+	}
+	if st := svc.Stats(); st.Solves != 0 {
+		t.Fatalf("refused requests ran %d solves", st.Solves)
+	}
+
+	respPlain, bodyPlain := post(t, ts.URL+"/v1/schedule", plain)
+	respOff, bodyOff := post(t, ts.URL+"/v1/schedule", with(`,"tempering":false`))
+	if respPlain.StatusCode != http.StatusOK || respOff.StatusCode != http.StatusOK {
+		t.Fatalf("status %d without the field, %d with false", respPlain.StatusCode, respOff.StatusCode)
+	}
+	if a, b := respPlain.Header.Get("X-DTServe-Address"), respOff.Header.Get("X-DTServe-Address"); a == "" || a != b ||
+		!bytes.Equal(bodyPlain, bodyOff) {
+		t.Fatalf(`"tempering":false answered address %q, without the field %q (bodies equal: %v)`,
+			b, a, bytes.Equal(bodyPlain, bodyOff))
+	}
+	if st := svc.Stats(); st.Solves != 1 {
+		t.Fatalf(`"tempering":false solved again: %d solves, want 1`, st.Solves)
+	}
+}
+
 // TestDeadlinedPortfolioNotCached: a portfolio raced under a deadline is
 // timing-dependent, so its result must be served but never memoized.
 func TestDeadlinedPortfolioNotCached(t *testing.T) {

@@ -69,10 +69,6 @@ type ScheduleRequest struct {
 	// restarts are abandoned early. Winner-preserving and deterministic
 	// for a fixed seed, so cooperative results cache like plain ones.
 	Cooperative bool `json:"cooperative,omitempty"`
-	// Tempering runs the restarts as a parallel-tempering ladder
-	// (replica exchange at stage barriers) instead of independent
-	// chains. Deterministic per seed.
-	Tempering bool `json:"tempering,omitempty"`
 	// TimeoutMS bounds the solve wall-clock; 0 means the server default.
 	TimeoutMS int `json:"timeout_ms,omitempty"`
 	// MemberTimeoutMS bounds each portfolio member's solve individually
@@ -135,7 +131,10 @@ type BatchRequest struct {
 // graph stays as raw bytes so the fused path (taskgraph.Canonicalizer)
 // can build the canonical form and hash the cache key in one pass over
 // them, materializing a *Graph only on a cache miss. Field set and tags
-// must mirror ScheduleRequest exactly.
+// must mirror ScheduleRequest exactly, but for PT: the wire flag of the
+// removed parallel-tempering restart mode. Both decoders still read it,
+// so that process refuses a request that sets it with a 400 instead of
+// solving independent restarts under another cache key.
 type rawRequest struct {
 	Graph           json.RawMessage `json:"graph"`
 	Topo            string          `json:"topo"`
@@ -146,7 +145,7 @@ type rawRequest struct {
 	Wb              *float64        `json:"wb,omitempty"`
 	Restarts        int             `json:"restarts,omitempty"`
 	Cooperative     bool            `json:"cooperative,omitempty"`
-	Tempering       bool            `json:"tempering,omitempty"`
+	PT              bool            `json:"tempering,omitempty"`
 	TimeoutMS       int             `json:"timeout_ms,omitempty"`
 	MemberTimeoutMS int             `json:"member_timeout_ms,omitempty"`
 	Lane            string          `json:"lane,omitempty"`
@@ -210,7 +209,7 @@ func scanRequest(body []byte, req *rawRequest, c *taskgraph.Canonicalizer) bool 
 		case "cooperative":
 			req.Cooperative = sc.Bool()
 		case "tempering":
-			req.Tempering = sc.Bool()
+			req.PT = sc.Bool()
 		case "timeout_ms":
 			req.TimeoutMS = sc.Int()
 		case "member_timeout_ms":
@@ -330,8 +329,8 @@ func ResultFromSim(res *machsim.Result, g *taskgraph.Graph, topoName string) (*R
 // that can change a result's bytes, in one fixed field order shared by
 // the fused streaming path and the cacheKey test oracle so both derive
 // identical keys.
-// The cooperative/tempering flags sit last with omitempty, so every key
-// minted before they existed is byte-stable.
+// The cooperative flag sits last with omitempty, so every key minted
+// before it existed is byte-stable.
 type keyOptions struct {
 	Topo          string              `json:"topo"`
 	Comm          topology.CommParams `json:"comm"`
@@ -343,7 +342,6 @@ type keyOptions struct {
 	Timeout       int                 `json:"timeout_ms"`
 	MemberTimeout int                 `json:"member_timeout_ms,omitempty"`
 	Cooperative   bool                `json:"cooperative,omitempty"`
-	Tempering     bool                `json:"tempering,omitempty"`
 	// WarmSeed separates warm-started results from cold ones: a warm solve
 	// anneals from a projected cached assignment under a shortened cooling
 	// schedule, so its bytes legitimately differ from the cold solve of the
@@ -365,7 +363,6 @@ func makeKeyOptions(topoName string, comm topology.CommParams,
 		Timeout:       timeoutMS,
 		MemberTimeout: memberTimeoutMS,
 		Cooperative:   sa.Cooperative,
-		Tempering:     sa.Tempering,
 	}
 }
 

@@ -115,6 +115,7 @@ func parityBodies() map[string]string {
 		"cycle":                 env(`{"tasks":[{"id":0,"load":1},{"id":1,"load":1}],"edges":[{"from":0,"to":1,"bits":1},{"from":1,"to":0,"bits":1}]}`, ""),
 		"negative zero load":    env(`{"tasks":[{"id":0,"load":-0},{"id":1,"load":-0.0}]}`, ""),
 		"bad lane":              env(g, `,"lane":"bulk"`),
+		"removed tempering":     env(g, `,"tempering":true`),
 		"top-level null":        `null`,
 		"top-level array":       `[` + valid + `]`,
 	}

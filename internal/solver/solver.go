@@ -199,9 +199,6 @@ func annotateAnneal(tr *obs.Trace, sc *core.Scheduler, res *machsim.Result) {
 	if n := sc.RestartsAbandoned(); n > 0 {
 		tr.Annotate("restarts_abandoned", strconv.Itoa(n))
 	}
-	if n := sc.Exchanges(); n > 0 {
-		tr.Annotate("replica_exchanges", strconv.Itoa(n))
-	}
 	if n := sc.WarmSavedStages(); n > 0 {
 		tr.Annotate("warm_epochs_saved", strconv.Itoa(n))
 	}
