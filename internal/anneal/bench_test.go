@@ -85,34 +85,29 @@ func BenchmarkMoveDraws(b *testing.B) {
 	})
 }
 
-// newGrid builds a synthetic n × p packet whose contributions, levels and
-// communication costs are drawn from rng, with candidates 0..min(n, p)−1
-// on slots 0..min(n, p)−1 and the running components and cost of that
-// mapping.
+// newGrid builds a synthetic n × p packet whose contributions are formed
+// from levels and communication costs drawn from rng, with candidates
+// 0..min(n, p)−1 on slots 0..min(n, p)−1 and the cost of that mapping.
 func newGrid(rng *Rand, n, p int) *Grid {
-	gr := &Grid{C: make([]float64, n*p), Comm: make([]float64, n*p), Level: make([]float64, n),
-		TaskAt: make([]int, p), ProcOf: make([]int, n), BestTaskAt: make([]int, p),
+	gr := &Grid{C: make([]float64, n*p), TaskAt: make([]int, p), ProcOf: make([]int, n), BestTaskAt: make([]int, p),
 		N: NewBound(n), P: NewBound(p), P1: NewBound(p - 1)}
-	for i := range gr.Level {
-		gr.Level[i] = 4 * rng.Float64()
+	level := make([]float64, n)
+	for i := range level {
+		level[i] = 4 * rng.Float64()
 		gr.ProcOf[i] = -1
 	}
 	for k := range gr.C {
-		gr.Comm[k] = 100 * rng.Float64()
-		gr.C[k] = -0.5*gr.Level[k/p]/4 + 0.5*gr.Comm[k]/400
+		gr.C[k] = -0.5*level[k/p]/4 + 0.5*(100*rng.Float64())/400
 	}
 	for j := range gr.TaskAt {
 		gr.TaskAt[j] = -1
 		if j < n {
 			gr.TaskAt[j], gr.ProcOf[j] = j, j
-			gr.Fb -= gr.Level[j]
-			gr.Fc += gr.Comm[j*p+j]
 			gr.Cost += gr.C[j*p+j]
 		}
 	}
 	gr.Best = gr.Cost
 	copy(gr.BestTaskAt, gr.TaskAt)
-	gr.BestFb, gr.BestFc = gr.Fb, gr.Fc
 	return gr
 }
 
@@ -137,19 +132,16 @@ func BenchmarkGridStage(b *testing.B) {
 }
 
 // newColumn builds a synthetic one-processor packet of n candidates whose
-// contributions, levels and communication costs are drawn from rng, as
-// newGrid's are, with candidate 0 on the slot and the running components
-// and cost of that mapping.
+// contributions are drawn from rng as newGrid's are, with candidate 0 on
+// the slot and the cost of that mapping.
 func newColumn(rng *Rand, n int) *Column {
-	col := &Column{C: make([]float64, n), Level: make([]float64, n), Comm: make([]float64, n),
-		N: NewBound(n), N1: NewBound(n - 1)}
+	col := &Column{C: make([]float64, n), N: NewBound(n), N1: NewBound(n - 1)}
 	for i := range col.C {
-		col.Level[i] = 4 * rng.Float64()
-		col.Comm[i] = 100 * rng.Float64()
-		col.C[i] = -0.5*col.Level[i]/4 + 0.5*col.Comm[i]/400
+		level, comm := 4*rng.Float64(), 100*rng.Float64()
+		col.C[i] = -0.5*level/4 + 0.5*comm/400
 	}
-	col.Fb, col.Fc, col.Cost = -col.Level[0], col.Comm[0], col.C[0]
-	col.Best, col.BestFb, col.BestFc = col.Cost, col.Fb, col.Fc
+	col.Cost = col.C[0]
+	col.Best = col.Cost
 	return col
 }
 

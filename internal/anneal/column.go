@@ -12,22 +12,18 @@ import (
 // packets, so Stage anneals them in one function with no call per move.
 type Column struct {
 	// C[i] is the eq. 6 cost of the mapping with candidate i on the slot.
-	// Level and Comm are the candidates' levels and communication costs,
-	// from which the move updates the raw eq. 3 and eq. 5 components Fb
-	// and Fc. All three have length n, and n must be below 2³¹.
-	C, Level, Comm []float64
+	// It has length n, and n must be below 2³¹.
+	C []float64
 	// N and N1 are the divisors of Intn(n) and Intn(n−1).
 	N, N1 Bound
 
-	// The state: the candidate on the slot, its running components, the
-	// running cost and the lowest cost seen.
+	// The state: the candidate on the slot, the running cost and the
+	// lowest cost seen.
 	Cur        int
-	Fb, Fc     float64
 	Cost, Best float64
 	// The keep-best snapshot, which Stage writes whenever an accepted move
 	// takes Cost below Best.
-	BestCur        int
-	BestFb, BestFc float64
+	BestCur int
 	// Delta is the price of the last move Stage made, accepted or not: a
 	// traced run anneals with budget 1 and records it per move.
 	Delta float64
@@ -75,9 +71,10 @@ func (b Bound) mod(v int64) int {
 // decides, and is held to the reference move the core package's tests
 // keep: Propose, then Accept, then Apply. It draws Intn(n), Intn(n−1)
 // when the first draw hit Cur, the slot draw Intn(1) (one Int63) and
-// Float64, in that order, prices the move (C[i] + 0) − (0 + C[Cur]) and
-// updates Fb + Level[Cur] − Level[i] and Fc − Comm[Cur] + Comm[i], so col
-// and r end where that reference would leave them, to the bit.
+// Float64, in that order, and prices the move (C[i] + 0) − (0 + C[Cur]),
+// so col and r end where that reference would leave them, to the bit.
+// It keeps no raw eq. 3 or eq. 5 sum: a traced run updates those from the
+// move it reads back (core.Scheduler.annealStage).
 //
 // The draws, the bucket lookup of Accept and the move run inline, with
 // the ring's indices and the state in locals. The decision is x < lo of
@@ -89,7 +86,6 @@ func (b Bound) mod(v int64) int {
 func (col *Column) Stage(r *Rand, temp, inv float64, budget int) (accepted int) {
 	c := col.C
 	n := len(c)
-	level, comm := col.Level[:n], col.Comm[:n]
 	bn, bn1 := col.N, col.N1
 	if n < 2 || bn.n != uint64(n) || bn.m == 0 || bn1.n != uint64(n-1) {
 		panic("anneal: Column needs 2 ≤ n < 2³¹ candidates and the divisors of n and n−1")
@@ -100,7 +96,7 @@ func (col *Column) Stage(r *Rand, temp, inv float64, budget int) (accepted int) 
 		inv = math.NaN()
 	}
 	g := ring{r.tap, r.feed, &r.vec}
-	cur, fb, fc, cost, best, last := col.Cur, col.Fb, col.Fc, col.Cost, col.Best, col.Delta
+	cur, cost, best, last := col.Cur, col.Cost, col.Best, col.Delta
 	for k := budget; k > 0; k-- {
 		// i := r.Draw(&col.N), and when it hits cur the move takes the
 		// candidate r.Draw(&col.N1) places after it.
@@ -145,18 +141,16 @@ func (col *Column) Stage(r *Rand, temp, inv float64, budget int) (accepted int) 
 			a = 1
 		}
 		m := -a
-		fb = pick(m, fb+level[cur]-level[i], fb) // Apply's remove(cur), then place(i, 0)
-		fc = pick(m, fc-comm[cur]+comm[i], fc)
 		cost = pick(m, cost+delta, cost)
 		cur ^= (cur ^ i) & int(m)
 		accepted += int(a)
 		if cost < best {
 			best = cost
-			col.BestCur, col.BestFb, col.BestFc = cur, fb, fc
+			col.BestCur = cur
 		}
 	}
 	r.tap, r.feed = g.tap, g.feed
-	col.Cur, col.Fb, col.Fc, col.Cost, col.Best, col.Delta = cur, fb, fc, cost, best, last
+	col.Cur, col.Cost, col.Best, col.Delta = cur, cost, best, last
 	return accepted
 }
 

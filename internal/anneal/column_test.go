@@ -12,9 +12,9 @@ import (
 // (C = delta), so the move's delta is (delta + 0) − (0 + 0). The move's
 // three draws, Intn(2), the slot draw and Float64, are written into a zero
 // ring as 1<<32 (odd, so candidate 1), 0 and u·2⁶³, which needs u in
-// [0, 1) to be a multiple of 2⁻⁶³. The move must leave the column and the
-// ring where an accepted or rejected move leaves them, and its price in
-// Delta.
+// [0, 1) to be a multiple of 2⁻⁶³. The move must leave the column, its
+// keep-best snapshot and the ring where an accepted or rejected move
+// leaves them, and its price in Delta.
 func columnMove(t *testing.T, u, delta, temp, inv float64) bool {
 	t.Helper()
 	r := &Rand{feed: rngLen - rngTap}
@@ -23,20 +23,21 @@ func columnMove(t *testing.T, u, delta, temp, inv float64) bool {
 		tap, feed = (tap+rngLen-1)%rngLen, (feed+rngLen-1)%rngLen
 		r.vec[feed] = x
 	}
-	col := Column{C: []float64{0, delta}, Level: []float64{0.5, 2}, Comm: []float64{3, 0.25},
-		N: NewBound(2), N1: NewBound(1), Fb: -0.5, Fc: 3, BestFb: -0.5, BestFc: 3}
+	col := Column{C: []float64{0, delta}, N: NewBound(2), N1: NewBound(1)}
 	accepted := col.Stage(r, temp, inv, 1)
 	if r.tap != tap || r.feed != feed {
 		t.Fatalf("u=%v delta=%v temp=%v: the move took other draws than Intn(2), Intn(1) and Float64", u, delta, temp)
 	}
-	want := Column{Fb: -0.5, Fc: 3, Delta: (delta + 0) - (0 + 0)}
+	want := Column{Delta: (delta + 0) - (0 + 0)}
 	if accepted == 1 {
-		want = Column{Cur: 1, Fb: -0.5 + 0.5 - 2, Fc: 3 - 3 + 0.25, Cost: want.Delta, Delta: want.Delta}
+		want.Cur, want.Cost = 1, want.Delta
+		if want.Cost < 0 {
+			want.Best, want.BestCur = want.Cost, 1
+		}
 	}
-	if col.Cur != want.Cur || math.Float64bits(col.Fb) != math.Float64bits(want.Fb) || math.Float64bits(col.Fc) != math.Float64bits(want.Fc) ||
-		math.Float64bits(col.Cost) != math.Float64bits(want.Cost) || math.Float64bits(col.Delta) != math.Float64bits(want.Delta) {
-		t.Fatalf("u=%v delta=%v temp=%v: %d accepted left Cur %d, Fb %v, Fc %v, Cost %v, Delta %v; want %d, %v, %v, %v, %v",
-			u, delta, temp, accepted, col.Cur, col.Fb, col.Fc, col.Cost, col.Delta, want.Cur, want.Fb, want.Fc, want.Cost, want.Delta)
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	if col.Cur != want.Cur || col.BestCur != want.BestCur || !same(col.Cost, want.Cost) || !same(col.Best, want.Best) || !same(col.Delta, want.Delta) {
+		t.Fatalf("u=%v delta=%v temp=%v: %d accepted left %+v; want %+v", u, delta, temp, accepted, col, want)
 	}
 	return accepted == 1
 }

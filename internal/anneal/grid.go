@@ -7,11 +7,9 @@ import "math"
 // it with the candidate on that slot (the paper's §5.2a moves), and Stage
 // anneals such packets in one function with no call per move.
 type Grid struct {
-	// C and Comm are n × p row-major tables: C[i*p+j] is the eq. 6
-	// contribution of candidate i on slot j and Comm[i*p+j] its eq. 5
-	// communication cost. Level[i] is candidate i's level. From Level and
-	// Comm a move updates the raw eq. 3 and eq. 5 components Fb and Fc.
-	C, Comm, Level []float64
+	// C is the n × p row-major table of eq. 6 contributions: C[i*p+j] is
+	// that of candidate i on slot j.
+	C []float64
 	// The mapping, which Stage updates in place: TaskAt[j] is the
 	// candidate on slot j and ProcOf[i] the slot of candidate i, −1 for
 	// none. Their lengths give p and n; n must be below 2³¹.
@@ -19,35 +17,35 @@ type Grid struct {
 	// N, P and P1 are the divisors of Intn(n), Intn(p) and Intn(p−1).
 	N, P, P1 Bound
 
-	// The running components, the running cost and the lowest cost seen.
-	Fb, Fc     float64
+	// The running cost and the lowest cost seen.
 	Cost, Best float64
-	// The keep-best snapshot of TaskAt and the components, which Stage
-	// writes whenever an accepted move takes Cost below Best.
-	BestTaskAt     []int
-	BestFb, BestFc float64
-	// Delta is the price of the last move Stage made, accepted or not: a
-	// traced run anneals with budget 1 and records it per move.
+	// The keep-best snapshot of TaskAt, which Stage writes whenever an
+	// accepted move takes Cost below Best.
+	BestTaskAt []int
+	// Delta and I are the price and the candidate of the last move Stage
+	// made, accepted or not: a traced run anneals with budget 1 and reads
+	// them per move.
 	Delta float64
+	I     int
 }
 
 // Stage anneals one temperature stage of gr: budget moves at temperature
 // temp, with inv = 1/temp (the values Run.Begin returns), drawing from r.
-// It returns how many moves it accepted and leaves the price of the last
-// move in Delta.
+// It returns how many moves it accepted and leaves the price and the
+// candidate of the last move in Delta and I.
 //
 // Every move is held to the reference move the core package's tests
 // keep: Propose, then Accept, then Apply. It draws Intn(n) for the
 // candidate i, Intn(p) for the slot j, Intn(p−1) when j is i's own slot
 // cur (taking the slot that many places after it), then Float64, in that
 // order. It prices the move as Propose does, (C[i,j] + C[other,cur]) −
-// (C[i,cur] + C[other,j]) with other the candidate on j, and updates Fb
-// and Fc in Apply's order: remove i, remove other, place i on j, place
-// other on cur. A term of an absent candidate or slot is +0, except the
-// last term of the price and of each sum when other is absent, which
-// Propose and Apply leave out: there the term is −0 on an add and +0 on a
-// subtract, which leave the sum as it is, to the bit. So gr and r end
-// where that reference would leave them, to the bit.
+// (C[i,cur] + C[other,j]) with other the candidate on j. A term of an
+// absent candidate or slot is +0, except the last term when other is
+// absent, which Propose leaves out: there the term is −0, which leaves
+// the sum as it is, to the bit. So gr and r end where that reference
+// would leave them, to the bit. It keeps no raw eq. 3 or eq. 5 sum: a
+// traced run updates those from the move it reads back
+// (core.Scheduler.annealStage).
 //
 // As in Column.Stage, the draws, the bucket lookup of Accept and the move
 // run inline, the decision is x < lo of u's bucket, and the move is
@@ -59,7 +57,7 @@ type Grid struct {
 func (gr *Grid) Stage(r *Rand, temp, inv float64, budget int) (accepted int) {
 	taskAt, procOf := gr.TaskAt, gr.ProcOf
 	p, n := len(taskAt), len(procOf)
-	c, comm, level := gr.C[:n*p], gr.Comm[:n*p], gr.Level[:n]
+	c := gr.C[:n*p]
 	bn, bp, bp1 := gr.N, gr.P, gr.P1
 	if n < 1 || n >= 1<<31 || p < 2 || bn.n != uint64(n) || bp.n != uint64(p) || bp1.n != uint64(p-1) || len(gr.BestTaskAt) != p {
 		panic("anneal: Grid needs 1 ≤ n < 2³¹ candidates, p ≥ 2 slots and the divisors of n, p and p−1")
@@ -70,7 +68,7 @@ func (gr *Grid) Stage(r *Rand, temp, inv float64, budget int) (accepted int) {
 		inv = math.NaN()
 	}
 	g := ring{r.tap, r.feed, &r.vec}
-	fb, fc, cost, best, last := gr.Fb, gr.Fc, gr.Cost, gr.Best, gr.Delta
+	cost, best, last, lastI := gr.Cost, gr.Best, gr.Delta, gr.I
 	for k := budget; k > 0; k-- {
 		// i := r.Draw(&gr.N), j := r.Draw(&gr.P), and when j is i's slot
 		// the move takes the slot r.Draw(&gr.P1) places after it.
@@ -113,7 +111,7 @@ func (gr *Grid) Stage(r *Rand, temp, inv float64, budget int) (accepted int) {
 		before := posz(c[ri+cu], zc) + posz(c[ro+j], zo)
 		after := c[ri+j] + negz(posz(c[ro+cu], zc), zo)
 		delta := after - before
-		last = delta
+		last, lastI = delta, i
 
 		// Accept, inline: a is 1 to accept and 0 to reject, set without a
 		// branch when x falls outside the band of u's bucket.
@@ -130,17 +128,6 @@ func (gr *Grid) Stage(r *Rand, temp, inv float64, budget int) (accepted int) {
 			a = 1
 		}
 		m := -a
-
-		// Apply's remove(i), remove(other), place(i, j), place(other, cur).
-		nfb := fb + negz(level[i], zc)
-		nfb += negz(level[ot], zo)
-		nfb -= level[i]
-		nfb -= posz(level[ot], zc|zo)
-		nfc := fc - posz(comm[ri+cu], zc)
-		nfc -= posz(comm[ro+j], zo)
-		nfc += comm[ri+j]
-		nfc += negz(comm[ro+cu], zc|zo)
-		fb, fc = pick(m, nfb, fb), pick(m, nfc, fc)
 		cost = pick(m, cost+delta, cost)
 		im, ic, io := int(m), int(m&^zc), int(m&^zo)
 		tcu, pot := taskAt[cu], procOf[ot]
@@ -152,11 +139,10 @@ func (gr *Grid) Stage(r *Rand, temp, inv float64, budget int) (accepted int) {
 		if cost < best {
 			best = cost
 			copy(gr.BestTaskAt, taskAt)
-			gr.BestFb, gr.BestFc = fb, fc
 		}
 	}
 	r.tap, r.feed = g.tap, g.feed
-	gr.Fb, gr.Fc, gr.Cost, gr.Best, gr.Delta = fb, fc, cost, best, last
+	gr.Cost, gr.Best, gr.Delta, gr.I = cost, best, last, lastI
 	return accepted
 }
 

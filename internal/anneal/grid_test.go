@@ -24,13 +24,12 @@ func gridStep(t *testing.T, gr *Grid, draws []int64, temp, inv float64) int {
 	return accepted
 }
 
-// sameGrid reports whether gr's mapping, running components, cost and
-// keep-best snapshot and last price equal want's, floats to the bit.
+// sameGrid reports whether gr's mapping, cost, keep-best snapshot and
+// last move's price and candidate equal want's, floats to the bit.
 func sameGrid(gr, want *Grid) bool {
 	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
-	return slices.Equal(gr.TaskAt, want.TaskAt) && slices.Equal(gr.ProcOf, want.ProcOf) && same(gr.Fb, want.Fb) && same(gr.Fc, want.Fc) &&
-		same(gr.Cost, want.Cost) && same(gr.Best, want.Best) && slices.Equal(gr.BestTaskAt, want.BestTaskAt) &&
-		same(gr.BestFb, want.BestFb) && same(gr.BestFc, want.BestFc) && same(gr.Delta, want.Delta)
+	return slices.Equal(gr.TaskAt, want.TaskAt) && slices.Equal(gr.ProcOf, want.ProcOf) && same(gr.Cost, want.Cost) &&
+		same(gr.Best, want.Best) && slices.Equal(gr.BestTaskAt, want.BestTaskAt) && same(gr.Delta, want.Delta) && gr.I == want.I
 }
 
 // gridMove runs Grid.Stage for one move of a 2 × 2 packet whose Float64
@@ -41,27 +40,20 @@ func sameGrid(gr, want *Grid) bool {
 // contributions are 0 but C[0,1] = delta, so the move prices
 // (delta + 0) − (0 + 0). Its four draws are 0, 0, 0 and u·2⁶³, which needs
 // u in [0, 1) to be a multiple of 2⁻⁶³. The move must leave the mapping,
-// the running components, the keep-best snapshot and the ring where
-// Propose and Apply leave them after an accepted or rejected move; the
-// levels and communication costs are ones whose sums come out different
-// in any other order than Apply's.
+// the keep-best snapshot and the ring where Propose and Apply leave them
+// after an accepted or rejected move, and its price and candidate 0 in
+// Delta and I.
 func gridMove(t *testing.T, u, delta, temp, inv float64) bool {
 	t.Helper()
-	level, comm := []float64{0.1, 0.3}, []float64{0.1, 0.3, 0.1, 0.3}
-	fb, fc := -1.3, 1.0
-	gr := Grid{C: []float64{0, delta, 0, 0}, Comm: comm, Level: level,
-		TaskAt: []int{0, 1}, ProcOf: []int{0, 1}, N: NewBound(2), P: NewBound(2), P1: NewBound(1),
-		Fb: fb, Fc: fc, BestTaskAt: []int{0, 1}, BestFb: fb, BestFc: fc}
+	gr := Grid{C: []float64{0, delta, 0, 0}, TaskAt: []int{0, 1}, ProcOf: []int{0, 1},
+		N: NewBound(2), P: NewBound(2), P1: NewBound(1), BestTaskAt: []int{0, 1}, I: -1}
 	accepted := gridStep(t, &gr, []int64{0, 0, 0, int64(u * (1 << 63))}, temp, inv)
-	want := Grid{TaskAt: []int{0, 1}, ProcOf: []int{0, 1}, Fb: fb, Fc: fc, BestTaskAt: []int{0, 1}, BestFb: fb, BestFc: fc,
-		Delta: (delta + 0) - (0 + 0)}
+	want := Grid{TaskAt: []int{0, 1}, ProcOf: []int{0, 1}, BestTaskAt: []int{0, 1}, Delta: (delta + 0) - (0 + 0)}
 	if accepted == 1 {
 		want.TaskAt, want.ProcOf = []int{1, 0}, []int{1, 0}
-		want.Fb = fb + level[0] + level[1] - level[0] - level[1]
-		want.Fc = fc - comm[0] - comm[3] + comm[1] + comm[2]
 		want.Cost = want.Delta
 		if want.Cost < 0 {
-			want.Best, want.BestTaskAt, want.BestFb, want.BestFc = want.Cost, want.TaskAt, want.Fb, want.Fc
+			want.Best, want.BestTaskAt = want.Cost, want.TaskAt
 		}
 	}
 	if !sameGrid(&gr, &want) {
@@ -72,24 +64,19 @@ func gridMove(t *testing.T, u, delta, temp, inv float64) bool {
 
 // TestGridRelocateKeepsSignedZeros moves the one candidate of a 1 × 2
 // packet to the free slot, with u = 0 so the move is accepted. Its price
-// and sums have the terms of an absent candidate: Propose prices it
-// (C[0,1]) − (C[0,0] + 0) with no term for the absent other, and Apply
-// adds nothing for it. With C[0,1] = −0 and Cost = −0, only a kernel that
-// leaves those terms out, or adds −0 for them, ends at Cost = −0; a +0
-// term ends at +0.
+// has the terms of an absent candidate: Propose prices it
+// (C[0,1]) − (C[0,0] + 0) with no term for the absent other. With
+// C[0,1] = −0 and Cost = −0, only a kernel that leaves that term out, or
+// adds −0 for it, ends at Cost = −0; a +0 term ends at +0.
 func TestGridRelocateKeepsSignedZeros(t *testing.T) {
 	nz := math.Copysign(0, -1)
-	level, comm := []float64{0.7}, []float64{0.1, 0.3}
-	fb, fc := -level[0], comm[0]
-	gr := Grid{C: []float64{0, nz}, Comm: comm, Level: level,
-		TaskAt: []int{0, -1}, ProcOf: []int{0}, N: NewBound(1), P: NewBound(2), P1: NewBound(1),
-		Fb: fb, Fc: fc, Cost: nz, Best: nz, BestTaskAt: []int{0, -1}, BestFb: fb, BestFc: fc}
+	gr := Grid{C: []float64{0, nz}, TaskAt: []int{0, -1}, ProcOf: []int{0}, N: NewBound(1), P: NewBound(2), P1: NewBound(1),
+		Cost: nz, Best: nz, BestTaskAt: []int{0, -1}, I: -1}
 	if gridStep(t, &gr, []int64{0, 1 << 32, 0}, 1, 1) != 1 {
 		t.Fatal("u = 0 rejected a move with delta = 0")
 	}
-	want := Grid{TaskAt: []int{-1, 0}, ProcOf: []int{1},
-		Fb: fb + level[0] - level[0], Fc: fc - comm[0] + comm[1], Cost: nz + (nz - (0 + 0)), Best: nz, Delta: nz - (0 + 0),
-		BestTaskAt: []int{0, -1}, BestFb: fb, BestFc: fc}
+	want := Grid{TaskAt: []int{-1, 0}, ProcOf: []int{1}, Cost: nz + (nz - (0 + 0)), Best: nz, Delta: nz - (0 + 0),
+		BestTaskAt: []int{0, -1}}
 	if !sameGrid(&gr, &want) {
 		t.Fatalf("left %+v; want %+v", gr, want)
 	}

@@ -119,12 +119,21 @@ func randomPacket(t *testing.T, seed int64, n, p int) *packet {
 	return pk
 }
 
-// costScale is the magnitude of pk's two eq. 6 terms, at least 1: the
-// tolerance unit for comparing a cost difference with a delta. It is 1
-// for a packet with sane ranges and grows when near-tied levels make ΔFb
-// tiny, which scales the level terms of the contributions up.
+// costScale is the magnitude of the two eq. 6 terms of pk's mapping, at
+// least 1: the tolerance unit for comparing a cost difference with a
+// delta. It is 1 for a packet with sane ranges and grows when near-tied
+// levels make ΔFb tiny, which scales the level terms of the contributions
+// up. It sums the mapping's components afresh, since an untraced anneal
+// leaves the packet's running ones at the init's.
 func costScale(pk *packet) float64 {
-	return max(1, math.Abs(pk.wb*pk.Fb()/pk.dFb)+math.Abs(pk.wc*pk.Fc()/pk.dFc))
+	var fb, fc float64
+	for j, i := range pk.taskAt {
+		if i >= 0 {
+			fb -= pk.level[i]
+			fc += pk.comm(i, j)
+		}
+	}
+	return max(1, math.Abs(pk.wb*fb/pk.dFb)+math.Abs(pk.wc*fc/pk.dFc))
 }
 
 // FuzzPacketMovesMatchApplyUndo holds the evaluate-then-apply move equal

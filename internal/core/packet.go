@@ -54,7 +54,11 @@ type packet struct {
 	taskAt []int
 	procOf []int
 
-	// Running raw component values, maintained incrementally.
+	// The raw eq. 3 and eq. 5 components of the mapping, kept by place and
+	// remove and, in a traced run, by moveSums after every accepted move.
+	// The moves' prices and the running cost come from contrib alone, so
+	// an untraced anneal leaves these as the init left them: only Cost
+	// before the first move and Figure 1's trace read them.
 	rawFb float64
 	rawFc float64
 
@@ -64,12 +68,15 @@ type packet struct {
 	drawN, drawN1, drawP, drawP1 anneal.Bound
 
 	// Best-state buffer backing anneal.Snapshotter: the best mapping's
-	// taskAt (procOf follows from it) and running components.
+	// taskAt (procOf follows from it) and running components, which, like
+	// rawFb and rawFc, only a traced run moves past the init's.
 	bestTaskAt []int
 	bestFb     float64
 	bestFc     float64
 
-	// Scratch for the normalization ranges and greedy/random inits.
+	// Scratch for the normalization ranges and greedy/random inits; a
+	// traced run of two or more processors keeps the mapping before each
+	// move in idxScratch, taskAt's p entries then procOf's n.
 	sortScratch []float64
 	idxScratch  []int
 	// Reusable output buffer for assignments.
@@ -114,7 +121,7 @@ func (pk *packet) presize(n, p int) {
 	pk.procOf = grow(pk.procOf, n)[:0]
 	pk.bestTaskAt = grow(pk.bestTaskAt, p)[:0]
 	pk.sortScratch = grow(pk.sortScratch, n)[:0]
-	pk.idxScratch = grow(pk.idxScratch, n)[:0]
+	pk.idxScratch = grow(pk.idxScratch, n+p)[:0]
 	pk.out = grow(pk.out, p)[:0]
 }
 
@@ -313,24 +320,36 @@ func (pk *packet) remove(i int) {
 	pk.rawFc -= pk.comm(i, j)
 }
 
+// moveSums updates the running components for an accepted move that takes
+// candidate i from slot cur to slot j and other, the candidate that was on
+// j, to cur, either of cur and other −1 for none. It takes the reference
+// move's steps in their order — remove i, remove other, place i on j,
+// place other on cur — with remove's and place's expressions, so the sums
+// end where that move leaves them, to the bit. The mapping is not touched.
+func (pk *packet) moveSums(i, j, cur, other int) {
+	if cur >= 0 {
+		pk.rawFb += pk.level[i]
+		pk.rawFc -= pk.comm(i, cur)
+	}
+	if other >= 0 {
+		pk.rawFb += pk.level[other]
+		pk.rawFc -= pk.comm(other, j)
+	}
+	pk.rawFb -= pk.level[i]
+	pk.rawFc += pk.comm(i, j)
+	if other >= 0 && cur >= 0 {
+		pk.rawFb -= pk.level[other]
+		pk.rawFc += pk.comm(other, cur)
+	}
+}
+
 // Cost returns the mapping's eq. 6 cost, F = wb·Fb/ΔFb + wc·Fc/ΔFc.
-func (pk *packet) Cost() float64 { return pk.costOf(pk.rawFb, pk.rawFc) }
+func (pk *packet) Cost() float64 { return pk.wb*pk.rawFb/pk.dFb + pk.wc*pk.rawFc/pk.dFc }
 
-// costOf returns eq. 6 for the raw components fb and fc.
-func (pk *packet) costOf(fb, fc float64) float64 {
-	return pk.wb*fb/pk.dFb + pk.wc*fc/pk.dFc
-}
-
-// tracePoint is the Figure 1 record of a proposed move after its
-// accept/reject decision left the running components at fb and fc.
-func (pk *packet) tracePoint(iter int, temp, delta, fb, fc float64, accepted bool) TracePoint {
-	return TracePoint{Iter: iter, Temp: temp, Delta: delta, Fb: fb, Fc: fc, Ftot: pk.costOf(fb, fc), Accepted: accepted}
-}
-
-// Fb returns the current raw load-balancing cost (eq. 3).
+// Fb returns the running raw load-balancing cost (eq. 3), rawFb.
 func (pk *packet) Fb() float64 { return pk.rawFb }
 
-// Fc returns the current raw communication cost (eq. 5).
+// Fc returns the running raw communication cost (eq. 5), rawFc.
 func (pk *packet) Fc() float64 { return pk.rawFc }
 
 // SaveBest implements anneal.Snapshotter by copying the mapping's taskAt

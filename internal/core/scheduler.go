@@ -426,11 +426,16 @@ func (s *Scheduler) anneal(pk *packet, aopt anneal.Options, report *PacketReport
 // decision and update inline and without a branch on the decision. The
 // tests keep the packet's Propose, anneal.Accept and Apply as the
 // reference, which gives the same answers to the bit
-// (FuzzStageMatchesMinimize). An untraced stage is one kernel call; a
-// traced one calls the kernel for one move at a time and appends each
-// move's TracePoint to run.trace. A packet of one candidate on one
-// processor has no other mapping, so its run ends in its first stage with
-// no move.
+// (FuzzStageMatchesMinimize). The kernels keep the mapping and the eq. 6
+// cost, not the raw components Fb and Fc that only Figure 1 plots.
+//
+// An untraced stage is one kernel call and leaves the packet's components
+// as they were. A traced one calls the kernel for one move at a time,
+// reads each accepted move back from the mapping, updates the components
+// with moveSums (saving them as the best whenever the kernel's best cost
+// drops) and appends the move's TracePoint to run.trace. A packet of one
+// candidate on one processor has no other mapping, so its run ends in its
+// first stage with no move.
 func (s *Scheduler) annealStage(run *restartRun) bool {
 	temp, inv, budget, ok := run.st.Begin()
 	if !ok {
@@ -438,50 +443,78 @@ func (s *Scheduler) annealStage(run *restartRun) bool {
 	}
 	pk, rng := run.cur, run.rng
 	n, p := len(pk.tasks), len(pk.procs)
-	trace, step, iter, accepted := s.opt.RecordTrace, budget, run.st.Moves, 0
-	if trace {
-		step = 1
-	}
+	iter, accepted := run.st.Moves, 0
 	switch {
 	case n == 1 && p == 1:
 		return run.st.End(run.st.Cost, run.st.BestCost, 0, 0, true)
 	case p == 1:
-		// Every init fills the slot; the kernel reads column 0 of the tables.
+		// Every init fills the slot; the kernel reads column 0 of the table.
 		init := pk.taskAt[0]
 		col := anneal.Column{
-			C: pk.contrib[:n], Level: pk.level[:n], Comm: pk.commCost[:n], N: pk.drawN, N1: pk.drawN1,
-			Cur: init, Fb: pk.rawFb, Fc: pk.rawFc, Cost: run.st.Cost, Best: run.st.BestCost,
-			BestCur: pk.bestTaskAt[0], BestFb: pk.bestFb, BestFc: pk.bestFc,
+			C: pk.contrib[:n], N: pk.drawN, N1: pk.drawN1,
+			Cur: init, Cost: run.st.Cost, Best: run.st.BestCost, BestCur: pk.bestTaskAt[0],
 		}
-		for k := 0; k < budget; k += step {
-			a := col.Stage(rng, temp, inv, step)
-			accepted += a
-			if trace {
-				run.trace = append(run.trace, pk.tracePoint(iter+k, temp, col.Delta, col.Fb, col.Fc, a != 0))
+		if !s.opt.RecordTrace {
+			accepted = col.Stage(rng, temp, inv, budget)
+		} else {
+			for k := 0; k < budget; k++ {
+				other, best := col.Cur, col.Best
+				a := col.Stage(rng, temp, inv, 1)
+				if a != 0 {
+					pk.moveSums(col.Cur, 0, -1, other)
+				}
+				accepted += a
+				run.traceMove(iter+k, temp, col.Delta, a != 0, col.Best < best)
 			}
 		}
 		pk.procOf[init], pk.procOf[col.Cur], pk.taskAt[0] = -1, 0, col.Cur
-		pk.rawFb, pk.rawFc = col.Fb, col.Fc
-		pk.bestTaskAt[0], pk.bestFb, pk.bestFc = col.BestCur, col.BestFb, col.BestFc // SaveBest
+		pk.bestTaskAt[0] = col.BestCur // SaveBest
 		return run.st.End(col.Cost, col.Best, budget, accepted, false)
 	default:
 		gr := anneal.Grid{
-			C: pk.contrib, Comm: pk.commCost, Level: pk.level, TaskAt: pk.taskAt, ProcOf: pk.procOf,
-			N: pk.drawN, P: pk.drawP, P1: pk.drawP1,
-			Fb: pk.rawFb, Fc: pk.rawFc, Cost: run.st.Cost, Best: run.st.BestCost,
-			BestTaskAt: pk.bestTaskAt, BestFb: pk.bestFb, BestFc: pk.bestFc,
+			C: pk.contrib, TaskAt: pk.taskAt, ProcOf: pk.procOf, N: pk.drawN, P: pk.drawP, P1: pk.drawP1,
+			Cost: run.st.Cost, Best: run.st.BestCost, BestTaskAt: pk.bestTaskAt,
 		}
-		for k := 0; k < budget; k += step {
-			a := gr.Stage(rng, temp, inv, step)
-			accepted += a
-			if trace {
-				run.trace = append(run.trace, pk.tracePoint(iter+k, temp, gr.Delta, gr.Fb, gr.Fc, a != 0))
+		if !s.opt.RecordTrace {
+			accepted = gr.Stage(rng, temp, inv, budget)
+			return run.st.End(gr.Cost, gr.Best, budget, accepted, false)
+		}
+		// The mapping before the move, from which an accepted move's
+		// candidate gr.I tells its old slot cur and the candidate other
+		// it displaced.
+		prev := grow(pk.idxScratch, p+n)
+		pk.idxScratch = prev
+		prevTaskAt, prevProcOf := prev[:p], prev[p:]
+		copy(prevTaskAt, pk.taskAt)
+		copy(prevProcOf, pk.procOf)
+		for k := 0; k < budget; k++ {
+			best := gr.Best
+			a := gr.Stage(rng, temp, inv, 1)
+			if a != 0 {
+				i := gr.I
+				cur, j := prevProcOf[i], pk.procOf[i]
+				pk.moveSums(i, j, cur, prevTaskAt[j])
+				copy(prevTaskAt, pk.taskAt)
+				copy(prevProcOf, pk.procOf)
 			}
+			accepted += a
+			run.traceMove(iter+k, temp, gr.Delta, a != 0, gr.Best < best)
 		}
-		pk.rawFb, pk.rawFc = gr.Fb, gr.Fc
-		pk.bestFb, pk.bestFc = gr.BestFb, gr.BestFc // SaveBest; the kernel copied bestTaskAt
-		return run.st.End(gr.Cost, gr.Best, budget, accepted, false)
+		return run.st.End(gr.Cost, gr.Best, budget, accepted, false) // the kernel kept bestTaskAt
 	}
+}
+
+// traceMove ends a traced move whose running components moveSums has
+// updated: it saves them as the best when the move took the run's best
+// cost down (SaveBest's components; the kernel keeps the mapping's), and
+// appends the move's TracePoint, the Figure 1 record of the move after its
+// accept/reject decision.
+func (run *restartRun) traceMove(iter int, temp, delta float64, accepted, newBest bool) {
+	pk := run.cur
+	if newBest {
+		pk.bestFb, pk.bestFc = pk.rawFb, pk.rawFc
+	}
+	run.trace = append(run.trace, TracePoint{Iter: iter, Temp: temp, Delta: delta, Fb: pk.rawFb, Fc: pk.rawFc, Ftot: pk.Cost(), Accepted: accepted})
 }
 
 // stopAtBarrier polls Stop at a stage barrier with the epoch's simulation

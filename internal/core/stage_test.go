@@ -53,13 +53,15 @@ func syntheticPacket(rng *anneal.Rand, n, p int) *packet {
 // reference move (refPacket), over random packets (n in 1..128 at p = 1,
 // n and p in 1..12 otherwise), random seeds, a plain or warm-offset
 // cooling schedule, an optional plateau rule and small move budgets and
-// caps: the same final mapping, running components and FinalCost to the
-// bit, equal Moves, Accepted, Stages and PlateauStop, and both RNG
-// streams at the same position. A third clone anneals with RecordTrace
-// on, which steps the kernels one move at a time: it must end with the
-// untraced run's report, mapping and RNG position, and its trace must
-// hold one point per move, numbered 0..Moves−1, marked accepted as often
-// as the report counts.
+// caps: the same final mapping and FinalCost to the bit, equal Moves,
+// Accepted, Stages and PlateauStop, and both RNG streams at the same
+// position. A third clone anneals with RecordTrace on, which steps the
+// kernels one move at a time and keeps the running components: it must
+// end with the untraced run's report, mapping and RNG position and with
+// Minimize's components to the bit, and its trace must hold one point per
+// move, numbered 0..Moves−1, marked accepted as often as the report
+// counts. (An untraced run keeps no components; TestTracedSumsMatchApply
+// checks the traced ones after every move.)
 func FuzzStageMatchesMinimize(f *testing.F) {
 	// 1 × 1 packets, which have no move: on the plain schedule, and on a
 	// warm-offset one with a plateau rule and a cap.
@@ -116,19 +118,19 @@ func FuzzStageMatchesMinimize(f *testing.F) {
 			rep.PlateauStop != res.PlateauStop || math.Float64bits(rep.FinalCost) != math.Float64bits(res.FinalCost) {
 			t.Fatalf("n=%d p=%d: loop %+v, Minimize %+v", n, p, rep, res)
 		}
-		if !slices.Equal(pk.taskAt, ref.taskAt) || !slices.Equal(pk.procOf, ref.procOf) ||
-			math.Float64bits(pk.Fb()) != math.Float64bits(ref.Fb()) || math.Float64bits(pk.Fc()) != math.Float64bits(ref.Fc()) {
-			t.Fatalf("n=%d p=%d: loop mapping %v (Fb %v, Fc %v), Minimize %v (Fb %v, Fc %v)",
-				n, p, pk.taskAt, pk.Fb(), pk.Fc(), ref.taskAt, ref.Fb(), ref.Fc())
+		if !slices.Equal(pk.taskAt, ref.taskAt) || !slices.Equal(pk.procOf, ref.procOf) {
+			t.Fatalf("n=%d p=%d: loop mapping %v, Minimize %v", n, p, pk.taskAt, ref.taskAt)
 		}
 
 		ts := &Scheduler{rng: anneal.NewRand(seed + 1)}
 		ts.opt.RecordTrace = true
 		var trep PacketReport
 		ts.anneal(traced, aopt, &trep)
-		if !sameReport(trep, rep) || !slices.Equal(traced.taskAt, pk.taskAt) || !slices.Equal(traced.procOf, pk.procOf) ||
-			math.Float64bits(traced.Fb()) != math.Float64bits(pk.Fb()) || math.Float64bits(traced.Fc()) != math.Float64bits(pk.Fc()) {
+		if !sameReport(trep, rep) || !slices.Equal(traced.taskAt, pk.taskAt) || !slices.Equal(traced.procOf, pk.procOf) {
 			t.Fatalf("n=%d p=%d: traced run %+v with mapping %v, untraced %+v with %v", n, p, trep, traced.taskAt, rep, pk.taskAt)
+		}
+		if math.Float64bits(traced.Fb()) != math.Float64bits(ref.Fb()) || math.Float64bits(traced.Fc()) != math.Float64bits(ref.Fc()) {
+			t.Fatalf("n=%d p=%d: traced run ends at Fb %v, Fc %v, Minimize at %v, %v", n, p, traced.Fb(), traced.Fc(), ref.Fb(), ref.Fc())
 		}
 		if len(trep.Trace) != rep.Moves {
 			t.Fatalf("n=%d p=%d: %d trace points for %d moves", n, p, len(trep.Trace), rep.Moves)
@@ -150,6 +152,77 @@ func FuzzStageMatchesMinimize(f *testing.F) {
 			t.Fatalf("n=%d p=%d: RNG streams diverged", n, p)
 		}
 	})
+}
+
+// TestTracedSumsMatchApply holds the running components a traced run
+// keeps to the reference move's at every trace point. A clone of each
+// packet replays the run's moves through Propose, the Float64 draw and
+// anneal.Accept, applies the accepted ones with Apply, and must price
+// every move, decide it and reach the point's Fb, Fc and Ftot to the bit.
+// Levels and communication costs come mostly from a pool with ties, +0
+// and −0, and the sums are set to −0 after the init, whatever it placed.
+// (A sum that place and remove keep from +0 is never −0, so there no
+// move depends on the sign of an absent term's zero.) From this start a
+// step that adds +0 where Apply adds nothing turns a −0 sum into +0. The
+// shapes are p = 1, where every move brings in a candidate from off the
+// slot, n > p, where some moves do, n < p, where some displace no
+// candidate, and n = p.
+func TestTracedSumsMatchApply(t *testing.T) {
+	nz := math.Copysign(0, -1)
+	pool := []float64{0, nz, 0.5, 1.25, 3}
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	var noCur, noOther, negZero int
+	for _, shape := range []struct{ n, p int }{{2, 1}, {9, 1}, {7, 3}, {2, 5}, {4, 4}} {
+		for seed := int64(1); seed <= 20; seed++ {
+			rng := anneal.NewRand(seed)
+			pk := syntheticPacket(rng, shape.n, shape.p)
+			for i := range pk.level {
+				pk.level[i] = pool[rng.Intn(len(pool))]
+			}
+			for k := range pk.commCost {
+				if rng.Intn(4) != 0 {
+					pk.commCost[k] = pool[rng.Intn(len(pool))]
+				}
+			}
+			pk.rawFb, pk.rawFc = nz, nz
+			ref := reference(&packet{})
+			ref.cloneFrom(pk)
+
+			s := &Scheduler{rng: anneal.NewRand(seed + 1)}
+			s.opt.RecordTrace = true
+			aopt := anneal.Options{Cooling: anneal.Geometric{T0: 1, Alpha: 0.8, NumStages: 30}, MovesPerStage: 40}
+			var rep PacketReport
+			s.anneal(pk, aopt, &rep)
+			if len(rep.Trace) == 0 {
+				t.Fatalf("n=%d p=%d seed %d: no trace", shape.n, shape.p, seed)
+			}
+			refRng := anneal.NewRand(seed + 1)
+			for _, tp := range rep.Trace {
+				delta, _ := ref.Propose(refRng)
+				accepted := anneal.Accept(refRng.Float64(), delta, tp.Temp, 1/tp.Temp)
+				if accepted {
+					ref.Apply()
+					if ref.moveCur < 0 {
+						noCur++
+					}
+					if ref.moveOther < 0 {
+						noOther++
+					}
+				}
+				if accepted != tp.Accepted || !same(delta, tp.Delta) || !same(ref.Fb(), tp.Fb) || !same(ref.Fc(), tp.Fc) || !same(ref.Cost(), tp.Ftot) {
+					t.Fatalf("n=%d p=%d seed %d move %d: traced %+v; Apply reached Delta %v, Fb %v, Fc %v, Ftot %v, accepted %v",
+						shape.n, shape.p, seed, tp.Iter, tp, delta, ref.Fb(), ref.Fc(), ref.Cost(), accepted)
+				}
+				if tp.Fb == 0 && math.Signbit(tp.Fb) || tp.Fc == 0 && math.Signbit(tp.Fc) {
+					negZero++
+				}
+			}
+		}
+	}
+	if noCur == 0 || noOther == 0 || negZero == 0 {
+		t.Fatalf("%d accepted moves from off the slots, %d onto a free slot, %d points at a −0 sum; want some of each", noCur, noOther, negZero)
+	}
+	t.Logf("%d accepted moves from off the slots, %d onto a free slot, %d points at a −0 sum", noCur, noOther, negZero)
 }
 
 // The stage accounting at its two edges, in both kernels, untraced and
@@ -322,10 +395,10 @@ func (p packetProbe) Assign(ep *machsim.Epoch) []machsim.Assignment {
 	return out
 }
 
-// TestPacketsReachLAPBound checks annealStage, with its running sums,
-// against every packet's exact optimum. A mapping of an n × p packet
-// places min(n, p) candidates on distinct slots, and its eq. 6 cost is the
-// sum of their contributions, so no mapping costs less than the linear
+// TestPacketsReachLAPBound checks annealStage against every packet's
+// exact optimum. A mapping of an n × p packet places min(n, p)
+// candidates on distinct slots, and its eq. 6 cost is the sum of their
+// contributions, so no mapping costs less than the linear
 // assignment optimum over the contribution table (packetLAP); with one
 // idle processor that optimum is the minimum of the contribution column.
 // On the 12 combinations the end-to-end benchmark serves (the paper's four

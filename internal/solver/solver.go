@@ -209,14 +209,23 @@ func annotateAnneal(tr *obs.Trace, sc *core.Scheduler, res *machsim.Result) {
 // stopHook is a solve's one stop hook: the context's cancellation, then
 // next (the portfolio's incumbent bound), if any. A context that can never
 // be cancelled adds nothing. Only discarded runs — a cancelled request, a
-// pruned portfolio member — ever see it fire.
+// pruned portfolio member — ever see it fire. The hook runs at every
+// stage barrier and simulator poll, so it checks the Done channel with a
+// receive that does not block, and asks ctx.Err, which locks the context,
+// only once the channel has closed.
 func stopHook(ctx context.Context, next func(now float64) error) func(now float64) error {
-	if ctx.Done() == nil {
+	done := ctx.Done()
+	if done == nil {
 		return next
 	}
 	return func(now float64) error {
-		if err := ctx.Err(); err != nil || next == nil {
-			return err
+		select {
+		case <-done:
+			return ctx.Err()
+		default:
+		}
+		if next == nil {
+			return nil
 		}
 		return next(now)
 	}

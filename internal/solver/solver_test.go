@@ -2,6 +2,7 @@ package solver
 
 import (
 	"context"
+	"errors"
 	"math"
 	"reflect"
 	"testing"
@@ -299,4 +300,53 @@ func TestArenaSolveMatchesPooledSolve(t *testing.T) {
 			t.Fatalf("%s: arena solve diverged from pooled solve", name)
 		}
 	}
+}
+
+// The stop hook of a cancellable context answers the next hook's answer,
+// or nil without one, until the context is cancelled, and
+// context.Canceled from then on without asking the next hook. A context
+// that can never be cancelled gets the next hook itself.
+func TestStopHook(t *testing.T) {
+	if stopHook(context.Background(), nil) != nil {
+		t.Fatal("a never-cancelled context without a next hook got a hook")
+	}
+	errNext := errors.New("incumbent")
+	calls := 0
+	next := func(float64) error { calls++; return errNext }
+	for _, c := range []struct {
+		next func(float64) error
+		want error
+	}{{nil, nil}, {next, errNext}} {
+		ctx, cancel := context.WithCancel(context.Background())
+		hook := stopHook(ctx, c.next)
+		if err := hook(1); !errors.Is(err, c.want) {
+			t.Fatalf("before cancel: %v, want %v", err, c.want)
+		}
+		cancel()
+		if err := hook(2); !errors.Is(err, context.Canceled) {
+			t.Fatalf("after cancel: %v, want context.Canceled", err)
+		}
+	}
+	if calls != 1 {
+		t.Fatalf("the next hook ran %d times, want once (before cancel)", calls)
+	}
+}
+
+// stopSink keeps BenchmarkStopHook's answers observable.
+var stopSink error
+
+// BenchmarkStopHook times one poll of a live request's stop hook: a
+// cancellable context that has not been cancelled, with no next hook, as a
+// solve polls it at every stage barrier and simulator poll. It must run
+// at 0 allocs/op.
+func BenchmarkStopHook(b *testing.B) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	hook := stopHook(ctx, nil)
+	b.ResetTimer()
+	var err error
+	for i := 0; i < b.N; i++ {
+		err = hook(float64(i))
+	}
+	stopSink = err
 }
